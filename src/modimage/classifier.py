@@ -16,7 +16,7 @@ mod-l representation up to conjugacy in GL_2(F_l):
   the mod-9 refinements for j = 0 and the twist tests at l = D.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -24,9 +24,11 @@ from .exactmath import (Incomplete, factor, is_cube, is_probable_prime,
                         is_square, legendre, primes_up_to)
 from .ec import (ShortCurve, WeierstrassCurve, ap, integral_model,
                  short_model, twist_test)
+from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
+                  fingerprint_in_octahedral, fingerprint_in_split_normalizer)
 from .polyq import INFINITY, Poly, evaluate, rational_roots
-from .tables import (CMEntry, EXCEPTIONAL_LOOKUP, cm_entry, nonsplit11,
-                     prime_table, supported_primes)
+from .tables import (CMEntry, EXCEPTIONAL_LOOKUP, cm_entry,
+                     nonsplit11_contains, prime_table, supported_primes)
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 37)
 DEFAULT_FROBENIUS_BOUND = 1000
@@ -34,9 +36,14 @@ DEFAULT_FROBENIUS_BOUND = 1000
 STATUS_PROVEN = "proven"
 STATUS_CONDITIONAL = "conditional(BPR-conjecture)"
 
-# canonical order for certificate lists
-MAXIMAL_KINDS = ("Borel", "SplitNormalizer", "NonsplitNormalizer",
-                 "Exceptional")
+# the maximal subgroup types a certificate can rule out, each with its
+# (trace, det) membership test, in the canonical order of certificate lists
+MAXIMAL_KINDS = (
+    ("Borel", fingerprint_in_borel),
+    ("SplitNormalizer", fingerprint_in_split_normalizer),
+    ("NonsplitNormalizer", fingerprint_in_nonsplit_normalizer),
+    ("Exceptional", fingerprint_in_octahedral),
+)
 
 
 class FactorizationIncomplete(ArithmeticError):
@@ -129,30 +136,13 @@ def _refine(entry, t, E, l):
     return entry.label, ""
 
 
-def nonsplit11_test(j) -> bool:
-    """Whether j is the image of an affine rational point of the rank-one
-    nonsplit normalizer curve at 11: the criterion quadratic-in-j must
-    have a rational root in x."""
-    crit = nonsplit11()
-    j = Fraction(j)
-    f = crit.A * Poly.const(j * j) + crit.B * Poly.const(j) + crit.C
-    return bool(rational_roots(f))
-
-
 def frobenius_noncontainment(E, l: int, bound: int) -> dict:
     """Trace certificates against the maximal subgroup types.
 
     For each good prime p <= bound compute (t, d) = (a_p, p) mod l. A
-    type is ruled out by the first pair incompatible with every element
-    of the corresponding subgroup:
-
-    * Borel: t^2 - 4d a nonsquare (no Borel element has irreducible
-      characteristic polynomial);
-    * split normalizer: t != 0 and t^2 - 4d a nonsquare (the Cartan half
-      has square discriminant, the outer coset has trace 0);
-    * nonsplit normalizer: t != 0 and t^2 - 4d a nonzero square;
-    * exceptional (projectively octahedral): t^2/d outside {0, 1, 2, 4},
-      the traces of projective order <= 4.
+    type is ruled out by the first pair that no element of its subgroup
+    has, as decided by the type's test in MAXIMAL_KINDS (the exceptional
+    type is the projectively octahedral normalizer).
 
     Returns {kind: Certificate} for the types ruled out.
     """
@@ -166,25 +156,16 @@ def frobenius_noncontainment(E, l: int, bound: int) -> dict:
             continue
         t = ap(M, p) % l
         d = p % l
-        v = (t * t - 4 * d) % l
-        chi = 0 if v == 0 else legendre(v, l)
-        u = t * t * pow(d, -1, l) % l
-        if "Borel" not in found and chi == -1:
-            found["Borel"] = Certificate("Borel", p, t, d)
-        if "SplitNormalizer" not in found and t != 0 and chi == -1:
-            found["SplitNormalizer"] = Certificate("SplitNormalizer", p, t, d)
-        if "NonsplitNormalizer" not in found and t != 0 and chi == 1:
-            found["NonsplitNormalizer"] = Certificate(
-                "NonsplitNormalizer", p, t, d)
-        if "Exceptional" not in found and u not in (0, 1, 2, 4):
-            found["Exceptional"] = Certificate("Exceptional", p, t, d)
-        if len(found) == 4:
+        for kind, contains in MAXIMAL_KINDS:
+            if kind not in found and not contains(t, d, l):
+                found[kind] = Certificate(kind, p, t, d)
+        if len(found) == len(MAXIMAL_KINDS):
             break
     return found
 
 
 def _ordered_certs(found: dict) -> Tuple[Certificate, ...]:
-    return tuple(found[k] for k in MAXIMAL_KINDS if k in found)
+    return tuple(found[k] for k, _ in MAXIMAL_KINDS if k in found)
 
 
 def _tail_13(E, frobenius_bound: int) -> ImageResult:
@@ -238,7 +219,7 @@ def classify_prime_noncm(E, j, l: int, frobenius_bound: int = DEFAULT_FROBENIUS_
     if l in supported_primes():
         for entry in prime_table(l).entries:
             if entry.criterion == "nonsplit-fiber":
-                if nonsplit11_test(j):
+                if nonsplit11_contains(j):
                     return ImageResult(l, entry.label, STATUS_PROVEN)
                 continue
             if entry.jvals is not None:

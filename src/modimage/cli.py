@@ -7,7 +7,7 @@ Subcommands:
 * ``verify-tables``: re-derive every identity the embedded tables assert
   and exit 2 if any fails; ``--emit`` dumps the raw constants instead.
 * ``group``: print order, index and generators of a labeled subgroup.
-* ``ap``: print a trace of Frobenius.
+* ``ap``: print a trace of Frobenius at a prime of good reduction.
 * ``twist-set``: print the twist discriminants a congruence scan up to a
   given bound cannot eliminate.
 
@@ -27,14 +27,14 @@ from .classifier import (
     twist_set,
 )
 from .ec import (
-    BadReduction,
     ShortCurve,
     SingularCurveError,
     WeierstrassCurve,
     ap,
     integral_model,
 )
-from .polyq import INFINITY
+from .exactmath import is_probable_prime
+from .polyq import INFINITY, format_rat, parse_rat
 from .tables import emit_text, group_from_label, verify_all
 
 
@@ -44,9 +44,9 @@ class InputError(Exception):
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"malformed rational {text!r}")
+        return parse_rat(text)
+    except ValueError as exc:
+        raise InputError(str(exc))
 
 
 def _rational_list(text: str, n: int, what: str):
@@ -92,12 +92,7 @@ def _require_model(ns):
 
 
 def _fmt_q(x) -> str:
-    if x is INFINITY:
-        return "infinity"
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return "infinity" if x is INFINITY else format_rat(x)
 
 
 def report_to_dict(report, model) -> dict:
@@ -219,12 +214,12 @@ def cmd_group(ns) -> int:
 
 def cmd_ap(ns) -> int:
     E = _require_model(ns)
+    if not is_probable_prime(ns.p):
+        raise InputError(f"p = {ns.p} is not a prime")
     M, _ = integral_model(E)
     try:
         print(ap(M, ns.p))
-    except BadReduction as exc:
-        raise InputError(str(exc))
-    except ValueError as exc:
+    except ValueError as exc:  # BadReduction
         raise InputError(str(exc))
     return 0
 
@@ -287,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ap", help="print a trace of Frobenius")
     _add_model_args(p)
-    p.add_argument("--p", type=int, required=True, metavar="P")
+    p.add_argument("--p", type=int, required=True, metavar="P",
+                   help="a prime of good reduction")
     p.set_defaults(func=cmd_ap)
 
     p = sub.add_parser("twist-set", help="print surviving twist candidates")

@@ -86,17 +86,6 @@ def is_cube(x: Rat) -> bool:
     return _int_is_cube(x.numerator) and _int_is_cube(x.denominator)
 
 
-def is_fourth_power(x: Rat) -> bool:
-    """True iff x is a fourth power of a rational number."""
-    x = Fraction(x)
-    if x < 0:
-        return False
-    n4 = math.isqrt(x.numerator)
-    d4 = math.isqrt(x.denominator)
-    return (n4 * n4 == x.numerator and d4 * d4 == x.denominator
-            and _int_is_square(n4) and _int_is_square(d4))
-
-
 def legendre(a: Rat, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, 1} for an odd prime p.
 
@@ -176,16 +165,3 @@ def primes_up_to(bound: int) -> list:
             sieve[i * i:: i] = bytes((bound - i * i) // i + 1)
     return [i for i, v in enumerate(sieve) if v]
 
-
-def squarefree_kernel(n: int, trial_bound: int = 10 ** 6):
-    """Squarefree part of n (same sign), or Incomplete if factoring fails."""
-    if n == 0:
-        raise ValueError("0 has no squarefree part")
-    fac = factor(n, trial_bound)
-    if isinstance(fac, Incomplete):
-        return fac
-    k = 1
-    for p, e in fac.items():
-        if e % 2 == 1:
-            k *= p
-    return k if n > 0 else -k

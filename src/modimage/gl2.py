@@ -18,10 +18,6 @@ def gl2_order(l: int) -> int:
     return (l * l - 1) * (l * l - l)
 
 
-def sl2_order(l: int) -> int:
-    return gl2_order(l) // (l - 1)
-
-
 class Mat2:
     """Invertible 2x2 matrix over F_l."""
 

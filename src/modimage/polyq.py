@@ -66,10 +66,6 @@ class Poly:
     def var() -> "Poly":
         return Poly([0, 1])
 
-    @staticmethod
-    def monomial(c: Rat, n: int) -> "Poly":
-        return Poly([0] * n + [c])
-
     @property
     def degree(self) -> int:
         """Degree, with deg 0 = -1 by convention."""
@@ -197,13 +193,6 @@ class Poly:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def compose_poly(self, inner: "Poly") -> "Poly":
-        """Polynomial composition self(inner(t))."""
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.const(c)
         return acc
 
     def monic(self) -> "Poly":
@@ -684,46 +673,3 @@ def format_poly(f: Poly, var: str = "t") -> str:
             out += " + " + term
     return out
 
-
-def parse_poly(s: str, var: str = "t") -> Poly:
-    """Parse the format produced by format_poly (plus harmless variants like
-    a bare 't^2' or '-t')."""
-    s = s.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial string")
-    # Split into signed terms at + and - that are not inside a fraction.
-    terms = []
-    cur = ""
-    for ch in s:
-        if ch in "+-" and cur and cur[-1] not in "+-*^/":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-    coeffs: dict = {}
-    for term in terms:
-        sign = 1
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        if not term:
-            raise ValueError("malformed polynomial term")
-        if var in term:
-            head, _, tail = term.partition(var)
-            if head.endswith("*"):
-                head = head[:-1]
-            coef = parse_rat(head) if head else Fraction(1)
-            if tail.startswith("^"):
-                exp = int(tail[1:])
-            elif tail == "":
-                exp = 1
-            else:
-                raise ValueError(f"malformed polynomial term {term!r}")
-        else:
-            coef = parse_rat(term)
-            exp = 0
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
-    n = max(coeffs) if coeffs else 0
-    return Poly([coeffs.get(i, Fraction(0)) for i in range(n + 1)])

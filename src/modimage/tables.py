@@ -27,10 +27,10 @@ identity of the nonsplit-11 criterion) and is exposed on the command
 line as `verify-tables`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 from .ec import PointQ, ShortCurve, WeierstrassCurve, scalar_mul
 from .exactmath import legendre
@@ -45,7 +45,6 @@ from .gl2 import (
     is_applicable,
     normalizer_nonsplit,
     normalizer_split,
-    octahedral_normalizer,
     primitive_root,
 )
 from .polyq import INFINITY, Poly, RatFunc, compose, evaluate, exact_divide, \
@@ -53,12 +52,6 @@ from .polyq import INFINITY, Poly, RatFunc, compose, evaluate, exact_divide, \
 
 T = Poly.var()
 F = Fraction
-
-
-def _rf(num, den=None) -> RatFunc:
-    return RatFunc(num if isinstance(num, Poly) else Poly.const(num),
-                   Poly.const(1) if den is None else
-                   (den if isinstance(den, Poly) else Poly.const(den)))
 
 
 @dataclass(frozen=True)
@@ -91,9 +84,9 @@ def _gens_of(G: Subgroup) -> tuple:
 # --- l = 2 -----------------------------------------------------------------
 
 def _table_2() -> PrimeTable:
-    j1 = _rf(256 * (T ** 2 + T + 1) ** 3, T ** 2 * (T + 1) ** 2)
-    j2 = _rf(256 * (T + 1) ** 3, T)
-    j3 = _rf(T ** 2 + 1728)
+    j1 = RatFunc(256 * (T ** 2 + T + 1) ** 3, T ** 2 * (T + 1) ** 2)
+    j2 = RatFunc(256 * (T + 1) ** 3, T)
+    j3 = RatFunc(T ** 2 + 1728)
     entries = (
         TableEntry("2.G1", 6, (), cover=j1),
         TableEntry("2.G2", 3, ((1, 1, 0, 1),), cover=j2),
@@ -105,11 +98,11 @@ def _table_2() -> PrimeTable:
 # --- l = 3 -----------------------------------------------------------------
 
 def _table_3() -> PrimeTable:
-    j1 = _rf(27 * (T + 1) ** 3 * (T + 3) ** 3 * (T ** 2 + 3) ** 3,
-             T ** 3 * (T ** 2 + 3 * T + 3) ** 3)
-    j2 = _rf(27 * (T + 1) ** 3 * (T - 3) ** 3, T ** 3)
-    j3 = _rf(27 * (T + 1) * (T + 9) ** 3, T ** 3)
-    j4 = _rf(T ** 3)
+    j1 = RatFunc(27 * (T + 1) ** 3 * (T + 3) ** 3 * (T ** 2 + 3) ** 3,
+                 T ** 3 * (T ** 2 + 3 * T + 3) ** 3)
+    j2 = RatFunc(27 * (T + 1) ** 3 * (T - 3) ** 3, T ** 3)
+    j3 = RatFunc(27 * (T + 1) * (T + 9) ** 3, T ** 3)
+    j4 = RatFunc(T ** 3)
     fam1 = (-3 * (T + 1) * (T + 3) * (T ** 2 + 3),
             -2 * (T ** 2 - 3) * (T ** 4 + 6 * T ** 3 + 18 * T ** 2
                                  + 18 * T + 9))
@@ -135,27 +128,28 @@ def _table_3() -> PrimeTable:
 
 def _table_5() -> PrimeTable:
     p20 = T ** 20 + 228 * T ** 15 + 494 * T ** 10 - 228 * T ** 5 + 1
-    j1 = _rf(p20 ** 3, T ** 5 * (T ** 10 - 11 * T ** 5 - 1) ** 5)
-    j2 = _rf((T ** 2 + 5 * T + 5) ** 3 * (T ** 4 + 5 * T ** 2 + 25) ** 3
-             * (T ** 4 + 5 * T ** 3 + 20 * T ** 2 + 25 * T + 25) ** 3,
-             T ** 5 * (T ** 4 + 5 * T ** 3 + 15 * T ** 2
-                       + 25 * T + 25) ** 5)
-    j3 = _rf(5 ** 4 * T ** 3 * (T ** 2 + 5 * T + 10) ** 3
-             * (2 * T ** 2 + 5 * T + 5) ** 3
-             * (4 * T ** 4 + 30 * T ** 3 + 95 * T ** 2 + 150 * T + 100) ** 3,
-             (T ** 2 + 5 * T + 5) ** 5
-             * (T ** 4 + 5 * T ** 3 + 15 * T ** 2 + 25 * T + 25) ** 5)
-    j4 = _rf((T + 5) ** 3 * (T ** 2 - 5) ** 3 * (T ** 2 + 5 * T + 10) ** 3,
-             (T ** 2 + 5 * T + 5) ** 5)
+    j1 = RatFunc(p20 ** 3, T ** 5 * (T ** 10 - 11 * T ** 5 - 1) ** 5)
+    j2 = RatFunc((T ** 2 + 5 * T + 5) ** 3 * (T ** 4 + 5 * T ** 2 + 25) ** 3
+                 * (T ** 4 + 5 * T ** 3 + 20 * T ** 2 + 25 * T + 25) ** 3,
+                 T ** 5 * (T ** 4 + 5 * T ** 3 + 15 * T ** 2
+                           + 25 * T + 25) ** 5)
+    j3 = RatFunc(5 ** 4 * T ** 3 * (T ** 2 + 5 * T + 10) ** 3
+                 * (2 * T ** 2 + 5 * T + 5) ** 3
+                 * (4 * T ** 4 + 30 * T ** 3 + 95 * T ** 2
+                    + 150 * T + 100) ** 3,
+                 (T ** 2 + 5 * T + 5) ** 5
+                 * (T ** 4 + 5 * T ** 3 + 15 * T ** 2 + 25 * T + 25) ** 5)
+    j4 = RatFunc((T + 5) ** 3 * (T ** 2 - 5) ** 3 * (T ** 2 + 5 * T + 10) ** 3,
+                 (T ** 2 + 5 * T + 5) ** 5)
     q4 = T ** 4 + 228 * T ** 3 + 494 * T ** 2 - 228 * T + 1
-    j5 = _rf(q4 ** 3, T * (T ** 2 - 11 * T - 1) ** 5)
+    j5 = RatFunc(q4 ** 3, T * (T ** 2 - 11 * T - 1) ** 5)
     r4 = T ** 4 - 12 * T ** 3 + 14 * T ** 2 + 12 * T + 1
-    j6 = _rf(r4 ** 3, T ** 5 * (T ** 2 - 11 * T - 1))
-    j7 = _rf(5 ** 3 * (T + 1) * (2 * T + 1) ** 3
-             * (2 * T ** 2 - 3 * T + 3) ** 3,
-             (T ** 2 + T - 1) ** 5)
-    j8 = _rf(5 ** 2 * (T ** 2 + 10 * T + 5) ** 3, T ** 5)
-    j9 = _rf(T ** 3 * (T ** 2 + 5 * T + 40))
+    j6 = RatFunc(r4 ** 3, T ** 5 * (T ** 2 - 11 * T - 1))
+    j7 = RatFunc(5 ** 3 * (T + 1) * (2 * T + 1) ** 3
+                 * (2 * T ** 2 - 3 * T + 3) ** 3,
+                 (T ** 2 + T - 1) ** 5)
+    j8 = RatFunc(5 ** 2 * (T ** 2 + 10 * T + 5) ** 3, T ** 5)
+    j9 = RatFunc(T ** 3 * (T ** 2 + 5 * T + 40))
     fam1 = (-27 * p20,
             54 * (T ** 30 - 522 * T ** 25 - 10005 * T ** 20
                   - 10005 * T ** 10 + 522 * T ** 5 + 1))
@@ -198,22 +192,23 @@ def _table_7() -> PrimeTable:
            - 10 * T ** 2 + 5 * T + 1)
     s6b = (T ** 6 + 229 * T ** 5 + 270 * T ** 4 - 1695 * T ** 3
            + 1430 * T ** 2 - 235 * T + 1)
-    j2 = _rf(T * (T + 1) ** 3 * (T ** 2 - 5 * T + 1) ** 3
-             * (T ** 2 - 5 * T + 8) ** 3
-             * (T ** 4 - 5 * T ** 3 + 8 * T ** 2 - 7 * T + 7) ** 3,
-             (T ** 3 - 4 * T ** 2 + 3 * T + 1) ** 7)
-    j3 = _rf((T ** 2 - T + 1) ** 3 * s6a ** 3,
-             (T - 1) ** 7 * T ** 7 * (T ** 3 - 8 * T ** 2 + 5 * T + 1))
-    j4 = _rf((T ** 2 - T + 1) ** 3 * s6b ** 3,
-             (T - 1) * T * (T ** 3 - 8 * T ** 2 + 5 * T + 1) ** 7)
-    j5 = _rf(-(T ** 2 - 3 * T - 3) ** 3 * (T ** 2 - T + 1) ** 3
-             * (3 * T ** 2 - 9 * T + 5) ** 3 * (5 * T ** 2 - T - 1) ** 3,
-             (T ** 3 - 2 * T ** 2 - T + 1)
-             * (T ** 3 - T ** 2 - 2 * T + 1) ** 7)
-    j6 = _rf(64 * T ** 3 * (T ** 2 + 7) ** 3 * (T ** 2 - 7 * T + 14) ** 3
-             * (5 * T ** 2 - 14 * T - 7) ** 3,
-             (T ** 3 - 7 * T ** 2 + 7 * T + 7) ** 7)
-    j7 = _rf((T ** 2 + 245 * T + 2401) ** 3 * (T ** 2 + 13 * T + 49), T ** 7)
+    j2 = RatFunc(T * (T + 1) ** 3 * (T ** 2 - 5 * T + 1) ** 3
+                 * (T ** 2 - 5 * T + 8) ** 3
+                 * (T ** 4 - 5 * T ** 3 + 8 * T ** 2 - 7 * T + 7) ** 3,
+                 (T ** 3 - 4 * T ** 2 + 3 * T + 1) ** 7)
+    j3 = RatFunc((T ** 2 - T + 1) ** 3 * s6a ** 3,
+                 (T - 1) ** 7 * T ** 7 * (T ** 3 - 8 * T ** 2 + 5 * T + 1))
+    j4 = RatFunc((T ** 2 - T + 1) ** 3 * s6b ** 3,
+                 (T - 1) * T * (T ** 3 - 8 * T ** 2 + 5 * T + 1) ** 7)
+    j5 = RatFunc(-(T ** 2 - 3 * T - 3) ** 3 * (T ** 2 - T + 1) ** 3
+                 * (3 * T ** 2 - 9 * T + 5) ** 3 * (5 * T ** 2 - T - 1) ** 3,
+                 (T ** 3 - 2 * T ** 2 - T + 1)
+                 * (T ** 3 - T ** 2 - 2 * T + 1) ** 7)
+    j6 = RatFunc(64 * T ** 3 * (T ** 2 + 7) ** 3 * (T ** 2 - 7 * T + 14) ** 3
+                 * (5 * T ** 2 - 14 * T - 7) ** 3,
+                 (T ** 3 - 7 * T ** 2 + 7 * T + 7) ** 7)
+    j7 = RatFunc((T ** 2 + 245 * T + 2401) ** 3 * (T ** 2 + 13 * T + 49),
+                 T ** 7)
     fam3 = (-27 * (T ** 2 - T + 1) * s6a,
             54 * (T ** 12 - 18 * T ** 11 + 117 * T ** 10 - 354 * T ** 9
                   + 570 * T ** 8 - 486 * T ** 7 + 273 * T ** 6
@@ -315,14 +310,14 @@ def _table_13() -> PrimeTable:
           + 44 * T ** 3 + 25 * T ** 2 + 8 * T + 1)
     cubic = T ** 3 - 4 * T ** 2 + T + 1
     quart = T ** 4 - T ** 3 + 5 * T ** 2 + T + 1
-    j1 = _rf((T ** 2 - T + 1) ** 3 * p1 ** 3, (T - 1) * T * cubic ** 13)
-    j2 = _rf((T ** 2 - T + 1) ** 3 * p2 ** 3,
-             (T - 1) ** 13 * T ** 13 * cubic)
-    j3 = _rf(-13 ** 4 * (T ** 2 - T + 1) ** 3 * p3 ** 3,
-             cubic ** 13 * (5 * T ** 3 - 7 * T ** 2 - 8 * T + 5))
-    j4 = _rf(quart * p4 ** 3, T * (T ** 2 - 3 * T - 1) ** 13)
-    j5 = _rf(quart * p5 ** 3, T ** 13 * (T ** 2 - 3 * T - 1))
-    j6 = _rf((T ** 2 + 5 * T + 13) * p6 ** 3, T)
+    j1 = RatFunc((T ** 2 - T + 1) ** 3 * p1 ** 3, (T - 1) * T * cubic ** 13)
+    j2 = RatFunc((T ** 2 - T + 1) ** 3 * p2 ** 3,
+                 (T - 1) ** 13 * T ** 13 * cubic)
+    j3 = RatFunc(-13 ** 4 * (T ** 2 - T + 1) ** 3 * p3 ** 3,
+                 cubic ** 13 * (5 * T ** 3 - 7 * T ** 2 - 8 * T + 5))
+    j4 = RatFunc(quart * p4 ** 3, T * (T ** 2 - 3 * T - 1) ** 13)
+    j5 = RatFunc(quart * p5 ** 3, T ** 13 * (T ** 2 - 3 * T - 1))
+    j6 = RatFunc((T ** 2 + 5 * T + 13) * p6 ** 3, T)
     fam4 = (-27 * quart ** 3 * p4, 54 * (T ** 2 + 1) * quart ** 4 * q4)
     fam5 = (-27 * quart ** 3 * p5, 54 * (T ** 2 + 1) * quart ** 4 * q5)
     g7_jvals = frozenset({
@@ -622,30 +617,29 @@ def _family_j(A: Poly, B: Poly) -> RatFunc:
 # Together with the family and anchor checks below, every cover is pinned
 # by at least one identity that an independent transcription would break.
 def _composition_checks():
-    one = Poly.const(1)
     return (
-        (2, "G2", _rf(T ** 2, T + 1), "G1"),
-        (2, "G3", _rf(-16 * T ** 3 - 24 * T ** 2 + 24 * T + 16,
-                      T ** 2 + T), "G1"),
-        (3, "G2", _rf(T ** 2 + 3 * T + 3, T), "G1"),
-        (3, "G3", _rf(T * (T ** 2 + 3 * T + 3)), "G1"),
-        (3, "G4", _rf(3 * (T + 1) * (T - 3), T), "G2"),
-        (5, "G2", _rf(T ** 2 - T - 1, T), "G1"),
-        (5, "G4", _rf(T ** 2 + 5, T), "G2"),
-        (5, "G5", _rf(T ** 5), "G1"),
-        (5, "G7", _rf(-(T ** 3 + 10 * T ** 2 + 25 * T + 25),
-                      2 * T ** 3 + 10 * T ** 2 + 25 * T + 25), "G3"),
-        (5, "G8", _rf(T ** 2 - 11 * T - 1, 25 * T), "G5"),
-        (5, "G9", _rf((T + 5) * (T ** 2 - 5), T ** 2 + 5 * T + 5), "G4"),
-        (7, "G7", _rf(T, one) + _rf(one, 1 - T) + _rf(T - 1, T)
-         - _rf(8), "G4"),
-        (13, "G6", _rf(13 * (T ** 2 - T), T ** 3 - 4 * T ** 2 + T + 1),
+        (2, "G2", RatFunc(T ** 2, T + 1), "G1"),
+        (2, "G3", RatFunc(-16 * T ** 3 - 24 * T ** 2 + 24 * T + 16,
+                          T ** 2 + T), "G1"),
+        (3, "G2", RatFunc(T ** 2 + 3 * T + 3, T), "G1"),
+        (3, "G3", RatFunc(T * (T ** 2 + 3 * T + 3)), "G1"),
+        (3, "G4", RatFunc(3 * (T + 1) * (T - 3), T), "G2"),
+        (5, "G2", RatFunc(T ** 2 - T - 1, T), "G1"),
+        (5, "G4", RatFunc(T ** 2 + 5, T), "G2"),
+        (5, "G5", RatFunc(T ** 5), "G1"),
+        (5, "G7", RatFunc(-(T ** 3 + 10 * T ** 2 + 25 * T + 25),
+                          2 * T ** 3 + 10 * T ** 2 + 25 * T + 25), "G3"),
+        (5, "G8", RatFunc(T ** 2 - 11 * T - 1, 25 * T), "G5"),
+        (5, "G9", RatFunc((T + 5) * (T ** 2 - 5), T ** 2 + 5 * T + 5), "G4"),
+        (7, "G7", RatFunc(T) + RatFunc(1, 1 - T) + RatFunc(T - 1, T) - 8,
+         "G4"),
+        (13, "G6", RatFunc(13 * (T ** 2 - T), T ** 3 - 4 * T ** 2 + T + 1),
          "G1"),
-        (13, "G6", _rf(T ** 3 - 4 * T ** 2 + T + 1, T ** 2 - T), "G2"),
-        (13, "G6", _rf(-5 * T ** 3 + 7 * T ** 2 + 8 * T - 5,
-                       T ** 3 - 4 * T ** 2 + T + 1), "G3"),
-        (13, "G6", _rf(13 * T, T ** 2 - 3 * T - 1), "G4"),
-        (13, "G6", _rf(T ** 2 - 3 * T - 1, T), "G5"),
+        (13, "G6", RatFunc(T ** 3 - 4 * T ** 2 + T + 1, T ** 2 - T), "G2"),
+        (13, "G6", RatFunc(-5 * T ** 3 + 7 * T ** 2 + 8 * T - 5,
+                           T ** 3 - 4 * T ** 2 + T + 1), "G3"),
+        (13, "G6", RatFunc(13 * T, T ** 2 - 3 * T - 1), "G4"),
+        (13, "G6", RatFunc(T ** 2 - 3 * T - 1, T), "G5"),
     )
 
 

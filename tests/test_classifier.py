@@ -6,6 +6,7 @@ modular cover, and the twist refinements were cross-checked with
 quadratic twists by the distinguished discriminant.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,16 +16,25 @@ from modimage.classifier import (
     FactorizationIncomplete,
     classify,
     classify_from_j,
+    classify_prime_noncm,
     frobenius_noncontainment,
     twist_set,
 )
 from modimage.ec import (
     ShortCurve,
+    SingularCurveError,
     WeierstrassCurve,
+    ap,
     quadratic_twist,
     short_model,
 )
-from modimage.gl2 import borel, normalizer_nonsplit, normalizer_split
+from modimage.exactmath import primes_up_to
+from modimage.gl2 import (
+    borel,
+    normalizer_nonsplit,
+    normalizer_split,
+    octahedral_normalizer,
+)
 from modimage.tables import CM_TABLE, group_from_label, prime_table
 
 
@@ -123,6 +133,13 @@ class TestCoverWalk:
         r = one(WeierstrassCurve(0, -1, 1, -10, -20), 5)
         assert r.witness_t == F(-1)
 
+    def test_nonsplit11_point_at_infinity(self):
+        # j = 54000 lies under the criterion curve's point at infinity,
+        # where the criterion polynomial drops degree and has no rational
+        # root; 54000 is CM by Z[sqrt(-3)] and 11 is inert in Q(sqrt(-3)),
+        # so the image does lie in the nonsplit normalizer
+        assert classify_prime_noncm(None, F(54000), 11).label == "11.G3"
+
 
 class TestComplexMultiplication:
     # label of each table model at the primes 2, 3, 5, 7, 11, 13
@@ -201,6 +218,37 @@ class TestFrobeniusTail:
             assert isinstance(cert, Certificate)
             prints = {(g.trace(), g.det()) for g in groups[kind].elements}
             assert (cert.trace, cert.det) not in prints
+
+    def test_certificates_use_the_smallest_prime(self):
+        # each certificate's p is the first good p whose (a_p, p) mod 13
+        # is outside the enumerated fingerprints of its subgroup type, and
+        # a type without certificate has no such p up to the bound
+        l, bound = 13, 400
+        prints = {
+            kind: G.invariants().fingerprints for kind, G in (
+                ("Borel", borel(l)),
+                ("SplitNormalizer", normalizer_split(l)),
+                ("NonsplitNormalizer", normalizer_nonsplit(l)),
+                ("Exceptional", octahedral_normalizer(l)))
+        }
+        rng = random.Random(13)
+        curves = 0
+        while curves < 20:
+            try:
+                E = WeierstrassCurve(rng.randint(0, 1), rng.randint(-1, 1),
+                                     rng.randint(0, 1), rng.randint(-9, 9),
+                                     rng.randint(-9, 9))
+            except SingularCurveError:
+                continue
+            curves += 1
+            disc = int(E.discriminant())
+            pairs = [(p, ap(E, p) % l, p % l) for p in primes_up_to(bound)
+                     if (l * disc) % p != 0]
+            found = frobenius_noncontainment(E, l, bound)
+            for kind, group_prints in prints.items():
+                first = next((Certificate(kind, p, t, d) for p, t, d in pairs
+                              if (t, d) not in group_prints), None)
+                assert found.get(kind) == first, (E, kind)
 
     def test_small_primes_reject_certificate_request(self):
         with pytest.raises(ValueError):

@@ -183,6 +183,10 @@ class TestExitCodes:
         ("classify", "--j", "0"),
         ("nonsense",),
         ("ap", "--p", "3"),
+        ("ap", "--curve", "0,0,0,-338,2392", "--p", "9"),
+        ("ap", "--curve", "0,0,0,-338,2392", "--p", "1"),
+        ("ap", "--curve", "0,0,0,-338,2392", "--p", "0"),
+        ("ap", "--curve", "0,0,0,-338,2392", "--p", "-5"),
         ("twist-set", "--prime", "7", "--r", "10"),
     ])
     def test_input_errors_exit_one(self, args, capsys):
@@ -200,9 +204,12 @@ class TestExitCodes:
         err2 = capsys.readouterr().err
         cli.run(["group", "--prime", "11", "--label", "XX"])
         err3 = capsys.readouterr().err
+        cli.run(["ap", "--curve", "0,0,0,-338,2392", "--p", "9"])
+        err4 = capsys.readouterr().err
         assert "malformed rational" in err1
         assert "singular" in err2
         assert "unknown label" in err3
+        assert "p = 9 is not a prime" in err4
 
 
 class TestConsoleEntryPoint:

@@ -9,12 +9,10 @@ from modimage.exactmath import (
     Incomplete,
     factor,
     is_cube,
-    is_fourth_power,
     is_probable_prime,
     is_square,
     legendre,
     primes_up_to,
-    squarefree_kernel,
 )
 from oracles import naive_is_square, squares_mod
 
@@ -72,7 +70,6 @@ def test_is_square_matches_naive(n):
 def test_recognises_perfect_powers(n):
     assert is_square(n * n)
     assert is_cube(n ** 3)
-    assert is_fourth_power(n ** 4)
     if n not in (-1, 0, 1):
         assert not is_cube(n ** 3 + 1) or n ** 3 + 1 in (0, 1, -1)
 
@@ -82,7 +79,6 @@ def test_powers_on_fractions():
     assert not is_square(Fraction(9, 17))
     assert is_cube(Fraction(-27, 8))
     assert not is_cube(Fraction(27, 10))
-    assert is_fourth_power(Fraction(16, 81))
     assert not is_square(Fraction(-9, 16))
 
 
@@ -114,20 +110,3 @@ def test_legendre_rational_arguments():
 def test_legendre_multiplicative(a, b, p):
     assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
 
-
-def test_squarefree_kernel():
-    assert squarefree_kernel(1) == 1
-    assert squarefree_kernel(-1) == -1
-    assert squarefree_kernel(12) == 3
-    assert squarefree_kernel(-75) == -3
-    assert squarefree_kernel(2 ** 19 * 5 ** 8 * 7 ** 4) == 2
-
-
-@given(st.integers(min_value=1, max_value=10 ** 5))
-def test_squarefree_kernel_structure(n):
-    k = squarefree_kernel(n)
-    assert k > 0
-    assert n % k == 0
-    assert is_square(n // k)
-    for p, e in factor(k).items():
-        assert e == 1

@@ -24,7 +24,6 @@ from modimage.gl2 import (
     octahedral_normalizer,
     primitive_root,
     span,
-    sl2_order,
 )
 from oracles import subgroup_fingerprints, squares_mod
 
@@ -38,7 +37,6 @@ def test_group_orders():
     assert gl2_order(7) == 2016
     assert gl2_order(11) == 13200
     assert gl2_order(13) == 26208
-    assert sl2_order(5) == 120
 
 
 def test_epsilon_values():
