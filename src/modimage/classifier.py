@@ -89,12 +89,6 @@ class Report:
         return tuple(r.prime for r in self.results if r.label != "GL2")
 
 
-def _lstar(l: int) -> int:
-    """The twist discriminant ramified only at l: l for l = 1 mod 4,
-    otherwise -l."""
-    return l if l % 4 == 1 else -l
-
-
 # --- the genus-zero walk ----------------------------------------------------
 
 def _cover_parameters(entry, j):
@@ -109,13 +103,23 @@ def _cover_parameters(entry, j):
     return out
 
 
-def _refine(entry, t, E, l):
+def _twist_label(model, E, d: int, labels) -> str:
+    """labels = (h1, h2, g): h1 when E is isomorphic to model, h2 when E
+    is the quadratic twist of model by d, else g."""
+    if twist_test(model, E, 1):
+        return labels[0]
+    if twist_test(model, E, d):
+        return labels[1]
+    return labels[2]
+
+
+def _refine(entry, t, E, twist: int):
     """Twist discrimination inside a matched entry: decide between the
     index-two subgroups and the full group.
 
     The matched parameter pins a curve with the same j-invariant; the
     verdict is the first sublabel when E is isomorphic to it, the second
-    when E is its twist by the prime's own discriminant, else the
+    when E is its twist by the table's twist discriminant, else the
     ambient label.
     """
     if not entry.subs:
@@ -129,11 +133,8 @@ def _refine(entry, t, E, l):
             return entry.label, "parameter at infinity; twist refinement skipped"
         A, B = entry.family
         model = ShortCurve(A.evaluate(t), B.evaluate(t))
-    if twist_test(model, E, 1):
-        return entry.subs[0][0], ""
-    if twist_test(model, E, _lstar(l)):
-        return entry.subs[1][0], ""
-    return entry.label, ""
+    labels = (entry.subs[0][0], entry.subs[1][0], entry.label)
+    return _twist_label(model, E, twist, labels), ""
 
 
 def frobenius_noncontainment(E, l: int, bound: int) -> dict:
@@ -164,51 +165,29 @@ def frobenius_noncontainment(E, l: int, bound: int) -> dict:
     return found
 
 
-def _ordered_certs(found: dict) -> Tuple[Certificate, ...]:
-    return tuple(found[k] for k, _ in MAXIMAL_KINDS if k in found)
+def _tail(E, l: int, bound: int, candidates) -> ImageResult:
+    """No table entry or isolated j-invariant settled l: the image is full
+    unless it lies in one of the candidate groups, which conjecturally
+    never happens for non-CM curves.
 
-
-def _tail_13(E, frobenius_bound: int) -> ImageResult:
-    """No cover matched at 13: the image is full unless it hides in a
-    normalizer, which conjecturally never happens for non-CM curves.
-    Frobenius certificates against both normalizers upgrade the verdict
-    to proven."""
-    possible = ("13.Ns", "13.Nns")
+    candidates pairs each open label with its maximal subgroup type; a
+    Frobenius certificate against a type closes its labels, and the
+    verdict is proven once none is left open.
+    """
     if E is None:
-        return ImageResult(13, "GL2", STATUS_CONDITIONAL, possible=possible,
+        return ImageResult(l, "GL2", STATUS_CONDITIONAL,
+                           possible=tuple(lab for lab, _ in candidates),
                            note="model required for Frobenius certificates")
-    found = frobenius_noncontainment(E, 13, frobenius_bound)
-    certs = _ordered_certs(found)
-    open_labels = tuple(
-        lab for lab, kind in (("13.Ns", "SplitNormalizer"),
-                              ("13.Nns", "NonsplitNormalizer"))
-        if kind not in found)
-    if not open_labels:
-        return ImageResult(13, "GL2", STATUS_PROVEN, certificates=certs)
-    return ImageResult(13, "GL2", STATUS_CONDITIONAL, certificates=certs,
-                       possible=open_labels)
+    found = frobenius_noncontainment(E, l, bound)
+    certs = tuple(found[k] for k, _ in MAXIMAL_KINDS if k in found)
+    possible = tuple(lab for lab, kind in candidates if kind not in found)
+    status = STATUS_CONDITIONAL if possible else STATUS_PROVEN
+    return ImageResult(l, "GL2", status, certificates=certs, possible=possible)
 
 
-def _tail_large(E, l: int, frobenius_bound: int) -> ImageResult:
-    """No exceptional j at l >= 17: the only open alternative is the
-    nonsplit normalizer (with its index-3 subgroup when l = 2 mod 3), so
-    one certificate against it proves surjectivity."""
-    possible = (f"{l}.Nns",)
-    if l % 3 == 2:
-        possible = (f"{l}.Nns", f"{l}.Nns-index3")
-    if E is None:
-        return ImageResult(l, "GL2", STATUS_CONDITIONAL, possible=possible,
-                           note="model required for Frobenius certificates")
-    found = frobenius_noncontainment(E, l, frobenius_bound)
-    certs = _ordered_certs(found)
-    if "NonsplitNormalizer" in found:
-        return ImageResult(l, "GL2", STATUS_PROVEN, certificates=certs)
-    return ImageResult(l, "GL2", STATUS_CONDITIONAL, certificates=certs,
-                       possible=possible)
-
-
-def classify_prime_noncm(E, j, l: int, frobenius_bound: int = DEFAULT_FROBENIUS_BOUND,
-                         check_all_roots: bool = False) -> ImageResult:
+def classify_prime_noncm(E, j, l: int,
+                         frobenius_bound: int = DEFAULT_FROBENIUS_BOUND
+                         ) -> ImageResult:
     """Image of the mod-l representation for a non-CM j-invariant.
 
     E may be None (classification from j alone); twist refinement and
@@ -217,7 +196,8 @@ def classify_prime_noncm(E, j, l: int, frobenius_bound: int = DEFAULT_FROBENIUS_
     """
     j = Fraction(j)
     if l in supported_primes():
-        for entry in prime_table(l).entries:
+        table = prime_table(l)
+        for entry in table.entries:
             if entry.criterion == "nonsplit-fiber":
                 if nonsplit11_contains(j):
                     return ImageResult(l, entry.label, STATUS_PROVEN)
@@ -225,30 +205,27 @@ def classify_prime_noncm(E, j, l: int, frobenius_bound: int = DEFAULT_FROBENIUS_
             if entry.jvals is not None:
                 if j not in entry.jvals:
                     continue
-                label, note = _refine(entry, None, E, l)
+                label, note = _refine(entry, None, E, table.twist)
                 return ImageResult(l, label, STATUS_PROVEN, note=note)
             params = _cover_parameters(entry, j)
             if not params:
                 continue
-            label, note = _refine(entry, params[0], E, l)
-            if check_all_roots:
-                for t in params[1:]:
-                    if t is INFINITY:
-                        continue
-                    other, _ = _refine(entry, t, E, l)
-                    if other != label:
-                        raise AssertionError(
-                            f"{entry.label}: parameters {params[0]} and {t} "
-                            f"disagree: {label} vs {other}")
+            label, note = _refine(entry, params[0], E, table.twist)
             return ImageResult(l, label, STATUS_PROVEN, witness_t=params[0],
                                note=note)
         if l == 13:
-            return _tail_13(E, frobenius_bound)
+            return _tail(E, 13, frobenius_bound,
+                         (("13.Ns", "SplitNormalizer"),
+                          ("13.Nns", "NonsplitNormalizer")))
         return ImageResult(l, "GL2", STATUS_PROVEN)
     label = EXCEPTIONAL_LOOKUP.get((l, j))
     if label is not None:
         return ImageResult(l, label, STATUS_PROVEN)
-    return _tail_large(E, l, frobenius_bound)
+    # the nonsplit normalizer, with its index-3 subgroup when l = 2 mod 3
+    candidates = ((f"{l}.Nns", "NonsplitNormalizer"),)
+    if l % 3 == 2:
+        candidates += ((f"{l}.Nns-index3", "NonsplitNormalizer"),)
+    return _tail(E, l, frobenius_bound, candidates)
 
 
 # --- CM curves ---------------------------------------------------------------
@@ -337,13 +314,10 @@ def classify_cm(E, l: int, entry: CMEntry) -> ImageResult:
         if E is None:
             return ImageResult(l, f"{l}.CM.G", STATUS_PROVEN,
                                note="model required for twist refinement")
-        if twist_test(entry.model, _as_long(E), 1):
-            label = f"{l}.CM.H1"
-        elif twist_test(entry.model, _as_long(E), -l):
-            label = f"{l}.CM.H2"
-        else:
-            label = f"{l}.CM.G"
-        return ImageResult(l, label, STATUS_PROVEN)
+        # every prime CM field discriminant is 3 mod 4, so l* = -l
+        labels = (f"{l}.CM.H1", f"{l}.CM.H2", f"{l}.CM.G")
+        return ImageResult(l, _twist_label(entry.model, E, -l, labels),
+                           STATUS_PROVEN)
     side = legendre(-entry.field_disc, l)
     label = f"{l}.Ns" if side == 1 else f"{l}.Nns"
     return ImageResult(l, label, STATUS_PROVEN)
@@ -364,22 +338,21 @@ def _checked_primes(primes):
     return tuple(sorted(out))
 
 
+def _report(E, j, primes, frobenius_bound: int) -> Report:
+    entry = cm_entry(j)
+    results = tuple(
+        classify_cm(E, l, entry) if entry is not None
+        else classify_prime_noncm(E, j, l, frobenius_bound)
+        for l in primes)
+    return Report(E, j, entry, results)
+
+
 def classify(E: WeierstrassCurve, primes=None,
-             frobenius_bound: int = DEFAULT_FROBENIUS_BOUND,
-             check_all_roots: bool = False) -> Report:
+             frobenius_bound: int = DEFAULT_FROBENIUS_BOUND) -> Report:
     """Classify the mod-l image of E at every requested prime."""
     E = _as_long(E)
     primes = _checked_primes(primes)
-    j = E.j_invariant()
-    entry = cm_entry(j)
-    results = []
-    for l in primes:
-        if entry is not None:
-            results.append(classify_cm(E, l, entry))
-        else:
-            results.append(classify_prime_noncm(
-                E, j, l, frobenius_bound, check_all_roots))
-    return Report(E, j, entry, tuple(results))
+    return _report(E, E.j_invariant(), primes, frobenius_bound)
 
 
 def classify_from_j(j, primes=None,
@@ -392,17 +365,10 @@ def classify_from_j(j, primes=None,
     """
     j = Fraction(j)
     primes = _checked_primes(primes)
-    entry = cm_entry(j)
-    if entry is not None and j in (0, 1728):
+    if j in (0, 1728):
         raise ValueError(f"j = {j} needs a curve model; twists with this "
                          "j-invariant have different images")
-    results = []
-    for l in primes:
-        if entry is not None:
-            results.append(classify_cm(None, l, entry))
-        else:
-            results.append(classify_prime_noncm(None, j, l, frobenius_bound))
-    return Report(None, j, entry, tuple(results))
+    return _report(None, j, primes, frobenius_bound)
 
 
 # --- twist sets --------------------------------------------------------------

@@ -38,8 +38,20 @@ from .polyq import INFINITY, format_rat, parse_rat
 from .tables import emit_text, group_from_label, verify_all
 
 
+# limits on the size arguments: primes_up_to(N) allocates O(N) memory and
+# ap(M, p) counts points in O(p) steps
+_MAX_SCAN_BOUND = 10 ** 5
+_MAX_AP_PRIME = 10 ** 7
+
+
 class InputError(Exception):
     """Bad command line input; maps to exit code 1."""
+
+
+def _scan_bound(flag: str, n: int) -> int:
+    if not 0 <= n <= _MAX_SCAN_BOUND:
+        raise InputError(f"{flag} must be between 0 and {_MAX_SCAN_BOUND}")
+    return n
 
 
 def _rational(text: str) -> Fraction:
@@ -164,13 +176,13 @@ def cmd_classify(ns) -> int:
     if model is not None and jtext is not None:
         raise InputError("give either a curve model or --j, not both")
     primes = _int_list(ns.primes) if ns.primes else None
+    bound = _scan_bound("--frobenius-bound", ns.frobenius_bound)
     try:
         if model is not None:
-            report = classify(model, primes,
-                              frobenius_bound=ns.frobenius_bound)
+            report = classify(model, primes, frobenius_bound=bound)
         elif jtext is not None:
             report = classify_from_j(_rational(jtext), primes,
-                                     frobenius_bound=ns.frobenius_bound)
+                                     frobenius_bound=bound)
         else:
             raise InputError("give a curve (--curve or --short) or --j")
     except ValueError as exc:
@@ -198,6 +210,8 @@ def cmd_verify_tables(ns) -> int:
 
 
 def cmd_group(ns) -> int:
+    if not is_probable_prime(ns.prime):
+        raise InputError(f"l = {ns.prime} is not a prime")
     try:
         g = group_from_label(ns.prime, ns.label)
     except (KeyError, ValueError) as exc:
@@ -214,6 +228,8 @@ def cmd_group(ns) -> int:
 
 def cmd_ap(ns) -> int:
     E = _require_model(ns)
+    if ns.p > _MAX_AP_PRIME:
+        raise InputError(f"--p must be at most {_MAX_AP_PRIME}")
     if not is_probable_prime(ns.p):
         raise InputError(f"p = {ns.p} is not a prime")
     M, _ = integral_model(E)
@@ -226,8 +242,9 @@ def cmd_ap(ns) -> int:
 
 def cmd_twist_set(ns) -> int:
     E = _require_model(ns)
+    r = _scan_bound("--r", ns.r)
     try:
-        ds = twist_set(E, ns.prime, ns.r, factor_bound=ns.factor_bound)
+        ds = twist_set(E, ns.prime, r, factor_bound=ns.factor_bound)
     except (ValueError, FactorizationIncomplete) as exc:
         raise InputError(str(exc))
     print(" ".join(str(d) for d in sorted(ds)))

@@ -177,22 +177,21 @@ def integral_model(E: WeierstrassCurve) -> Tuple[WeierstrassCurve, int]:
                             E.a4 * u ** 4, E.a6 * u ** 6), u
 
 
-def ap(E, p: int) -> int:
-    """Trace of Frobenius a_p = p + 1 - #E(F_p) by direct counting on an
-    integral model. Raises BadReduction when p divides its discriminant.
+def ap(M: WeierstrassCurve, p: int) -> int:
+    """Trace of Frobenius a_p = p + 1 - #M(F_p) by direct counting on the
+    integral model M (see integral_model). Raises ValueError when M has a
+    non-integral coefficient, BadReduction when p divides its
+    discriminant.
 
     For odd p the count is p + 1 + sum over x of the quadratic character
     of 4x^3 + b2 x^2 + 2 b4 x + b6 (complete the square in y); p = 2 is a
     four-point brute force.
     """
-    if isinstance(E, ShortCurve):
-        E = E.to_long()
-    M, _ = integral_model(E)
-    disc = int(M.discriminant())
-    if disc % p == 0:
+    if any(a.denominator != 1 for a in M.a_invariants()):
+        raise ValueError(f"ap needs an integral model, got {M!r}")
+    if int(M.discriminant()) % p == 0:
         raise BadReduction(f"p = {p} divides the discriminant")
-    a1, a2, a3, a4, a6 = (int(M.a1), int(M.a2), int(M.a3), int(M.a4),
-                          int(M.a6))
+    a1, a2, a3, a4, a6 = map(int, M.a_invariants())
     if p == 2:
         count = 1
         for x in (0, 1):

@@ -344,14 +344,6 @@ class RatFunc:
     def const(c: Rat) -> "RatFunc":
         return RatFunc(Poly.const(c))
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.num[0]
-
     @property
     def degree(self) -> int:
         """Degree as a map P^1 -> P^1."""

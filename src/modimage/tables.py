@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .ec import PointQ, ShortCurve, WeierstrassCurve, scalar_mul
-from .exactmath import legendre
+from .exactmath import is_probable_prime, legendre
 from .gl2 import (
     Mat2,
     Subgroup,
@@ -359,7 +359,7 @@ _BUILDERS = {2: _table_2, 3: _table_3, 5: _table_5, 7: _table_7,
 
 def supported_primes() -> tuple:
     """Primes with a full matching table."""
-    return (2, 3, 5, 7, 11, 13)
+    return tuple(_BUILDERS)
 
 
 @lru_cache(maxsize=None)
@@ -526,26 +526,31 @@ def nonsplit11_contains(j) -> bool:
 
 # --- building groups from labels ---------------------------------------------
 
-def _entry_by_label(l: int, name: str) -> Optional[tuple]:
-    """Find (gens,) for G- and H-names in the table for l."""
-    table = prime_table(l) if l in _BUILDERS else None
-    if table is None:
-        return None
-    for e in table.entries:
-        if e.label == f"{l}.{name}":
-            return e.gens
-        for sub_label, sub_gens in e.subs:
-            if sub_label == f"{l}.{name}":
-                return sub_gens
+def _entry(l: int, name: str) -> Optional[TableEntry]:
+    """The entry of the table for l labelled l.name, or the one with a
+    twist refinement so labelled; None when there is none."""
+    label = f"{l}.{name}"
+    for e in prime_table(l).entries:
+        if e.label == label or label in dict(e.subs):
+            return e
     return None
+
+
+def _subgroup(l: int, gens, label: str) -> Subgroup:
+    """The subgroup generated by matrices given as (a, b, c, d) tuples."""
+    return Subgroup(l, [Mat2(a, b, c, d, l) for a, b, c, d in gens],
+                    label=label)
 
 
 def group_from_label(l: int, name: str) -> Subgroup:
     """Build the subgroup of GL2(F_l) named by a verdict label.
 
     Accepts either the bare name ("G1", "H4.2", "Ns", "B", "GL2",
-    "Ns-index3", "CM.H1", ...) or the full label "l.name".
+    "Ns-index3", "CM.H1", ...) or the full label "l.name". Raises
+    ValueError unless l is prime and the label is known.
     """
+    if not is_probable_prime(l):
+        raise ValueError(f"l = {l} is not a prime")
     if name.startswith(f"{l}."):
         name = name[len(f"{l}."):]
     g = primitive_root(l) if l > 2 else 1
@@ -587,25 +592,14 @@ def group_from_label(l: int, name: str) -> Subgroup:
         return Subgroup(l, gens, label=f"{l}.CM.H2")
     full = f"{l}.{name}"
     if full in EXCEPTIONAL_GENERATORS:
-        gens = [Mat2(a, b, c, d, l)
-                for a, b, c, d in EXCEPTIONAL_GENERATORS[full]]
-        return Subgroup(l, gens, label=full)
-    if l in _BUILDERS:
-        gens_t = _entry_by_label(l, name)
-        if gens_t is not None:
-            return Subgroup(l, [Mat2(a, b, c, d, l) for a, b, c, d in gens_t],
-                            label=full)
+        return _subgroup(l, EXCEPTIONAL_GENERATORS[full], full)
+    e = _entry(l, name) if l in _BUILDERS else None
+    if e is not None:
+        return _subgroup(l, dict(e.subs).get(full, e.gens), full)
     raise ValueError(f"unknown group label {full}")
 
 
 # --- self checks -------------------------------------------------------------
-
-def _cover(l: int, name: str) -> RatFunc:
-    for e in prime_table(l).entries:
-        if e.label == f"{l}.{name}":
-            return e.cover
-    raise KeyError(name)
-
 
 def _family_j(A: Poly, B: Poly) -> RatFunc:
     """j-invariant of y^2 = x^3 + A(t) x + B(t) as a function of t."""
@@ -679,21 +673,15 @@ def verify_all():
 
     # (a) compositions
     for l, outer, inner, target in _composition_checks():
-        got = compose(_cover(l, outer), inner)
+        got = compose(_entry(l, outer).cover, inner)
         check(f"compose:{l}.{outer}->{l}.{target}",
-              got == _cover(l, target))
+              got == _entry(l, target).cover)
 
     # (b) families and fixed curves match their covers / j-values
     for l in supported_primes():
         for e in prime_table(l).entries:
             if e.family is not None:
-                A, B = e.family
-                ok = (_family_j(A, B) == e.cover) if e.cover is not None \
-                    else False
-                if e.cover is None and e.jvals is not None:
-                    jf = _family_j(A, B)
-                    ok = jf.is_constant() and jf.constant_value() in e.jvals
-                check(f"family:{e.label}", ok)
+                check(f"family:{e.label}", _family_j(*e.family) == e.cover)
             if e.curve is not None:
                 check(f"fixed-curve:{e.label}",
                       e.jvals is not None
@@ -701,24 +689,21 @@ def verify_all():
 
     # anchor values
     check("anchor:2.G1@2",
-          evaluate(_cover(2, "G1"), F(2)) == F(21952, 9))
+          evaluate(_entry(2, "G1").cover, F(2)) == F(21952, 9))
     for l, name, t0, curve in _ANCHOR_CURVES:
         check(f"anchor:{l}.{name}@{t0}",
-              evaluate(_cover(l, name), t0) == curve.j_invariant())
+              evaluate(_entry(l, name).cover, t0) == curve.j_invariant())
 
     # (c) group structure of every entry
     for l in supported_primes():
         for e in prime_table(l).entries:
-            G = Subgroup(l, [Mat2(a, b, c, d, l) for a, b, c, d in e.gens],
-                         label=e.label)
+            G = _subgroup(l, e.gens, e.label)
             ok = G.order * e.index == gl2_order(l) and is_applicable(G)
             detail = "" if ok else f"order {G.order}"
             check(f"group:{e.label}", ok, detail)
             minus_i = Mat2(-1, 0, 0, -1, l)
             for sub_label, sub_gens in e.subs:
-                H = Subgroup(l, [Mat2(a, b, c, d, l)
-                                 for a, b, c, d in sub_gens],
-                             label=sub_label)
+                H = _subgroup(l, sub_gens, sub_label)
                 plus_minus = set(H.elements) | {-m for m in H.elements}
                 check(f"twist-pair:{sub_label}",
                       minus_i not in H.elements
@@ -726,8 +711,7 @@ def verify_all():
                       and plus_minus == set(G.elements))
     for label, gens in EXCEPTIONAL_GENERATORS.items():
         l = int(label.split(".")[0])
-        G = Subgroup(l, [Mat2(a, b, c, d, l) for a, b, c, d in gens],
-                     label=label)
+        G = _subgroup(l, gens, label)
         check(f"group:{label}", is_applicable(G))
 
     # (f) CM models
@@ -740,7 +724,7 @@ def verify_all():
             if e.field_disc == l:
                 continue
             side = legendre(-e.field_disc, l)
-            cover = _cover(l, split_name if side == 1 else inert_name)
+            cover = _entry(l, split_name if side == 1 else inert_name).cover
             check(f"cm-fiber:{l}:{e.j}", _fiber_contains(cover, e.j))
 
     # (d, e, g) the nonsplit-11 criterion

@@ -11,6 +11,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import modimage.classifier
+import modimage.ec
 from modimage.classifier import (
     Certificate,
     FactorizationIncomplete,
@@ -25,10 +27,13 @@ from modimage.ec import (
     SingularCurveError,
     WeierstrassCurve,
     ap,
+    integral_model,
     quadratic_twist,
     short_model,
+    twist_test,
 )
 from modimage.exactmath import primes_up_to
+from modimage.polyq import Poly, rational_roots
 from modimage.gl2 import (
     borel,
     normalizer_nonsplit,
@@ -47,9 +52,12 @@ def one(E, l, **kw):
     return classify(E, [l], **kw).results[0]
 
 
+def table_entry(l, label):
+    return {e.label: e for e in prime_table(l).entries}[label]
+
+
 def family_curve(l, label, t):
-    entry = {e.label: e for e in prime_table(l).entries}[label]
-    A, B = entry.family
+    A, B = table_entry(l, label).family
     return ShortCurve(A.evaluate(F(t)), B.evaluate(F(t)))
 
 
@@ -110,12 +118,22 @@ class TestBenchmarkCurves:
 
 class TestCoverWalk:
     def test_all_preimages_refine_consistently(self):
-        # this parameter has three preimages on its cover (-4, 5/4, 1/5);
-        # check_all_roots makes the walk refine every one of them
+        # j(E) has three preimages on the 7.G3 cover; the walk refines at
+        # the first, and the family member at every one of them must give
+        # the same twist verdict for E and for its twist by -7
         E = family_curve(7, "7.G3", -4)
-        r = one(E.to_long(), 7, check_all_roots=True)
+        Et = quadratic_twist(E, -7)
+        cover = table_entry(7, "7.G3").cover
+        fiber = rational_roots(cover.num - Poly.const(E.j_invariant())
+                               * cover.den)
+        assert set(fiber) == {F(-4), F(5, 4), F(1, 5)}
+        for t in fiber:
+            model = family_curve(7, "7.G3", t)
+            assert twist_test(model, E, 1)
+            assert twist_test(model, Et, -7)
+        r = one(E.to_long(), 7)
         assert (r.label, r.witness_t) == ("7.H3.1", F(-4))
-        rt = one(quadratic_twist(E, -7).to_long(), 7, check_all_roots=True)
+        rt = one(Et.to_long(), 7)
         assert (rt.label, rt.witness_t) == ("7.H3.2", F(-4))
 
     def test_twist_refinement_at_13(self):
@@ -253,6 +271,20 @@ class TestFrobeniusTail:
     def test_small_primes_reject_certificate_request(self):
         with pytest.raises(ValueError):
             frobenius_noncontainment(WeierstrassCurve(0, 0, 1, -1, 0), 3, 100)
+
+    def test_one_integral_model_per_certificate_scan(self, monkeypatch):
+        # ap counts on the model it is given, so each Frobenius scan
+        # builds the integral model once, not once per prime
+        calls = []
+
+        def counted(E):
+            calls.append(E)
+            return integral_model(E)
+
+        monkeypatch.setattr(modimage.ec, "integral_model", counted)
+        monkeypatch.setattr(modimage.classifier, "integral_model", counted)
+        classify(WeierstrassCurve(0, 0, 1, -1, 0), [13, 17, 37])
+        assert len(calls) == 3
 
 
 class TestExceptionalLookup:

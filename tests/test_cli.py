@@ -173,6 +173,9 @@ class TestTwistSet:
         assert code == 1
 
 
+HUGE = str(10 ** 12)
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ("classify", "--curve", "1,2,bad,4,5"),
@@ -188,6 +191,10 @@ class TestExitCodes:
         ("ap", "--curve", "0,0,0,-338,2392", "--p", "0"),
         ("ap", "--curve", "0,0,0,-338,2392", "--p", "-5"),
         ("twist-set", "--prime", "7", "--r", "10"),
+        ("group", "--prime", "9", "--label", "B"),
+        ("group", "--prime", "0", "--label", "B"),
+        ("group", "--prime", "1", "--label", "B"),
+        ("group", "--prime", "-3", "--label", "B"),
     ])
     def test_input_errors_exit_one(self, args, capsys):
         code, _ = run_cli(*args, capsys=capsys)
@@ -206,10 +213,33 @@ class TestExitCodes:
         err3 = capsys.readouterr().err
         cli.run(["ap", "--curve", "0,0,0,-338,2392", "--p", "9"])
         err4 = capsys.readouterr().err
+        cli.run(["group", "--prime", "9", "--label", "B"])
+        err5 = capsys.readouterr().err
         assert "malformed rational" in err1
         assert "singular" in err2
         assert "unknown label" in err3
         assert "p = 9 is not a prime" in err4
+        assert "l = 9 is not a prime" in err5
+
+    @pytest.mark.parametrize("args", [
+        ("classify", "--curve", "0,0,1,-1,0", "--frobenius-bound", HUGE),
+        ("classify", "--curve", "0,0,1,-1,0", "--frobenius-bound", "-1"),
+        ("classify", "--j", "3", "--frobenius-bound", HUGE),
+        ("twist-set", "--curve", "0,0,1,-1,0", "--prime", "7", "--r", HUGE),
+        ("twist-set", "--curve", "0,0,1,-1,0", "--prime", "7", "--r", "-1"),
+        ("ap", "--curve", "0,0,1,-1,0", "--p", HUGE),
+        ("ap", "--curve", "0,0,1,-1,0", "--p", "-1"),
+    ])
+    def test_size_arguments_rejected_before_computing(self, args, capsys,
+                                                      monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("computation started")
+
+        for name in ("classify", "classify_from_j", "twist_set", "ap"):
+            monkeypatch.setattr(cli, name, forbidden)
+        assert cli.run(list(args)) == 1
+        err = capsys.readouterr().err
+        assert "must be" in err or "is not a prime" in err
 
 
 class TestConsoleEntryPoint:

@@ -113,6 +113,11 @@ def test_ap_anchors():
     assert ap(E7, 337) == -5
 
 
+def test_ap_needs_an_integral_model():
+    with pytest.raises(ValueError):
+        ap(WeierstrassCurve(0, 0, 0, Fraction(-1, 4), Fraction(1, 8)), 7)
+
+
 def test_ap_against_brute_force():
     curves = [
         CURVE_J121,
