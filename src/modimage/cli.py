@@ -38,19 +38,22 @@ from .polyq import INFINITY, format_rat, parse_rat
 from .tables import emit_text, group_from_label, verify_all
 
 
-# limits on the size arguments: primes_up_to(N) allocates O(N) memory and
-# ap(M, p) counts points in O(p) steps
+# limits on the size arguments: primes_up_to(N) allocates O(N) memory,
+# ap(M, p) and factor(n, N) take O(p) and O(N) steps, and group --prime L
+# enumerates ~L^4 elements (37 is the largest prime a table names)
 _MAX_SCAN_BOUND = 10 ** 5
 _MAX_AP_PRIME = 10 ** 7
+_MAX_FACTOR_BOUND = 10 ** 7
+_MAX_GROUP_PRIME = 37
 
 
 class InputError(Exception):
     """Bad command line input; maps to exit code 1."""
 
 
-def _scan_bound(flag: str, n: int) -> int:
-    if not 0 <= n <= _MAX_SCAN_BOUND:
-        raise InputError(f"{flag} must be between 0 and {_MAX_SCAN_BOUND}")
+def _bounded(flag: str, n: int, limit: int) -> int:
+    if not 0 <= n <= limit:
+        raise InputError(f"{flag} must be between 0 and {limit}")
     return n
 
 
@@ -176,7 +179,8 @@ def cmd_classify(ns) -> int:
     if model is not None and jtext is not None:
         raise InputError("give either a curve model or --j, not both")
     primes = _int_list(ns.primes) if ns.primes else None
-    bound = _scan_bound("--frobenius-bound", ns.frobenius_bound)
+    bound = _bounded("--frobenius-bound", ns.frobenius_bound,
+                     _MAX_SCAN_BOUND)
     try:
         if model is not None:
             report = classify(model, primes, frobenius_bound=bound)
@@ -212,6 +216,8 @@ def cmd_verify_tables(ns) -> int:
 def cmd_group(ns) -> int:
     if not is_probable_prime(ns.prime):
         raise InputError(f"l = {ns.prime} is not a prime")
+    if ns.prime > _MAX_GROUP_PRIME:
+        raise InputError(f"--prime must be at most {_MAX_GROUP_PRIME}")
     try:
         g = group_from_label(ns.prime, ns.label)
     except (KeyError, ValueError) as exc:
@@ -242,9 +248,11 @@ def cmd_ap(ns) -> int:
 
 def cmd_twist_set(ns) -> int:
     E = _require_model(ns)
-    r = _scan_bound("--r", ns.r)
+    r = _bounded("--r", ns.r, _MAX_SCAN_BOUND)
+    factor_bound = _bounded("--factor-bound", ns.factor_bound,
+                            _MAX_FACTOR_BOUND)
     try:
-        ds = twist_set(E, ns.prime, r, factor_bound=ns.factor_bound)
+        ds = twist_set(E, ns.prime, r, factor_bound=factor_bound)
     except (ValueError, FactorizationIncomplete) as exc:
         raise InputError(str(exc))
     print(" ".join(str(d) for d in sorted(ds)))

@@ -1,9 +1,9 @@
 """Dense univariate polynomials and rational functions over Q.
 
 Polynomials are immutable dense coefficient tuples (index = degree) of
-Fractions with no stale leading zeros. Rational functions are kept in the
-canonical form gcd(num, den) = 1 with monic denominator, so equality is
-plain field-by-field comparison.
+Fractions with no stale leading zeros. A rational function is a num/den
+pair with monic denominator; common factors are not cancelled, so
+equality is by cross-multiplication.
 
 rational_roots finds all rational roots of a polynomial by reducing to a
 squarefree integer polynomial, picking a prime of good reduction, Newton
@@ -91,9 +91,6 @@ class Poly:
             return self == Poly.const(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __neg__(self):
         return Poly([-c for c in self.coeffs])
 
@@ -120,8 +117,6 @@ class Poly:
         return other - self
 
     def __mul__(self, other):
-        if isinstance(other, RatFunc):
-            return NotImplemented
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
@@ -139,7 +134,7 @@ class Poly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative power of a Poly; use RatFunc")
+            raise ValueError("negative power of a Poly")
         result = Poly.const(1)
         base = self
         while n:
@@ -154,12 +149,7 @@ class Poly:
             if other == 0:
                 raise ZeroDivisionError("division by zero")
             return Poly([c / other for c in self.coeffs])
-        if isinstance(other, (Poly, RatFunc)):
-            return RatFunc(self, Poly.const(1)) / other
         return NotImplemented
-
-    def __rtruediv__(self, other):
-        return _coerce_ratfunc(other) / RatFunc(self, Poly.const(1))
 
     def divmod(self, other: "Poly"):
         """Exact long division over Q: self = q*other + r, deg r < deg other."""
@@ -309,23 +299,14 @@ def poly_sqrt(f: Poly) -> Optional[Poly]:
 
 
 class RatFunc:
-    """Rational function over Q in canonical form: num/den coprime, den monic."""
+    """Immutable num/den over Q with monic den; common factors are kept."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly = None):
-        num = _coerce_poly(num)
-        den = Poly.const(1) if den is None else _coerce_poly(den)
+    def __init__(self, num: Poly, den: Optional[Poly] = None):
+        den = Poly.const(1) if den is None else den
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            object.__setattr__(self, "num", Poly())
-            object.__setattr__(self, "den", Poly.const(1))
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
         lead = den.leading()
         if lead != 1:
             num = num / lead
@@ -336,88 +317,17 @@ class RatFunc:
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
 
-    @staticmethod
-    def var() -> "RatFunc":
-        return RatFunc(Poly.var())
-
-    @staticmethod
-    def const(c: Rat) -> "RatFunc":
-        return RatFunc(Poly.const(c))
-
-    @property
-    def degree(self) -> int:
-        """Degree as a map P^1 -> P^1."""
-        return max(self.num.degree, self.den.degree)
-
     def __eq__(self, other):
-        other = _coerce_ratfunc(other)
-        if other is NotImplemented:
+        if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __add__(self, other):
-        other = _coerce_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
-
-    def __rsub__(self, other):
-        return _coerce_ratfunc(other) - self
-
-    def __mul__(self, other):
-        other = _coerce_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _coerce_ratfunc(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
+    __hash__ = None
 
     def __repr__(self):
         if self.den == Poly.const(1):
             return f"RatFunc({format_poly(self.num)!r})"
         return f"RatFunc({format_poly(self.num)!r}, {format_poly(self.den)!r})"
-
-
-def _coerce_ratfunc(x):
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, Poly):
-        return RatFunc(x)
-    if isinstance(x, (int, Fraction)):
-        return RatFunc(Poly.const(x))
-    return NotImplemented
 
 
 def compose(outer: RatFunc, inner: RatFunc) -> RatFunc:
@@ -429,8 +339,6 @@ def compose(outer: RatFunc, inner: RatFunc) -> RatFunc:
     ZeroDivisionError if the resulting denominator is identically zero
     (inner constant at a pole of outer).
     """
-    outer = _coerce_ratfunc(outer)
-    inner = _coerce_ratfunc(inner)
     p, q = inner.num, inner.den
     d = max(outer.num.degree, outer.den.degree, 0)
     ppow = [Poly.const(1)]
@@ -457,7 +365,6 @@ def compose(outer: RatFunc, inner: RatFunc) -> RatFunc:
 def evaluate(f: RatFunc, x):
     """Value of f at x as a Fraction, or INFINITY at a pole. Accepts
     x = INFINITY and returns the limit there (ratio of leading terms)."""
-    f = _coerce_ratfunc(f)
     if x is INFINITY:
         dn, dd = f.num.degree, f.den.degree
         if dn > dd:
@@ -469,7 +376,7 @@ def evaluate(f: RatFunc, x):
     d = f.den.evaluate(x)
     if d == 0:
         if n == 0:
-            raise ArithmeticError("0/0 after canonicalization; broken invariant")
+            raise ArithmeticError("0/0: num and den share a root")
         return INFINITY
     return n / d
 

@@ -21,10 +21,10 @@ lives in NonsplitCriterion11.
 
 Everything is exact: Fractions, Poly and RatFunc over Q. verify_all()
 re-derives the internal consistency of all of this data (cover
-composition identities, family j-invariants, group orders, fiber
-membership of the complex-multiplication j-invariants, the discriminant
-identity of the nonsplit-11 criterion) and is exposed on the command
-line as `verify-tables`.
+composition identities, covers in lowest terms, family j-invariants,
+group orders, fiber membership of the complex-multiplication
+j-invariants, the discriminant identity of the nonsplit-11 criterion)
+and is exposed on the command line as `verify-tables`.
 """
 
 from dataclasses import dataclass
@@ -48,7 +48,7 @@ from .gl2 import (
     primitive_root,
 )
 from .polyq import INFINITY, Poly, RatFunc, compose, evaluate, exact_divide, \
-    format_poly, poly_sqrt, rational_roots
+    format_poly, poly_gcd, poly_sqrt, rational_roots
 
 T = Poly.var()
 F = Fraction
@@ -625,8 +625,8 @@ def _composition_checks():
                           2 * T ** 3 + 10 * T ** 2 + 25 * T + 25), "G3"),
         (5, "G8", RatFunc(T ** 2 - 11 * T - 1, 25 * T), "G5"),
         (5, "G9", RatFunc((T + 5) * (T ** 2 - 5), T ** 2 + 5 * T + 5), "G4"),
-        (7, "G7", RatFunc(T) + RatFunc(1, 1 - T) + RatFunc(T - 1, T) - 8,
-         "G4"),
+        # t + 1/(1 - t) + (t - 1)/t - 8
+        (7, "G7", RatFunc(T ** 3 - 8 * T ** 2 + 5 * T + 1, T ** 2 - T), "G4"),
         (13, "G6", RatFunc(13 * (T ** 2 - T), T ** 3 - 4 * T ** 2 + T + 1),
          "G1"),
         (13, "G6", RatFunc(T ** 3 - 4 * T ** 2 + T + 1, T ** 2 - T), "G2"),
@@ -661,10 +661,10 @@ def verify_all():
     """Re-derive the consistency of all table data.
 
     Returns a list of (check name, passed, detail) triples covering cover
-    composition identities, family j-invariants, anchor curves, group
-    orders and applicability, twist-pair structure, CM model j-invariants
-    and normalizer fiber membership, and the discriminant and evaluation
-    identities of the nonsplit-11 criterion.
+    composition identities, covers in lowest terms, family j-invariants,
+    anchor curves, group orders and applicability, twist-pair structure,
+    CM model j-invariants and normalizer fiber membership, and the
+    discriminant and evaluation identities of the nonsplit-11 criterion.
     """
     results = []
 
@@ -677,9 +677,13 @@ def verify_all():
         check(f"compose:{l}.{outer}->{l}.{target}",
               got == _entry(l, target).cover)
 
-    # (b) families and fixed curves match their covers / j-values
+    # (b) covers are in lowest terms, so their fibers are the roots of
+    # num - j*den; families and fixed curves match their covers / j-values
     for l in supported_primes():
         for e in prime_table(l).entries:
+            if e.cover is not None:
+                check(f"coprime:{e.label}",
+                      poly_gcd(e.cover.num, e.cover.den).degree == 0)
             if e.family is not None:
                 check(f"family:{e.label}", _family_j(*e.family) == e.cover)
             if e.curve is not None:

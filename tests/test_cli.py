@@ -229,13 +229,20 @@ class TestExitCodes:
         ("twist-set", "--curve", "0,0,1,-1,0", "--prime", "7", "--r", "-1"),
         ("ap", "--curve", "0,0,1,-1,0", "--p", HUGE),
         ("ap", "--curve", "0,0,1,-1,0", "--p", "-1"),
+        ("twist-set", "--short=0,1000000016000000063", "--prime", "7",
+         "--r", "10", "--factor-bound", HUGE),
+        ("twist-set", "--short=0,1000000016000000063", "--prime", "7",
+         "--r", "10", "--factor-bound", "-1"),
+        ("group", "--prime", "41", "--label", "GL2"),
+        ("group", "--prime", "1000000007", "--label", "B"),
     ])
     def test_size_arguments_rejected_before_computing(self, args, capsys,
                                                       monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("computation started")
 
-        for name in ("classify", "classify_from_j", "twist_set", "ap"):
+        for name in ("classify", "classify_from_j", "twist_set", "ap",
+                     "group_from_label"):
             monkeypatch.setattr(cli, name, forbidden)
         assert cli.run(list(args)) == 1
         err = capsys.readouterr().err

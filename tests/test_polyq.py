@@ -95,7 +95,7 @@ def test_ratfunc_canonical():
     r = RatFunc(T ** 2 - 1, 2 * T + 2)
     assert r == RatFunc(T - 1, Poly.const(2))
     assert r.den.monic() == r.den
-    assert RatFunc(T, T) == RatFunc.const(1)
+    assert RatFunc(T, T) == RatFunc(Poly.const(1))
     with pytest.raises(ZeroDivisionError):
         RatFunc(T, Poly.const(0))
 
@@ -105,15 +105,6 @@ def test_ratfunc_common_factor_cancels(f, g, h):
     if g.degree < 0 or h.degree < 0:
         return
     assert RatFunc(f * h, g * h) == RatFunc(f, g)
-
-
-def test_ratfunc_arithmetic():
-    half = RatFunc(Poly.const(1), 2 * T)
-    assert half + half == RatFunc(Poly.const(1), T)
-    x = RatFunc.var()
-    assert (x ** 2 - 1) / (x + 1) == x - 1
-    assert x - x == RatFunc.const(0)
-    assert (x / (x + 1)).degree == 1
 
 
 def test_compose_rational():

@@ -7,16 +7,26 @@ multiples of its generator, and conjugacy of listed generators with the
 standard subgroup constructors.
 """
 
+import dataclasses
+import hashlib
 from fractions import Fraction as F
 
+import modimage.tables as tables
 from modimage.ec import PointQ, ShortCurve, scalar_mul
 from modimage.gl2 import (Mat2, Subgroup, is_conjugate, normalizer_nonsplit,
                           octahedral_normalizer)
-from modimage.polyq import INFINITY, evaluate
+from modimage.polyq import INFINITY, Poly, RatFunc, evaluate
 from modimage.tables import (CM_TABLE, EXCEPTIONAL_LOOKUP, cm_entry,
-                             group_from_label, nonsplit11, nonsplit11_contains,
-                             nonsplit11_j, prime_table, supported_primes,
-                             verify_all)
+                             emit_text, group_from_label, nonsplit11,
+                             nonsplit11_contains, nonsplit11_j, prime_table,
+                             supported_primes, verify_all)
+
+T = Poly.var()
+
+# sha256 of emit_text(): any drift in a transcribed constant or in the
+# normalisation of cover denominators changes it
+EMIT_TEXT_SHA256 = \
+    "69badb93a60b2adbfaf18f88e02ac2f3336328bdf2b85ab7dad31dee3d125894"
 
 
 def test_verify_all_green():
@@ -24,6 +34,35 @@ def test_verify_all_green():
     bad = [(name, detail) for name, ok, detail in results if not ok]
     assert bad == []
     assert len(results) > 150
+
+
+def test_emit_text_is_pinned():
+    digest = hashlib.sha256(emit_text().encode()).hexdigest()
+    assert digest == EMIT_TEXT_SHA256
+
+
+def test_every_cover_is_checked_coprime(monkeypatch):
+    # the fiber test reads rational preimages of j as the roots of
+    # num - j*den, which is only right when num and den are coprime
+    covers = [f"coprime:{e.label}" for l in supported_primes()
+              for e in prime_table(l).entries if e.cover is not None]
+    checks = [(name, ok) for name, ok, _ in verify_all()
+              if name.startswith("coprime:")]
+    assert checks == [(name, True) for name in covers]
+
+    def common_factor(e):
+        if e.label != "2.G2":
+            return e
+        return dataclasses.replace(e, cover=RatFunc(
+            e.cover.num * (T - 1), e.cover.den * (T - 1)))
+
+    real = tables.prime_table
+    bad = dataclasses.replace(
+        real(2), entries=tuple(map(common_factor, real(2).entries)))
+    monkeypatch.setattr(tables, "prime_table",
+                        lambda l: bad if l == 2 else real(l))
+    failed = [name for name, ok, _ in tables.verify_all() if not ok]
+    assert failed == ["coprime:2.G2"]
 
 
 def test_tables_listed_by_decreasing_index():
