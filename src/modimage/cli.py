@@ -39,12 +39,14 @@ from .tables import emit_text, group_from_label, verify_all
 
 
 # limits on the size arguments: primes_up_to(N) allocates O(N) memory,
-# ap(M, p) and factor(n, N) take O(p) and O(N) steps, and group --prime L
-# enumerates ~L^4 elements (37 is the largest prime a table names)
+# ap(M, p) and factor(n, N) take O(p) and O(N) steps, group --prime L
+# enumerates ~L^4 elements (37 is the largest prime a table names), and
+# the fiber tests of classify slow down sharply with the height of j
 _MAX_SCAN_BOUND = 10 ** 5
 _MAX_AP_PRIME = 10 ** 7
 _MAX_FACTOR_BOUND = 10 ** 7
 _MAX_GROUP_PRIME = 37
+_MAX_J_DIGITS = 200
 
 
 class InputError(Exception):
@@ -181,14 +183,20 @@ def cmd_classify(ns) -> int:
     primes = _int_list(ns.primes) if ns.primes else None
     bound = _bounded("--frobenius-bound", ns.frobenius_bound,
                      _MAX_SCAN_BOUND)
+    if model is not None:
+        j = model.j_invariant()
+    elif jtext is not None:
+        j = _rational(jtext)
+    else:
+        raise InputError("give a curve (--curve or --short) or --j")
+    if max(abs(j.numerator), j.denominator) >= 10 ** _MAX_J_DIGITS:
+        raise InputError(f"the numerator and denominator of j must be at "
+                         f"most {_MAX_J_DIGITS} digits long")
     try:
         if model is not None:
             report = classify(model, primes, frobenius_bound=bound)
-        elif jtext is not None:
-            report = classify_from_j(_rational(jtext), primes,
-                                     frobenius_bound=bound)
         else:
-            raise InputError("give a curve (--curve or --short) or --j")
+            report = classify_from_j(j, primes, frobenius_bound=bound)
     except ValueError as exc:
         raise InputError(str(exc))
     if ns.format == "json":

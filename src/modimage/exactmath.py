@@ -23,8 +23,7 @@ def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test (deterministic below 3.3e24)."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
+    for p in _MR_WITNESSES:
         if n == p:
             return True
         if n % p == 0:

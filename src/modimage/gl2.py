@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
+from .exactmath import factor
+
 
 def gl2_order(l: int) -> int:
     """|GL2(F_l)| = (l^2 - 1)(l^2 - l)."""
@@ -96,26 +98,12 @@ def primitive_root(l: int) -> int:
     """Smallest generator of the cyclic group F_l^*."""
     if l == 2:
         return 1
-    fac = _prime_divisors(l - 1)
+    fac = list(factor(l - 1))
     g = 2
     while True:
         if all(pow(g, (l - 1) // q, l) != 1 for q in fac):
             return g
         g += 1
-
-
-def _prime_divisors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def span(generators: Iterable[Mat2], l: int) -> frozenset:

@@ -6,10 +6,11 @@ pair with monic denominator; common factors are not cancelled, so
 equality is by cross-multiplication.
 
 rational_roots finds all rational roots of a polynomial by reducing to a
-squarefree integer polynomial, picking a prime of good reduction, Newton
-lifting the mod-p roots to a large prime power, and applying rational
-reconstruction; every candidate is verified by exact substitution, and
-completeness follows from the root bounds used to size the lift.
+squarefree integer polynomial, picking the smallest prime at which the
+roots of that polynomial are simple, Newton lifting those roots to a
+large prime power, and applying rational reconstruction; every candidate
+is verified by exact substitution, and completeness follows from the root
+bounds used to size the lift.
 """
 
 from __future__ import annotations
@@ -191,11 +192,11 @@ class Poly:
         lead = self.leading()
         return Poly([c / lead for c in self.coeffs])
 
-    def content_and_primitive(self):
-        """Return (c, P) with self = c * P, P having coprime integer
-        coefficients and positive leading coefficient."""
+    def primitive(self) -> "Poly":
+        """The P with self = c * P for a rational c, P having coprime
+        integer coefficients and positive leading coefficient."""
         if self.is_zero():
-            return Fraction(0), Poly()
+            return Poly()
         den = math.lcm(*[c.denominator for c in self.coeffs])
         ints = [int(c * den) for c in self.coeffs]
         g = 0
@@ -203,8 +204,7 @@ class Poly:
             g = math.gcd(g, v)
         if ints[-1] < 0:
             g = -g
-        prim = Poly([v // g for v in ints])
-        return Fraction(g, den), prim
+        return Poly([v // g for v in ints])
 
     def int_coeffs(self) -> list:
         """Coefficients as ints; raises if any is non-integral."""
@@ -243,8 +243,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return f if g.is_zero() else g.monic()
     if g.is_zero():
         return f.monic()
-    _, a = f.content_and_primitive()
-    _, b = g.content_and_primitive()
+    a = f.primitive()
+    b = g.primitive()
     if a.degree < b.degree:
         a, b = b, a
     while True:
@@ -255,7 +255,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         scale = b.leading() ** (a.degree - b.degree + 1)
         r = (Poly.const(scale) * a) % b
         if not r.is_zero():
-            _, r = r.content_and_primitive()
+            r = r.primitive()
         a, b = b, r
 
 
@@ -386,47 +386,38 @@ def evaluate(f: RatFunc, x):
 def rational_roots(f: Poly) -> set:
     """All rational roots of f, found by Hensel lifting.
 
-    The polynomial is reduced to its squarefree part with integer coprime
-    coefficients; a prime p of squarefree reduction not dividing the leading
-    coefficient is chosen; the roots mod p are Newton lifted, doubling the
-    precision until the modulus exceeds twice the product of the numerator
-    and denominator bounds; rational reconstruction proposes candidates and
-    each is verified by exact substitution into f. Roots at t = 0 are split
-    off first so the constant term is nonzero.
+    f is reduced to its squarefree part with coprime integer coefficients.
+    The lifting prime is the smallest prime p, not dividing the leading
+    coefficient, at which every root of that part mod p is simple. Those
+    roots are Newton lifted, doubling the precision until the modulus
+    exceeds twice the product of the numerator and denominator bounds;
+    rational reconstruction proposes candidates and each is verified by
+    exact substitution into f. No rational root is missed: its
+    denominator divides the leading coefficient, so it reduces to one of
+    the simple roots mod p, and Newton's iteration from there converges
+    to it.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has every root")
-    roots = set()
-    cs = list(f.coeffs)
-    shift = 0
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        shift += 1
-    if shift:
-        roots.add(Fraction(0))
-    g = Poly(cs)
-    if g.degree < 1:
-        return roots
-    _, prim = g.content_and_primitive()
-    sqf = _squarefree_part(prim)
-    ints = sqf.int_coeffs()
+    if f.degree < 1:
+        return set()
+    ints = _squarefree_part(f.primitive()).int_coeffs()
+    dints = [i * c for i, c in enumerate(ints)][1:]
     an = abs(ints[-1])
     height = max(abs(c) for c in ints)
     # Any root u/v in lowest terms has v | a_n and |u/v| <= 1 + H/|a_n|,
     # so |u| <= |a_n| + H and |v| <= |a_n|.
     bound_u = an + height
     bound_v = an
-    p = _good_prime(ints)
-    residues = _roots_mod_p(ints, p)
-    if not residues:
-        return roots
+    p, residues = _lifting_prime(ints, dints)
     target = 2 * bound_u * bound_v + 1
-    lifted, modulus = _newton_lift(ints, residues, p, target)
+    lifted, modulus = _newton_lift(ints, dints, residues, p, target)
+    roots = set()
     for r in lifted:
         cand = _rational_reconstruct(r, modulus, bound_u, bound_v)
         if cand is None:
             continue
-        if g.evaluate(cand) == 0:
+        if f.evaluate(cand) == 0:
             roots.add(cand)
     return roots
 
@@ -436,64 +427,25 @@ def _squarefree_part(f: Poly) -> Poly:
     g = poly_gcd(f, f.derivative())
     if g.degree == 0:
         return f
-    _, prim = (f // g).content_and_primitive()
-    return prim
+    return (f // g).primitive()
 
 
-def _good_prime(ints: list) -> int:
-    """Smallest prime p with p not dividing the leading coefficient and the
-    reduction mod p squarefree."""
-    p = 2
+def _lifting_prime(ints: list, dints: list):
+    """Smallest prime p not dividing the leading coefficient at which every
+    root of ints mod p is simple (dints is the derivative), and those roots.
+    One exists: any p dividing neither a_n nor the discriminant will do."""
+    p = 1
     while True:
-        if is_probable_prime(p) and ints[-1] % p != 0:
-            fp = [c % p for c in ints]
-            dfp = [(i * c) % p for i, c in enumerate(ints)][1:]
-            if _gcd_mod_p_is_one(fp, dfp, p):
-                return p
         p += 1
-        if p > 100000:
-            raise ArithmeticError("no prime of squarefree reduction found")
+        if not is_probable_prime(p) or ints[-1] % p == 0:
+            continue
+        residues = [r for r in range(p) if _eval_mod(ints, r, p) == 0]
+        if all(_eval_mod(dints, r, p) for r in residues):
+            return p, residues
 
 
-def _gcd_mod_p_is_one(a: list, b: list, p: int) -> bool:
-    a = _trim(a)
-    b = _trim(b)
-    while b:
-        a, b = b, _poly_mod_mod_p(a, b, p)
-    return len(a) == 1
-
-
-def _trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mod_mod_p(a: list, b: list, p: int) -> list:
-    a = a[:]
-    inv = pow(b[-1], -1, p)
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv % p
-        off = len(a) - len(b)
-        for i in range(len(b)):
-            a[off + i] = (a[off + i] - c * b[i]) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _roots_mod_p(ints: list, p: int) -> list:
-    out = []
-    for r in range(p):
-        acc = 0
-        for c in reversed(ints):
-            acc = (acc * r + c) % p
-        if acc == 0:
-            out.append(r)
-    return out
-
-
-def _newton_lift(ints: list, residues: list, p: int, target: int):
+def _newton_lift(ints: list, dints: list, residues: list, p: int,
+                 target: int):
     """Lift simple roots mod p to roots mod p^(2^m) >= target."""
     modulus = p
     roots = list(residues)
@@ -502,7 +454,7 @@ def _newton_lift(ints: list, residues: list, p: int, target: int):
         new_roots = []
         for r in roots:
             fr = _eval_mod(ints, r, modulus)
-            dfr = _eval_mod([i * c for i, c in enumerate(ints)][1:], r, modulus)
+            dfr = _eval_mod(dints, r, modulus)
             r2 = (r - fr * pow(dfr, -1, modulus)) % modulus
             new_roots.append(r2)
         roots = new_roots

@@ -235,6 +235,8 @@ class TestExitCodes:
          "--r", "10", "--factor-bound", "-1"),
         ("group", "--prime", "41", "--label", "GL2"),
         ("group", "--prime", "1000000007", "--label", "B"),
+        ("classify", "--j", "1" + "0" * 250),
+        ("classify", "--short", f"{10 ** 70},1"),
     ])
     def test_size_arguments_rejected_before_computing(self, args, capsys,
                                                       monkeypatch):

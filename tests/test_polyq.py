@@ -142,6 +142,12 @@ def test_rational_roots_anchor():
     assert rational_roots(f) == {Fraction(2, 3), Fraction(-5), Fraction(0)}
     assert rational_roots(T ** 2 + 1) == set()
     assert rational_roots(Poly.const(5)) == set()
+    # roots colliding mod 2 (and mod 3) move the lifting prime to 3 (and 5)
+    assert rational_roots((T - 1) * (T - 3)) == {1, 3}
+    assert rational_roots((T - 1) * (T - 4) * (T - 7)) == {1, 4, 7}
+    # a repeated root at 0 goes through the squarefree part, a simple one not
+    assert rational_roots(T ** 2 * (2 * T - 1)) == {0, Fraction(1, 2)}
+    assert rational_roots(5 * T) == {0}
 
 
 def test_rational_roots_repeated_and_big():
