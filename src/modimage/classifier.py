@@ -50,7 +50,7 @@ class FactorizationIncomplete(ArithmeticError):
     """The discriminant would not factor under the trial bound."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """A Frobenius witness (a_p, p) mod l incompatible with a maximal
     subgroup type."""
@@ -60,7 +60,7 @@ class Certificate:
     det: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageResult:
     """Mod-l verdict for one prime.
 
@@ -77,7 +77,7 @@ class ImageResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Report:
     curve: Optional[WeierstrassCurve]
     j: Fraction

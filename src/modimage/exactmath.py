@@ -18,6 +18,8 @@ Rat = Union[int, Fraction]
 # factor() contract promises.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+_MAX_SIEVE_BOUND = 10 ** 6
+
 
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test (deterministic below 3.3e24)."""
@@ -154,7 +156,10 @@ def _trial_primes(bound: int):
 
 
 def primes_up_to(bound: int) -> list:
-    """All primes <= bound, by a sieve of Eratosthenes."""
+    """All primes <= bound, by a sieve of Eratosthenes. The sieve takes
+    O(bound) memory, so a bound above _MAX_SIEVE_BOUND raises ValueError."""
+    if bound > _MAX_SIEVE_BOUND:
+        raise ValueError(f"sieve bound {bound} exceeds {_MAX_SIEVE_BOUND}")
     if bound < 2:
         return []
     sieve = bytearray([1]) * (bound + 1)

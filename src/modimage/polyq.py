@@ -1,9 +1,11 @@
 """Dense univariate polynomials and rational functions over Q.
 
 Polynomials are immutable dense coefficient tuples (index = degree) of
-Fractions with no stale leading zeros. A rational function is a num/den
-pair with monic denominator; common factors are not cancelled, so
-equality is by cross-multiplication.
+Fractions with no stale leading zeros. A product is one big-int product
+(Kronecker substitution): both factors are scaled to integers, packed at
+a power of two wide enough for every product coefficient, multiplied and
+unpacked. A rational function is a num/den pair with monic denominator;
+common factors are not cancelled, so equality is by cross-multiplication.
 
 rational_roots finds all rational roots of a polynomial by reducing to a
 squarefree integer polynomial, picking the smallest prime at which the
@@ -118,17 +120,32 @@ class Poly:
         return other - self
 
     def __mul__(self, other):
+        """Product by Kronecker substitution. A product coefficient of the
+        scaled factors is at most min(len) * max|a| * max|b| < 2^(k-1) in
+        absolute value, so each fits one signed k-bit digit."""
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+        f, g = (other, self) if len(self.coeffs) == 1 else (self, other)
+        if len(g.coeffs) == 1:
+            return Poly([c * g.coeffs[0] for c in f.coeffs])
+        da, a = _scaled(self.coeffs)
+        db, b = _scaled(other.coeffs)
+        k = (min(len(a), len(b)) * max(map(abs, a))
+             * max(map(abs, b))).bit_length() + 1
+        prod = 1
+        for ints in (a, b):
+            prod *= sum(c << (k * i) for i, c in enumerate(ints))
+        out = []
+        for _ in range(len(a) + len(b) - 1):
+            r = prod & ((1 << k) - 1)
+            prod >>= k
+            if r >> (k - 1):
+                r -= 1 << k
+                prod += 1
+            out.append(Fraction(r, da * db))
         return Poly(out)
 
     __rmul__ = __mul__
@@ -141,8 +158,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __truediv__(self, other):
@@ -197,11 +215,8 @@ class Poly:
         integer coefficients and positive leading coefficient."""
         if self.is_zero():
             return Poly()
-        den = math.lcm(*[c.denominator for c in self.coeffs])
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
+        ints = _scaled(self.coeffs)[1]
+        g = math.gcd(*ints)
         if ints[-1] < 0:
             g = -g
         return Poly([v // g for v in ints])
@@ -220,6 +235,13 @@ class Poly:
 
     def __str__(self):
         return format_poly(self)
+
+
+def _scaled(coeffs) -> tuple:
+    """(d, ints): the least common denominator d of coeffs and the
+    integers d*c."""
+    d = math.lcm(*[c.denominator for c in coeffs])
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
 def _coerce_poly(x):

@@ -9,6 +9,9 @@ evidence and not a shared bug:
     p-adically and reconstructs.
   * brute_force_ap counts points by scanning every affine pair (x, y)
     mod p, while ec.ap sums a quadratic character over x only.
+  * schoolbook_product multiplies coefficient by coefficient in
+    Fractions, while Poly.__mul__ packs integer coefficients into one big
+    int (Kronecker substitution).
   * subgroup_fingerprints enumerates an explicit subgroup, while the
     closed-form predicates in gl2 never build the group.
 """
@@ -68,6 +71,15 @@ def divisor_root_search(f):
                 if f.evaluate(cand) == 0:
                     roots.add(cand)
     return roots
+
+
+def schoolbook_product(f, g):
+    """f*g for Polys, by summing every pairwise product of coefficients."""
+    out = {}
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out.get(i + j, Fraction(0)) + a * b
+    return Poly([out[i] for i in range(len(out))])
 
 
 def brute_force_ap(curve, p):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from modimage import cli, exactmath
 from modimage.exactmath import (
     Incomplete,
     factor,
@@ -28,6 +29,20 @@ def test_primality_small():
 def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_up_to(1) == []
+
+
+def test_primes_up_to_refuses_a_bound_past_the_cap(monkeypatch):
+    cap = exactmath._MAX_SIEVE_BOUND
+    assert cli._MAX_SCAN_BOUND < cap
+    assert primes_up_to(cap)[-1] == 999983
+
+    def no_sieve(*args):
+        raise AssertionError("sieve allocated")
+
+    monkeypatch.setattr(exactmath, "bytearray", no_sieve, raising=False)
+    for bound in (cap + 1, 10 ** 12):
+        with pytest.raises(ValueError, match="exceeds"):
+            primes_up_to(bound)
 
 
 def test_factor_basic():

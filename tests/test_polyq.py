@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modimage.polyq import (
     INFINITY,
@@ -18,7 +18,7 @@ from modimage.polyq import (
     poly_sqrt,
     rational_roots,
 )
-from oracles import divisor_root_search
+from oracles import divisor_root_search, schoolbook_product
 
 T = Poly.var()
 
@@ -77,6 +77,50 @@ def test_gcd_divides(f, g):
         return
     assert exact_divide(f, d) is not None
     assert exact_divide(g, d) is not None
+
+
+big = 2 ** 200
+product_coeffs = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=big - 1000, max_value=big + 1000),
+    st.integers(min_value=-big - 1000, max_value=-big + 1000),
+    st.builds(Fraction, st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+              st.integers(min_value=1, max_value=10 ** 12)),
+)
+product_polys = st.lists(product_coeffs, min_size=1, max_size=8).map(Poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_polys, product_polys)
+@example(Poly([-big] * 6), Poly([big] * 4))
+@example(Poly([big, 0, 0, -big]), Poly([-1, 0, 1]))
+@example(Poly([Fraction(-2, 3)]), Poly([1, 0, Fraction(5, 7), -big]))
+@example(Poly([1, 0, Fraction(5, 7), -big]), Poly([Fraction(-2, 3)]))
+@example(Poly([Fraction(1, 3)]), Poly([-5]))
+def test_product_matches_schoolbook(f, g):
+    assert f * g == schoolbook_product(f, g)
+    assert g * f == schoolbook_product(g, f)
+
+
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    f = T ** 2 - Fraction(1, 2) * T + 3
+    calls = []
+    mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    for n in range(10):
+        calls.clear()
+        power = f ** n
+        assert len(calls) == (n.bit_length() - 1 + bin(n).count("1")
+                              if n else 0)
+        expected = Poly.const(1)
+        for _ in range(n):
+            expected = schoolbook_product(expected, f)
+        assert power == expected
 
 
 def test_exact_divide():
