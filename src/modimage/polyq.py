@@ -4,8 +4,10 @@ Polynomials are immutable dense coefficient tuples (index = degree) of
 Fractions with no stale leading zeros. A product is one big-int product
 (Kronecker substitution): both factors are scaled to integers, packed at
 a power of two wide enough for every product coefficient, multiplied and
-unpacked. A rational function is a num/den pair with monic denominator;
-common factors are not cancelled, so equality is by cross-multiplication.
+unpacked. Division is one integer pseudo-division, _pseudo_divmod, on
+scaled coefficient lists; it serves the gcd and exact division. A
+rational function is a num/den pair with monic denominator; common
+factors are not cancelled, so equality is by cross-multiplication.
 
 rational_roots finds all rational roots of a polynomial by reducing to a
 squarefree integer polynomial, picking the smallest prime at which the
@@ -21,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .exactmath import is_probable_prime
+from .exactmath import is_probable_prime, is_square
 
 Rat = Union[int, Fraction]
 
@@ -170,30 +172,6 @@ class Poly:
             return Poly([c / other for c in self.coeffs])
         return NotImplemented
 
-    def divmod(self, other: "Poly"):
-        """Exact long division over Q: self = q*other + r, deg r < deg other."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        lead = other.leading()
-        dg = other.degree
-        while len(rem) - 1 >= dg and rem:
-            c = rem[-1] / lead
-            k = len(rem) - 1 - dg
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(q), Poly(rem)
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -210,25 +188,10 @@ class Poly:
         lead = self.leading()
         return Poly([c / lead for c in self.coeffs])
 
-    def primitive(self) -> "Poly":
-        """The P with self = c * P for a rational c, P having coprime
-        integer coefficients and positive leading coefficient."""
-        if self.is_zero():
-            return Poly()
-        ints = _scaled(self.coeffs)[1]
-        g = math.gcd(*ints)
-        if ints[-1] < 0:
-            g = -g
-        return Poly([v // g for v in ints])
-
-    def int_coeffs(self) -> list:
-        """Coefficients as ints; raises if any is non-integral."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ValueError("polynomial has non-integer coefficients")
-            out.append(c.numerator)
-        return out
+    def primitive(self) -> list:
+        """The coprime integers P with self = c * P for a rational c,
+        the leading one positive ([] for the zero polynomial)."""
+        return _primitive(_scaled(self.coeffs)[1])
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
@@ -244,6 +207,15 @@ def _scaled(coeffs) -> tuple:
     return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
+def _primitive(ints: list) -> list:
+    """ints divided by their content, the leading one made positive
+    ([] stays [])."""
+    g = math.gcd(*ints)
+    if ints and ints[-1] < 0:
+        g = -g
+    return [c // g for c in ints]
+
+
 def _coerce_poly(x):
     if isinstance(x, Poly):
         return x
@@ -252,43 +224,49 @@ def _coerce_poly(x):
     return NotImplemented
 
 
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over Q.
+def _pseudo_divmod(a: list, b: list) -> tuple:
+    """Pseudo-division of integer coefficient lists (Knuth, TAOCP 4.6.1,
+    Algorithm R): (q, r) with lead(b)^e * a = q*b + r and deg r < deg b,
+    where e = max(deg a - deg b + 1, 0). b must be nonzero with no
+    leading zero; r has none either."""
+    lead, r = b[-1], list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        u = r.pop()
+        q[k] = u * lead ** k
+        r[k:] = [lead * c - u * v for c, v in zip(r[k:], b)]
+        r[:k] = [lead * c for c in r[:k]]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
 
-    Runs a primitive pseudo-remainder sequence on the primitive integer
-    parts. Plain fraction Euclid squares its coefficient sizes at every
-    step, which is hopeless already around degree 30; stripping the
-    content after each pseudo-division keeps the numbers near the size
-    of the inputs' subresultants.
-    """
-    if f.is_zero():
-        return f if g.is_zero() else g.monic()
-    if g.is_zero():
-        return f.monic()
-    a = f.primitive()
-    b = g.primitive()
-    if a.degree < b.degree:
+
+def poly_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd over Q (zero for two zeros), by a primitive pseudo-
+    remainder sequence on integer lists. Stripping the content after each
+    _pseudo_divmod keeps the numbers near the size of the inputs'
+    subresultants, where fraction Euclid squares them at every step."""
+    a, b = f.primitive(), g.primitive()
+    if len(a) < len(b):
         a, b = b, a
-    while True:
-        if b.is_zero():
-            return a.monic()
-        if b.degree == 0:
-            return Poly([Fraction(1)])
-        scale = b.leading() ** (a.degree - b.degree + 1)
-        r = (Poly.const(scale) * a) % b
-        if not r.is_zero():
-            r = r.primitive()
-        a, b = b, r
+    while len(b) > 1:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return Poly(a).monic() if not b else Poly.const(1)
 
 
 def exact_divide(f: Poly, g: Poly) -> Optional[Poly]:
-    """Return f/g when g divides f exactly, else None."""
+    """Return f/g when g divides f exactly, else None. With f = a/df and
+    g = b/dg over integer lists, g | f iff the pseudo-remainder r of a by
+    b is 0, and then f/g = q * dg / (df * lead(b)^e)."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    q, r = f.divmod(g)
-    if r.is_zero():
-        return q
-    return None
+    df, a = _scaled(f.coeffs)
+    dg, b = _scaled(g.coeffs)
+    q, r = _pseudo_divmod(a, b)
+    if r:
+        return None
+    den = df * b[-1] ** len(q)
+    return Poly([Fraction(c * dg, den) for c in q])
 
 
 def poly_sqrt(f: Poly) -> Optional[Poly]:
@@ -297,7 +275,6 @@ def poly_sqrt(f: Poly) -> Optional[Poly]:
         return Poly()
     if f.degree % 2 != 0:
         return None
-    from .exactmath import is_square
     lead = f.leading()
     if not is_square(lead):
         return None
@@ -408,7 +385,7 @@ def evaluate(f: RatFunc, x):
 def rational_roots(f: Poly) -> set:
     """All rational roots of f, found by Hensel lifting.
 
-    f is reduced to its squarefree part with coprime integer coefficients.
+    f is reduced to its squarefree part f / gcd(f, f') over coprime ints.
     The lifting prime is the smallest prime p, not dividing the leading
     coefficient, at which every root of that part mod p is simple. Those
     roots are Newton lifted, doubling the precision until the modulus
@@ -423,7 +400,7 @@ def rational_roots(f: Poly) -> set:
         raise ValueError("the zero polynomial has every root")
     if f.degree < 1:
         return set()
-    ints = _squarefree_part(f.primitive()).int_coeffs()
+    ints = _squarefree_part(f)
     dints = [i * c for i, c in enumerate(ints)][1:]
     an = abs(ints[-1])
     height = max(abs(c) for c in ints)
@@ -444,12 +421,12 @@ def rational_roots(f: Poly) -> set:
     return roots
 
 
-def _squarefree_part(f: Poly) -> Poly:
-    """Squarefree part of a primitive integer polynomial, again primitive."""
+def _squarefree_part(f: Poly) -> list:
+    """Squarefree part f / gcd(f, f') as a primitive integer list."""
     g = poly_gcd(f, f.derivative())
-    if g.degree == 0:
-        return f
-    return (f // g).primitive()
+    if g.degree > 0:
+        f = exact_divide(f, g)
+    return f.primitive()
 
 
 def _lifting_prime(ints: list, dints: list):

@@ -553,6 +553,8 @@ def group_from_label(l: int, name: str) -> Subgroup:
         raise ValueError(f"l = {l} is not a prime")
     if name.startswith(f"{l}."):
         name = name[len(f"{l}."):]
+    if name.startswith("CM.") and l == 2:
+        raise ValueError(f"2.{name} needs an odd l")
     g = primitive_root(l) if l > 2 else 1
     if name == "GL2":
         return full_gl2(l, label=f"{l}.GL2")

@@ -40,7 +40,9 @@ from modimage.gl2 import (
     normalizer_split,
     octahedral_normalizer,
 )
-from modimage.tables import CM_TABLE, group_from_label, prime_table
+from modimage.tables import (CM_TABLE, group_from_label, prime_table,
+                             supported_primes)
+from oracles import brute_force_ap, subgroup_fingerprints
 
 
 def short(A, B):
@@ -361,3 +363,52 @@ class TestInputValidation:
     def test_duplicate_primes_collapse(self):
         rep = classify(WeierstrassCurve(0, 0, 1, -1, 0), [5, 5, 3])
         assert [r.prime for r in rep.results] == [3, 5]
+
+
+class TestFingerprintSoundness:
+    # a verdict G at l claims the image of Frobenius at every good p != l
+    # lies in G, so (a_p mod l, p mod l) must be the (trace, det) pair of
+    # some element of G; the converse (every pair is seen) is not checked
+    BOUND = 250
+
+    def corpus(self):
+        """The thirteen CM models at the default primes, and one seeded
+        member of every table family and its twist by l* at that l."""
+        rng = random.Random(6)
+        out = [(e.model.to_long(), None) for e in CM_TABLE]
+        for l in supported_primes():
+            table = prime_table(l)
+            for e in table.entries:
+                if e.family is None:
+                    continue
+                t = F(rng.randint(-9, 9), rng.randint(1, 3))
+                while t in e.bad_t:
+                    t += 1
+                E = ShortCurve(*(c.evaluate(t) for c in e.family))
+                out.append((E.to_long(), [l]))
+                out.append((quadratic_twist(E, table.twist).to_long(), [l]))
+        return out
+
+    def test_frobenius_pairs_lie_in_the_labelled_group(self):
+        prints = {}
+        verdicts = 0
+        for E, primes in self.corpus():
+            labelled = [r for r in classify(E, primes).results
+                        if r.label != "GL2"]
+            if not labelled:
+                continue
+            M, _ = integral_model(E)
+            disc = int(M.discriminant())
+            traces = {p: brute_force_ap(M, p)
+                      for p in primes_up_to(self.BOUND) if disc % p}
+            for r in labelled:
+                l = r.prime
+                if r.label not in prints:
+                    prints[r.label] = subgroup_fingerprints(
+                        group_from_label(l, r.label).elements)
+                for p, a in traces.items():
+                    if p != l:
+                        assert (a % l, p % l) in prints[r.label], \
+                            (E, r.label, p)
+                verdicts += 1
+        assert verdicts >= 100 and len(prints) >= 30

@@ -195,6 +195,9 @@ class TestExitCodes:
         ("group", "--prime", "0", "--label", "B"),
         ("group", "--prime", "1", "--label", "B"),
         ("group", "--prime", "-3", "--label", "B"),
+        ("group", "--prime", "2", "--label", "CM.G"),
+        ("group", "--prime", "2", "--label", "CM.H1"),
+        ("group", "--prime", "2", "--label", "CM.H2"),
     ])
     def test_input_errors_exit_one(self, args, capsys):
         code, _ = run_cli(*args, capsys=capsys)

@@ -18,7 +18,7 @@ from modimage.ec import (
     short_model,
     twist_test,
 )
-from modimage.polyq import Poly
+from modimage.polyq import Poly, exact_divide
 from oracles import brute_force_ap
 
 T = Poly.var()
@@ -165,7 +165,7 @@ def test_division_polynomial_11_factor():
     assert psi.degree == 60
     quintic = (T ** 5 - 129 * T ** 4 + 800 * T ** 3 + 81847 * T ** 2
                - 421871 * T - 4132831)
-    assert psi % quintic == Poly.const(0)
+    assert exact_divide(psi, quintic) is not None
 
 
 def test_point_arithmetic_anchors():

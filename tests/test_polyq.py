@@ -17,6 +17,7 @@ from modimage.polyq import (
     poly_gcd,
     poly_sqrt,
     rational_roots,
+    _pseudo_divmod,
 )
 from oracles import divisor_root_search, schoolbook_product
 
@@ -46,27 +47,42 @@ def test_poly_basics():
     g = T + 1
     assert f.degree == 2
     assert Poly.const(0).degree == -1
-    assert f % g == Poly.const(0)
-    assert f // g == T - 1
+    assert exact_divide(f, g) == T - 1
     assert (T ** 3).derivative() == 3 * T ** 2
     assert f.evaluate(Fraction(3)) == 8
     assert (2 * T + 1).monic() == T + Fraction(1, 2)
 
 
 def test_poly_division_rules():
-    q, r = (T ** 3 + T + 1).divmod(T ** 2 + 1)
-    assert q == T and r == Poly.const(1)
+    assert exact_divide(T ** 3 + T + 1, T ** 2 + 1) is None
+    assert exact_divide(T ** 3 + T, T ** 2 + 1) == T
+    assert exact_divide(Poly(), T + 1) == Poly()
+    assert exact_divide(T + 1, T ** 2) is None
     with pytest.raises(ZeroDivisionError):
-        T.divmod(Poly.const(0))
+        exact_divide(T, Poly.const(0))
+
+
+int_lists = st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                     max_size=7)
+
+
+@given(int_lists, int_lists.filter(lambda b: b and b[-1]))
+@example([1, 1, 0, 1], [1, 0, 1])
+@example([5, -3], [2, 0, 7])
+@example([], [3])
+def test_pseudo_divmod_identity(a, b):
+    q, r = _pseudo_divmod(a, b)
+    e = max(len(a) - len(b) + 1, 0)
+    assert Poly(a) * b[-1] ** e == Poly(q) * Poly(b) + Poly(r)
+    assert len(r) < len(b) and (not r or r[-1] != 0)
+    assert all(isinstance(c, int) for c in q + r)
 
 
 @given(small_polys, small_polys)
-def test_divmod_identity(f, g):
+def test_exact_divide_undoes_a_product(f, g):
     if g.degree < 0:
         return
-    q, r = f.divmod(g)
-    assert q * g + r == f
-    assert r.degree < g.degree
+    assert exact_divide(f * g, g) == f
 
 
 @given(small_polys, small_polys)
@@ -214,6 +230,26 @@ def test_rational_roots_against_divisor_search(roots, cof):
     f = poly_from_roots(roots, cofactor)
     if f.degree < 1:
         return
+    assert rational_roots(f) == divisor_root_search(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(small_fracs, st.integers(min_value=2, max_value=3)),
+             min_size=1, max_size=2),
+    st.lists(small_fracs, max_size=2),
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=1, max_value=9),
+)
+def test_rational_roots_through_a_nontrivial_squarefree_part(repeated, simple,
+                                                            b, c):
+    # squared or cubed rational roots times a squared irreducible quadratic
+    # (discriminant -3b^2 - 4c < 0), so gcd(f, f') has degree >= 3 and the
+    # squarefree part is an exact division
+    f = poly_from_roots(simple, (T ** 2 + b * T + b * b + c) ** 2)
+    for r, m in repeated:
+        f = f * poly_from_roots([r]) ** m
+    assert poly_gcd(f, f.derivative()).degree >= 3
     assert rational_roots(f) == divisor_root_search(f)
 
 
