@@ -86,14 +86,13 @@ def _int_list(text: str):
 
 def _parse_model(ns):
     """Build the curve model from --curve or --short, or None."""
-    if getattr(ns, "curve", None) is not None and \
-            getattr(ns, "short", None) is not None:
+    if ns.curve is not None and ns.short is not None:
         raise InputError("give only one of --curve and --short")
     try:
-        if getattr(ns, "curve", None) is not None:
+        if ns.curve is not None:
             a = _rational_list(ns.curve, 5, "--curve")
             return WeierstrassCurve(*a)
-        if getattr(ns, "short", None) is not None:
+        if ns.short is not None:
             A, B = _rational_list(ns.short, 2, "--short")
             return ShortCurve(A, B).to_long()
     except SingularCurveError:
@@ -177,16 +176,15 @@ def _print_text_report(report, model):
 
 def cmd_classify(ns) -> int:
     model = _parse_model(ns)
-    jtext = getattr(ns, "j", None)
-    if model is not None and jtext is not None:
+    if model is not None and ns.j is not None:
         raise InputError("give either a curve model or --j, not both")
     primes = _int_list(ns.primes) if ns.primes else None
     bound = _bounded("--frobenius-bound", ns.frobenius_bound,
                      _MAX_SCAN_BOUND)
     if model is not None:
         j = model.j_invariant()
-    elif jtext is not None:
-        j = _rational(jtext)
+    elif ns.j is not None:
+        j = _rational(ns.j)
     else:
         raise InputError("give a curve (--curve or --short) or --j")
     if max(abs(j.numerator), j.denominator) >= 10 ** _MAX_J_DIGITS:
@@ -228,8 +226,8 @@ def cmd_group(ns) -> int:
         raise InputError(f"--prime must be at most {_MAX_GROUP_PRIME}")
     try:
         g = group_from_label(ns.prime, ns.label)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"unknown label: {exc}")
+    except ValueError as exc:
+        raise InputError(str(exc))
     inv = g.invariants()
     print(f"label: {g.label}")
     print(f"order: {inv.order}")

@@ -72,11 +72,6 @@ class WeierstrassCurve:
         c4, _ = self.c_invariants()
         return c4 ** 3 / self.discriminant()
 
-    def invariants(self):
-        """(c4, c6, discriminant, j)."""
-        c4, c6 = self.c_invariants()
-        return c4, c6, self.discriminant(), self.j_invariant()
-
     def a_invariants(self) -> Tuple[Fraction, Fraction, Fraction, Fraction,
                                     Fraction]:
         """(a1, a2, a3, a4, a6)."""

@@ -1,13 +1,12 @@
 """Dense univariate polynomials and rational functions over Q.
 
-Polynomials are immutable dense coefficient tuples (index = degree) of
-Fractions with no stale leading zeros. A product is one big-int product
-(Kronecker substitution): both factors are scaled to integers, packed at
-a power of two wide enough for every product coefficient, multiplied and
-unpacked. Division is one integer pseudo-division, _pseudo_divmod, on
-scaled coefficient lists; it serves the gcd and exact division. A
-rational function is a num/den pair with monic denominator; common
-factors are not cancelled, so equality is by cross-multiplication.
+A polynomial is stored as integer numerators over one denominator, so
+its arithmetic runs on ints; _poly, which builds every one, brings it to
+that form. A product is one big-int product of the numerators (Kronecker
+substitution); one integer pseudo-division, _pseudo_divmod, serves the
+gcd and exact division. A rational function is a num/den pair with monic
+denominator; common factors are not cancelled, so equality is by
+cross-multiplication.
 
 rational_roots finds all rational roots of a polynomial by reducing to a
 squarefree integer polynomial, picking the smallest prime at which the
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Optional, Union
 
 from .exactmath import is_probable_prime, is_square
@@ -45,20 +45,16 @@ class Infinity:
 INFINITY = Infinity()
 
 
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 class Poly:
-    """Dense univariate polynomial over Q. Immutable."""
+    """Dense univariate polynomial over Q, immutable: the integers ints
+    (index = degree, no leading zero) over den > 0, gcd(den, *ints) = 1."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "den")
 
-    def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [_fr(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs: Iterable[Rat] = ()):
+        cs = list(coeffs)
+        d = math.lcm(*[c.denominator for c in cs])
+        return _poly([c.numerator * (d // c.denominator) for c in cs], d)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -72,39 +68,45 @@ class Poly:
         return Poly([0, 1])
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, index = degree."""
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
+    @property
     def degree(self) -> int:
         """Degree, with deg 0 = -1 by convention."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.ints):
+            return Fraction(self.ints[i], self.den)
         return Fraction(0)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.ints == other.ints and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _poly([-c for c in self.ints], self.den)
 
     def __add__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
+        pairs = zip_longest(self.ints, other.ints, fillvalue=0)
+        return _poly([a * other.den + b * self.den for a, b in pairs],
+                     self.den * other.den)
 
     __radd__ = __add__
 
@@ -112,31 +114,21 @@ class Poly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] - other[i] for i in range(n)])
+        return self + -other
 
     def __rsub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        """Product by Kronecker substitution. A product coefficient of the
-        scaled factors is at most min(len) * max|a| * max|b| < 2^(k-1) in
-        absolute value, so each fits one signed k-bit digit."""
+        """Product by Kronecker substitution. A coefficient of the product
+        of the numerators is at most min(len) * max|a| * max|b| < 2^(k-1)
+        in absolute value, so each fits one signed k-bit digit."""
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        f, g = (other, self) if len(self.coeffs) == 1 else (self, other)
-        if len(g.coeffs) == 1:
-            return Poly([c * g.coeffs[0] for c in f.coeffs])
-        da, a = _scaled(self.coeffs)
-        db, b = _scaled(other.coeffs)
-        k = (min(len(a), len(b)) * max(map(abs, a))
-             * max(map(abs, b))).bit_length() + 1
+        a, b = self.ints, other.ints
+        k = (min(len(a), len(b)) * max(map(abs, a), default=0)
+             * max(map(abs, b), default=0)).bit_length() + 1
         prod = 1
         for ints in (a, b):
             prod *= sum(c << (k * i) for i, c in enumerate(ints))
@@ -147,8 +139,8 @@ class Poly:
             if r >> (k - 1):
                 r -= 1 << k
                 prod += 1
-            out.append(Fraction(r, da * db))
-        return Poly(out)
+            out.append(r)
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -169,29 +161,31 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return Poly([c / other for c in self.coeffs])
+            return _poly([c * other.denominator for c in self.ints],
+                         self.den * other.numerator)
         return NotImplemented
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly([i * c for i, c in enumerate(self.ints)][1:], self.den)
 
     def evaluate(self, x: Rat) -> Fraction:
-        """Horner evaluation at a rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Horner at x = u/v on ints: sum c_i u^i v^(n-i) over v^n den."""
+        u, v = x.numerator, x.denominator
+        acc, vpow = 0, 1
+        for c in reversed(self.ints):
+            acc = acc * u + c * vpow
+            vpow *= v
+        return Fraction(acc * v, vpow * self.den)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lead = self.leading()
-        return Poly([c / lead for c in self.coeffs])
+        return _poly(list(self.ints), self.ints[-1])
 
     def primitive(self) -> list:
         """The coprime integers P with self = c * P for a rational c,
         the leading one positive ([] for the zero polynomial)."""
-        return _primitive(_scaled(self.coeffs)[1])
+        return _primitive(self.ints)
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
@@ -200,11 +194,20 @@ class Poly:
         return format_poly(self)
 
 
-def _scaled(coeffs) -> tuple:
-    """(d, ints): the least common denominator d of coeffs and the
-    integers d*c."""
-    d = math.lcm(*[c.denominator for c in coeffs])
-    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+def _poly(ints: list, den: int = 1) -> Poly:
+    """The Poly ints/den (den nonzero), leading zeros stripped, the gcd
+    of den and the ints divided out and den made positive."""
+    while ints and ints[-1] == 0:
+        ints.pop()
+    g = math.gcd(den, *ints)
+    if den < 0:
+        g = -g
+    if g != 1:
+        ints, den = [c // g for c in ints], den // g
+    f = object.__new__(Poly)
+    object.__setattr__(f, "ints", tuple(ints))
+    object.__setattr__(f, "den", den)
+    return f
 
 
 def _primitive(ints: list) -> list:
@@ -251,22 +254,19 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         a, b = b, a
     while len(b) > 1:
         a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-    return Poly(a).monic() if not b else Poly.const(1)
+    return _poly(a).monic() if not b else Poly.const(1)
 
 
 def exact_divide(f: Poly, g: Poly) -> Optional[Poly]:
     """Return f/g when g divides f exactly, else None. With f = a/df and
-    g = b/dg over integer lists, g | f iff the pseudo-remainder r of a by
+    g = b/dg as stored, g | f iff the pseudo-remainder r of a by
     b is 0, and then f/g = q * dg / (df * lead(b)^e)."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    df, a = _scaled(f.coeffs)
-    dg, b = _scaled(g.coeffs)
-    q, r = _pseudo_divmod(a, b)
+    q, r = _pseudo_divmod(f.ints, g.ints)
     if r:
         return None
-    den = df * b[-1] ** len(q)
-    return Poly([Fraction(c * dg, den) for c in q])
+    return _poly([c * g.den for c in q], f.den * g.ints[-1] ** len(q))
 
 
 def poly_sqrt(f: Poly) -> Optional[Poly]:
@@ -485,7 +485,7 @@ def _rational_reconstruct(x: int, m: int, bound_u: int, bound_v: int):
 # --- printing and parsing --------------------------------------------------
 
 def format_rat(x: Rat) -> str:
-    x = _fr(x)
+    x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

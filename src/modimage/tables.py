@@ -518,7 +518,7 @@ def nonsplit11_contains(j) -> bool:
     """
     crit = nonsplit11()
     j = Fraction(j)
-    f = crit.A * Poly.const(j * j) + crit.B * Poly.const(j) + crit.C
+    f = crit.A * j ** 2 + crit.B * j + crit.C
     if f.degree < crit.A.degree:
         return True
     return bool(rational_roots(f))
@@ -598,7 +598,7 @@ def group_from_label(l: int, name: str) -> Subgroup:
     e = _entry(l, name) if l in _BUILDERS else None
     if e is not None:
         return _subgroup(l, dict(e.subs).get(full, e.gens), full)
-    raise ValueError(f"unknown group label {full}")
+    raise ValueError(f"unknown label {full}")
 
 
 # --- self checks -------------------------------------------------------------
@@ -655,7 +655,7 @@ def _fiber_contains(cover: RatFunc, j: Fraction) -> bool:
     """Whether j has a rational preimage (possibly t = infinity)."""
     if evaluate(cover, INFINITY) == j:
         return True
-    f = cover.num - Poly.const(j) * cover.den
+    f = cover.num - j * cover.den
     return bool(rational_roots(f))
 
 

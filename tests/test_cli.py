@@ -146,6 +146,13 @@ class TestGroup:
                           capsys=capsys)
         assert code == 1
 
+    def test_known_label_at_a_wrong_prime_is_not_unknown(self, capsys):
+        code = cli.run(["group", "--prime", "5", "--label", "Ns-index3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "needs l = 1 mod 3" in err
+        assert "unknown" not in err
+
 
 class TestAp:
     def test_quoted_trace(self, capsys):

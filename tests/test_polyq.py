@@ -1,5 +1,6 @@
 """Tests for exact polynomial and rational function arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,54 @@ def test_pseudo_divmod_identity(a, b):
     assert Poly(a) * b[-1] ** e == Poly(q) * Poly(b) + Poly(r)
     assert len(r) < len(b) and (not r or r[-1] != 0)
     assert all(isinstance(c, int) for c in q + r)
+
+
+def assert_stored_form(f):
+    """ints over den: den > 0 coprime to the ints, no leading zero."""
+    assert all(isinstance(c, int) for c in f.ints + (f.den,))
+    assert f.den > 0 and math.gcd(f.den, *f.ints) == 1
+    assert not f.ints or f.ints[-1] != 0
+
+
+def trimmed(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+rationals = st.one_of(st.integers(min_value=-10 ** 20, max_value=10 ** 20),
+                      st.fractions(max_denominator=10 ** 6))
+nonzero_rationals = rationals.filter(lambda x: x != 0)
+rational_lists = st.lists(st.one_of(rationals, st.just(0)), max_size=7)
+
+
+@settings(max_examples=300)
+@given(rational_lists, rational_lists, nonzero_rationals, rationals)
+@example([Fraction(1, 2), 0, 0], [Fraction(-1, 2), 0, 0], 3, 0)
+@example([6, -4, 2], [Fraction(1, 3)], Fraction(-2, 7), Fraction(-1, 2))
+def test_operations_match_fraction_lists(a, b, s, x):
+    f, g = Poly(a), Poly(b)
+    n = max(len(a), len(b))
+    pa = [Fraction(c) for c in a] + [Fraction(0)] * (n - len(a))
+    pb = [Fraction(c) for c in b] + [Fraction(0)] * (n - len(b))
+    cases = [
+        (f, pa),
+        (f + g, [u + v for u, v in zip(pa, pb)]),
+        (f - g, [u - v for u, v in zip(pa, pb)]),
+        (s - f, [s - pa[0]] + [-u for u in pa[1:]] if pa else [s]),
+        (-f, [-u for u in pa]),
+        (f / s, [u / s for u in pa]),
+        (f.derivative(), [i * u for i, u in enumerate(pa)][1:]),
+        (f * g, schoolbook_product(f, g).coeffs),
+    ]
+    lead = trimmed(pa)
+    if lead:
+        cases.append((f.monic(), [u / lead[-1] for u in lead]))
+    for result, expected in cases:
+        assert result.coeffs == trimmed(expected)
+        assert_stored_form(result)
+    assert f.evaluate(x) == sum(u * Fraction(x) ** i for i, u in enumerate(pa))
 
 
 @given(small_polys, small_polys)
