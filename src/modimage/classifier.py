@@ -26,7 +26,7 @@ from .ec import (ShortCurve, WeierstrassCurve, ap, integral_model,
                  short_model, twist_test)
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
                   fingerprint_in_octahedral, fingerprint_in_split_normalizer)
-from .polyq import INFINITY, evaluate, rational_roots
+from .polyq import INFINITY, rational_roots
 from .tables import (CMEntry, EXCEPTIONAL_LOOKUP, cm_entry,
                      nonsplit11_contains, prime_table, supported_primes)
 
@@ -94,11 +94,12 @@ class Report:
 def _cover_parameters(entry, j):
     """Rational t with cover value j, excluded values removed, sorted by
     (denominator, numerator); INFINITY appended when the cover takes the
-    value j there."""
-    f = entry.cover.num - j * entry.cover.den
+    value j there, that is when num - j*den drops below the cover's degree."""
+    num, den = entry.cover
+    f = num - j * den
     roots = {t for t in rational_roots(f) if t not in entry.bad_t}
     out = sorted(roots, key=lambda t: (t.denominator, t.numerator))
-    if evaluate(entry.cover, INFINITY) == j:
+    if f.degree < max(num.degree, den.degree):
         out.append(INFINITY)
     return out
 

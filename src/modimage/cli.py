@@ -34,19 +34,21 @@ from .ec import (
     integral_model,
 )
 from .exactmath import is_probable_prime
-from .polyq import INFINITY, format_rat, parse_rat
+from .polyq import INFINITY
 from .tables import emit_text, group_from_label, verify_all
 
 
 # limits on the size arguments: primes_up_to(N) allocates O(N) memory,
 # ap(M, p) and factor(n, N) take O(p) and O(N) steps, group --prime L
 # enumerates ~L^4 elements (37 is the largest prime a table names), and
-# the fiber tests of classify slow down sharply with the height of j
+# the fiber tests of classify slow down sharply with the height of j; a
+# rational literal may have as many digits as int() reads from a string
 _MAX_SCAN_BOUND = 10 ** 5
 _MAX_AP_PRIME = 10 ** 7
 _MAX_FACTOR_BOUND = 10 ** 7
 _MAX_GROUP_PRIME = 37
 _MAX_J_DIGITS = 200
+_MAX_LITERAL_DIGITS = 4300
 
 
 class InputError(Exception):
@@ -60,10 +62,16 @@ def _bounded(flag: str, n: int, limit: int) -> int:
 
 
 def _rational(text: str) -> Fraction:
+    text = text.strip()  # the exponent is read first: 1e9999999 is not built
+    mantissa, e, exponent = text.lower().partition("e")
     try:
-        return parse_rat(text)
-    except ValueError as exc:
-        raise InputError(str(exc))
+        if e and len(mantissa) + abs(int(exponent)) > _MAX_LITERAL_DIGITS:
+            raise InputError(f"the numerator and denominator of a rational "
+                             f"must be at most {_MAX_LITERAL_DIGITS} digits "
+                             f"long")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"malformed rational {text!r}")
 
 
 def _rational_list(text: str, n: int, what: str):
@@ -108,7 +116,7 @@ def _require_model(ns):
 
 
 def _fmt_q(x) -> str:
-    return "infinity" if x is INFINITY else format_rat(x)
+    return "infinity" if x is INFINITY else str(x)
 
 
 def report_to_dict(report, model) -> dict:
@@ -178,7 +186,7 @@ def cmd_classify(ns) -> int:
     model = _parse_model(ns)
     if model is not None and ns.j is not None:
         raise InputError("give either a curve model or --j, not both")
-    primes = _int_list(ns.primes) if ns.primes else None
+    primes = None if ns.primes is None else _int_list(ns.primes)
     bound = _bounded("--frobenius-bound", ns.frobenius_bound,
                      _MAX_SCAN_BOUND)
     if model is not None:

@@ -1,12 +1,11 @@
-"""Dense univariate polynomials and rational functions over Q.
+"""Dense univariate polynomials over Q and their rational roots.
 
 A polynomial is stored as integer numerators over one denominator, so
 its arithmetic runs on ints; _poly, which builds every one, brings it to
 that form. A product is one big-int product of the numerators (Kronecker
 substitution); one integer pseudo-division, _pseudo_divmod, serves the
-gcd and exact division. A rational function is a num/den pair with monic
-denominator; common factors are not cancelled, so equality is by
-cross-multiplication.
+gcd and exact division. compose substitutes one map of the projective
+line, given as a (num, den) pair, into another.
 
 rational_roots finds all rational roots of a polynomial by reducing to a
 squarefree integer polynomial, picking the smallest prime at which the
@@ -29,7 +28,8 @@ Rat = Union[int, Fraction]
 
 
 class Infinity:
-    """The point at infinity of the projective j-line (pole values)."""
+    """The point at infinity of the projective line: the cover parameter
+    t = infinity, or the value at a pole."""
 
     _instance = None
 
@@ -297,49 +297,18 @@ def poly_sqrt(f: Poly) -> Optional[Poly]:
     return None
 
 
-class RatFunc:
-    """Immutable num/den over Q with monic den; common factors are kept."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Optional[Poly] = None):
-        den = Poly.const(1) if den is None else den
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        lead = den.leading()
-        if lead != 1:
-            num = num / lead
-            den = den / lead
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatFunc is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
-
-    def __repr__(self):
-        if self.den == Poly.const(1):
-            return f"RatFunc({format_poly(self.num)!r})"
-        return f"RatFunc({format_poly(self.num)!r}, {format_poly(self.den)!r})"
-
-
-def compose(outer: RatFunc, inner: RatFunc) -> RatFunc:
-    """Composition outer(inner(t)) of rational maps of the projective line.
+def compose(outer: tuple, inner: tuple) -> tuple:
+    """Composition outer(inner(t)) of rational maps of the projective line,
+    each given as a (num, den) pair of Polys; returns such a pair.
 
     Uses the homogenized substitution: with inner = p/q and d the mapping
     degree of outer, each of outer's num and den becomes
-    sum_i c_i p^i q^(d-i), and the common q^d cancels. Raises
-    ZeroDivisionError if the resulting denominator is identically zero
-    (inner constant at a pole of outer).
+    sum_i c_i p^i q^(d-i), and the common q^d cancels. Common factors are
+    not cancelled. Raises ZeroDivisionError if the resulting denominator
+    is identically zero (inner constant at a pole of outer).
     """
-    p, q = inner.num, inner.den
-    d = max(outer.num.degree, outer.den.degree, 0)
+    p, q = inner
+    d = max(outer[0].degree, outer[1].degree, 0)
     ppow = [Poly.const(1)]
     qpow = [Poly.const(1)]
     for _ in range(d):
@@ -354,30 +323,10 @@ def compose(outer: RatFunc, inner: RatFunc) -> RatFunc:
                 acc = acc + c * ppow[i] * qpow[d - i]
         return acc
 
-    num = homog(outer.num)
-    den = homog(outer.den)
+    num, den = map(homog, outer)
     if den.is_zero():
         raise ZeroDivisionError("composition lands at a pole everywhere")
-    return RatFunc(num, den)
-
-
-def evaluate(f: RatFunc, x):
-    """Value of f at x as a Fraction, or INFINITY at a pole. Accepts
-    x = INFINITY and returns the limit there (ratio of leading terms)."""
-    if x is INFINITY:
-        dn, dd = f.num.degree, f.den.degree
-        if dn > dd:
-            return INFINITY
-        if dn < dd:
-            return Fraction(0)
-        return f.num.leading() / f.den.leading()
-    n = f.num.evaluate(x)
-    d = f.den.evaluate(x)
-    if d == 0:
-        if n == 0:
-            raise ArithmeticError("0/0: num and den share a root")
-        return INFINITY
-    return n / d
+    return num, den
 
 
 # --- rational root finding -------------------------------------------------
@@ -482,22 +431,7 @@ def _rational_reconstruct(x: int, m: int, bound_u: int, bound_v: int):
     return Fraction(r1, t1)
 
 
-# --- printing and parsing --------------------------------------------------
-
-def format_rat(x: Rat) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rat(s: str) -> Fraction:
-    s = s.strip()
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValueError(f"malformed rational {s!r}") from e
-
+# --- printing --------------------------------------------------------------
 
 def format_poly(f: Poly, var: str = "t") -> str:
     """Render as 'c_n*t^n + ... + c_0', highest degree first."""
@@ -509,11 +443,11 @@ def format_poly(f: Poly, var: str = "t") -> str:
         if c == 0:
             continue
         if i == 0:
-            term = format_rat(c)
+            term = str(c)
         elif i == 1:
-            term = f"{format_rat(c)}*{var}"
+            term = f"{c}*{var}"
         else:
-            term = f"{format_rat(c)}*{var}^{i}"
+            term = f"{c}*{var}^{i}"
         parts.append(term)
     out = parts[0]
     for term in parts[1:]:

@@ -19,18 +19,19 @@ The nonsplit Cartan normalizer at l = 11 has a genus-one fiber handled
 by its own criterion (a rank-one curve and a quadratic in j); its data
 lives in NonsplitCriterion11.
 
-Everything is exact: Fractions, Poly and RatFunc over Q. verify_all()
-re-derives the internal consistency of all of this data (cover
-composition identities, covers in lowest terms, family j-invariants,
-group orders, fiber membership of the complex-multiplication
-j-invariants, the discriminant identity of the nonsplit-11 criterion)
-and is exposed on the command line as `verify-tables`.
+Everything is exact: Fractions and Poly over Q, each cover a coprime
+(num, den) pair as transcribed. verify_all() re-derives the internal
+consistency of all of this data (cover composition identities, covers
+in lowest terms, family j-invariants, group orders, fiber membership of
+the complex-multiplication j-invariants, the discriminant identity of
+the nonsplit-11 criterion) and is exposed on the command line as
+`verify-tables`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ec import PointQ, ShortCurve, WeierstrassCurve, scalar_mul
 from .exactmath import is_probable_prime, legendre
@@ -47,11 +48,18 @@ from .gl2 import (
     normalizer_split,
     primitive_root,
 )
-from .polyq import INFINITY, Poly, RatFunc, compose, evaluate, exact_divide, \
-    format_poly, poly_gcd, poly_sqrt, rational_roots
+from .polyq import INFINITY, Poly, compose, exact_divide, format_poly, \
+    poly_gcd, poly_sqrt, rational_roots
 
 T = Poly.var()
 F = Fraction
+
+
+class Cover(NamedTuple):
+    """A cover J(t) = num(t)/den(t) of the j-line, num and den coprime."""
+
+    num: Poly
+    den: Poly = Poly.const(1)
 
 
 @dataclass(frozen=True)
@@ -61,7 +69,7 @@ class TableEntry:
     label: str
     index: int                       # index of +-G in GL2(F_l)
     gens: tuple                      # generator matrices as (a, b, c, d)
-    cover: Optional[RatFunc] = None  # J(t) when the fiber is a rational line
+    cover: Optional[Cover] = None    # J(t) when the fiber is a rational line
     jvals: Optional[frozenset] = None  # finite fiber of j-invariants
     family: Optional[tuple] = None   # (A(t), B(t)): y^2 = x^3 + A(t)x + B(t)
     curve: Optional[ShortCurve] = None  # fixed representative curve
@@ -84,9 +92,9 @@ def _gens_of(G: Subgroup) -> tuple:
 # --- l = 2 -----------------------------------------------------------------
 
 def _table_2() -> PrimeTable:
-    j1 = RatFunc(256 * (T ** 2 + T + 1) ** 3, T ** 2 * (T + 1) ** 2)
-    j2 = RatFunc(256 * (T + 1) ** 3, T)
-    j3 = RatFunc(T ** 2 + 1728)
+    j1 = Cover(256 * (T ** 2 + T + 1) ** 3, T ** 2 * (T + 1) ** 2)
+    j2 = Cover(256 * (T + 1) ** 3, T)
+    j3 = Cover(T ** 2 + 1728)
     entries = (
         TableEntry("2.G1", 6, (), cover=j1),
         TableEntry("2.G2", 3, ((1, 1, 0, 1),), cover=j2),
@@ -98,11 +106,11 @@ def _table_2() -> PrimeTable:
 # --- l = 3 -----------------------------------------------------------------
 
 def _table_3() -> PrimeTable:
-    j1 = RatFunc(27 * (T + 1) ** 3 * (T + 3) ** 3 * (T ** 2 + 3) ** 3,
+    j1 = Cover(27 * (T + 1) ** 3 * (T + 3) ** 3 * (T ** 2 + 3) ** 3,
                  T ** 3 * (T ** 2 + 3 * T + 3) ** 3)
-    j2 = RatFunc(27 * (T + 1) ** 3 * (T - 3) ** 3, T ** 3)
-    j3 = RatFunc(27 * (T + 1) * (T + 9) ** 3, T ** 3)
-    j4 = RatFunc(T ** 3)
+    j2 = Cover(27 * (T + 1) ** 3 * (T - 3) ** 3, T ** 3)
+    j3 = Cover(27 * (T + 1) * (T + 9) ** 3, T ** 3)
+    j4 = Cover(T ** 3)
     fam1 = (-3 * (T + 1) * (T + 3) * (T ** 2 + 3),
             -2 * (T ** 2 - 3) * (T ** 4 + 6 * T ** 3 + 18 * T ** 2
                                  + 18 * T + 9))
@@ -128,28 +136,28 @@ def _table_3() -> PrimeTable:
 
 def _table_5() -> PrimeTable:
     p20 = T ** 20 + 228 * T ** 15 + 494 * T ** 10 - 228 * T ** 5 + 1
-    j1 = RatFunc(p20 ** 3, T ** 5 * (T ** 10 - 11 * T ** 5 - 1) ** 5)
-    j2 = RatFunc((T ** 2 + 5 * T + 5) ** 3 * (T ** 4 + 5 * T ** 2 + 25) ** 3
+    j1 = Cover(p20 ** 3, T ** 5 * (T ** 10 - 11 * T ** 5 - 1) ** 5)
+    j2 = Cover((T ** 2 + 5 * T + 5) ** 3 * (T ** 4 + 5 * T ** 2 + 25) ** 3
                  * (T ** 4 + 5 * T ** 3 + 20 * T ** 2 + 25 * T + 25) ** 3,
                  T ** 5 * (T ** 4 + 5 * T ** 3 + 15 * T ** 2
                            + 25 * T + 25) ** 5)
-    j3 = RatFunc(5 ** 4 * T ** 3 * (T ** 2 + 5 * T + 10) ** 3
+    j3 = Cover(5 ** 4 * T ** 3 * (T ** 2 + 5 * T + 10) ** 3
                  * (2 * T ** 2 + 5 * T + 5) ** 3
                  * (4 * T ** 4 + 30 * T ** 3 + 95 * T ** 2
                     + 150 * T + 100) ** 3,
                  (T ** 2 + 5 * T + 5) ** 5
                  * (T ** 4 + 5 * T ** 3 + 15 * T ** 2 + 25 * T + 25) ** 5)
-    j4 = RatFunc((T + 5) ** 3 * (T ** 2 - 5) ** 3 * (T ** 2 + 5 * T + 10) ** 3,
+    j4 = Cover((T + 5) ** 3 * (T ** 2 - 5) ** 3 * (T ** 2 + 5 * T + 10) ** 3,
                  (T ** 2 + 5 * T + 5) ** 5)
     q4 = T ** 4 + 228 * T ** 3 + 494 * T ** 2 - 228 * T + 1
-    j5 = RatFunc(q4 ** 3, T * (T ** 2 - 11 * T - 1) ** 5)
+    j5 = Cover(q4 ** 3, T * (T ** 2 - 11 * T - 1) ** 5)
     r4 = T ** 4 - 12 * T ** 3 + 14 * T ** 2 + 12 * T + 1
-    j6 = RatFunc(r4 ** 3, T ** 5 * (T ** 2 - 11 * T - 1))
-    j7 = RatFunc(5 ** 3 * (T + 1) * (2 * T + 1) ** 3
+    j6 = Cover(r4 ** 3, T ** 5 * (T ** 2 - 11 * T - 1))
+    j7 = Cover(5 ** 3 * (T + 1) * (2 * T + 1) ** 3
                  * (2 * T ** 2 - 3 * T + 3) ** 3,
                  (T ** 2 + T - 1) ** 5)
-    j8 = RatFunc(5 ** 2 * (T ** 2 + 10 * T + 5) ** 3, T ** 5)
-    j9 = RatFunc(T ** 3 * (T ** 2 + 5 * T + 40))
+    j8 = Cover(5 ** 2 * (T ** 2 + 10 * T + 5) ** 3, T ** 5)
+    j9 = Cover(T ** 3 * (T ** 2 + 5 * T + 40))
     fam1 = (-27 * p20,
             54 * (T ** 30 - 522 * T ** 25 - 10005 * T ** 20
                   - 10005 * T ** 10 + 522 * T ** 5 + 1))
@@ -192,22 +200,22 @@ def _table_7() -> PrimeTable:
            - 10 * T ** 2 + 5 * T + 1)
     s6b = (T ** 6 + 229 * T ** 5 + 270 * T ** 4 - 1695 * T ** 3
            + 1430 * T ** 2 - 235 * T + 1)
-    j2 = RatFunc(T * (T + 1) ** 3 * (T ** 2 - 5 * T + 1) ** 3
+    j2 = Cover(T * (T + 1) ** 3 * (T ** 2 - 5 * T + 1) ** 3
                  * (T ** 2 - 5 * T + 8) ** 3
                  * (T ** 4 - 5 * T ** 3 + 8 * T ** 2 - 7 * T + 7) ** 3,
                  (T ** 3 - 4 * T ** 2 + 3 * T + 1) ** 7)
-    j3 = RatFunc((T ** 2 - T + 1) ** 3 * s6a ** 3,
+    j3 = Cover((T ** 2 - T + 1) ** 3 * s6a ** 3,
                  (T - 1) ** 7 * T ** 7 * (T ** 3 - 8 * T ** 2 + 5 * T + 1))
-    j4 = RatFunc((T ** 2 - T + 1) ** 3 * s6b ** 3,
+    j4 = Cover((T ** 2 - T + 1) ** 3 * s6b ** 3,
                  (T - 1) * T * (T ** 3 - 8 * T ** 2 + 5 * T + 1) ** 7)
-    j5 = RatFunc(-(T ** 2 - 3 * T - 3) ** 3 * (T ** 2 - T + 1) ** 3
+    j5 = Cover(-(T ** 2 - 3 * T - 3) ** 3 * (T ** 2 - T + 1) ** 3
                  * (3 * T ** 2 - 9 * T + 5) ** 3 * (5 * T ** 2 - T - 1) ** 3,
                  (T ** 3 - 2 * T ** 2 - T + 1)
                  * (T ** 3 - T ** 2 - 2 * T + 1) ** 7)
-    j6 = RatFunc(64 * T ** 3 * (T ** 2 + 7) ** 3 * (T ** 2 - 7 * T + 14) ** 3
+    j6 = Cover(64 * T ** 3 * (T ** 2 + 7) ** 3 * (T ** 2 - 7 * T + 14) ** 3
                  * (5 * T ** 2 - 14 * T - 7) ** 3,
                  (T ** 3 - 7 * T ** 2 + 7 * T + 7) ** 7)
-    j7 = RatFunc((T ** 2 + 245 * T + 2401) ** 3 * (T ** 2 + 13 * T + 49),
+    j7 = Cover((T ** 2 + 245 * T + 2401) ** 3 * (T ** 2 + 13 * T + 49),
                  T ** 7)
     fam3 = (-27 * (T ** 2 - T + 1) * s6a,
             54 * (T ** 12 - 18 * T ** 11 + 117 * T ** 10 - 354 * T ** 9
@@ -310,14 +318,14 @@ def _table_13() -> PrimeTable:
           + 44 * T ** 3 + 25 * T ** 2 + 8 * T + 1)
     cubic = T ** 3 - 4 * T ** 2 + T + 1
     quart = T ** 4 - T ** 3 + 5 * T ** 2 + T + 1
-    j1 = RatFunc((T ** 2 - T + 1) ** 3 * p1 ** 3, (T - 1) * T * cubic ** 13)
-    j2 = RatFunc((T ** 2 - T + 1) ** 3 * p2 ** 3,
+    j1 = Cover((T ** 2 - T + 1) ** 3 * p1 ** 3, (T - 1) * T * cubic ** 13)
+    j2 = Cover((T ** 2 - T + 1) ** 3 * p2 ** 3,
                  (T - 1) ** 13 * T ** 13 * cubic)
-    j3 = RatFunc(-13 ** 4 * (T ** 2 - T + 1) ** 3 * p3 ** 3,
+    j3 = Cover(-13 ** 4 * (T ** 2 - T + 1) ** 3 * p3 ** 3,
                  cubic ** 13 * (5 * T ** 3 - 7 * T ** 2 - 8 * T + 5))
-    j4 = RatFunc(quart * p4 ** 3, T * (T ** 2 - 3 * T - 1) ** 13)
-    j5 = RatFunc(quart * p5 ** 3, T ** 13 * (T ** 2 - 3 * T - 1))
-    j6 = RatFunc((T ** 2 + 5 * T + 13) * p6 ** 3, T)
+    j4 = Cover(quart * p4 ** 3, T * (T ** 2 - 3 * T - 1) ** 13)
+    j5 = Cover(quart * p5 ** 3, T ** 13 * (T ** 2 - 3 * T - 1))
+    j6 = Cover((T ** 2 + 5 * T + 13) * p6 ** 3, T)
     fam4 = (-27 * quart ** 3 * p4, 54 * (T ** 2 + 1) * quart ** 4 * q4)
     fam5 = (-27 * quart ** 3 * p5, 54 * (T ** 2 + 1) * quart ** 4 * q5)
     g7_jvals = frozenset({
@@ -603,10 +611,10 @@ def group_from_label(l: int, name: str) -> Subgroup:
 
 # --- self checks -------------------------------------------------------------
 
-def _family_j(A: Poly, B: Poly) -> RatFunc:
+def _family_j(A: Poly, B: Poly) -> Cover:
     """j-invariant of y^2 = x^3 + A(t) x + B(t) as a function of t."""
     a3 = A ** 3
-    return RatFunc(6912 * a3, 4 * a3 + 27 * B ** 2)
+    return Cover(6912 * a3, 4 * a3 + 27 * B ** 2)
 
 
 # composition identities between the covers: (l, outer, inner map, target).
@@ -614,28 +622,28 @@ def _family_j(A: Poly, B: Poly) -> RatFunc:
 # by at least one identity that an independent transcription would break.
 def _composition_checks():
     return (
-        (2, "G2", RatFunc(T ** 2, T + 1), "G1"),
-        (2, "G3", RatFunc(-16 * T ** 3 - 24 * T ** 2 + 24 * T + 16,
+        (2, "G2", Cover(T ** 2, T + 1), "G1"),
+        (2, "G3", Cover(-16 * T ** 3 - 24 * T ** 2 + 24 * T + 16,
                           T ** 2 + T), "G1"),
-        (3, "G2", RatFunc(T ** 2 + 3 * T + 3, T), "G1"),
-        (3, "G3", RatFunc(T * (T ** 2 + 3 * T + 3)), "G1"),
-        (3, "G4", RatFunc(3 * (T + 1) * (T - 3), T), "G2"),
-        (5, "G2", RatFunc(T ** 2 - T - 1, T), "G1"),
-        (5, "G4", RatFunc(T ** 2 + 5, T), "G2"),
-        (5, "G5", RatFunc(T ** 5), "G1"),
-        (5, "G7", RatFunc(-(T ** 3 + 10 * T ** 2 + 25 * T + 25),
+        (3, "G2", Cover(T ** 2 + 3 * T + 3, T), "G1"),
+        (3, "G3", Cover(T * (T ** 2 + 3 * T + 3)), "G1"),
+        (3, "G4", Cover(3 * (T + 1) * (T - 3), T), "G2"),
+        (5, "G2", Cover(T ** 2 - T - 1, T), "G1"),
+        (5, "G4", Cover(T ** 2 + 5, T), "G2"),
+        (5, "G5", Cover(T ** 5), "G1"),
+        (5, "G7", Cover(-(T ** 3 + 10 * T ** 2 + 25 * T + 25),
                           2 * T ** 3 + 10 * T ** 2 + 25 * T + 25), "G3"),
-        (5, "G8", RatFunc(T ** 2 - 11 * T - 1, 25 * T), "G5"),
-        (5, "G9", RatFunc((T + 5) * (T ** 2 - 5), T ** 2 + 5 * T + 5), "G4"),
+        (5, "G8", Cover(T ** 2 - 11 * T - 1, 25 * T), "G5"),
+        (5, "G9", Cover((T + 5) * (T ** 2 - 5), T ** 2 + 5 * T + 5), "G4"),
         # t + 1/(1 - t) + (t - 1)/t - 8
-        (7, "G7", RatFunc(T ** 3 - 8 * T ** 2 + 5 * T + 1, T ** 2 - T), "G4"),
-        (13, "G6", RatFunc(13 * (T ** 2 - T), T ** 3 - 4 * T ** 2 + T + 1),
+        (7, "G7", Cover(T ** 3 - 8 * T ** 2 + 5 * T + 1, T ** 2 - T), "G4"),
+        (13, "G6", Cover(13 * (T ** 2 - T), T ** 3 - 4 * T ** 2 + T + 1),
          "G1"),
-        (13, "G6", RatFunc(T ** 3 - 4 * T ** 2 + T + 1, T ** 2 - T), "G2"),
-        (13, "G6", RatFunc(-5 * T ** 3 + 7 * T ** 2 + 8 * T - 5,
+        (13, "G6", Cover(T ** 3 - 4 * T ** 2 + T + 1, T ** 2 - T), "G2"),
+        (13, "G6", Cover(-5 * T ** 3 + 7 * T ** 2 + 8 * T - 5,
                            T ** 3 - 4 * T ** 2 + T + 1), "G3"),
-        (13, "G6", RatFunc(13 * T, T ** 2 - 3 * T - 1), "G4"),
-        (13, "G6", RatFunc(T ** 2 - 3 * T - 1, T), "G5"),
+        (13, "G6", Cover(13 * T, T ** 2 - 3 * T - 1), "G4"),
+        (13, "G6", Cover(T ** 2 - 3 * T - 1, T), "G5"),
     )
 
 
@@ -651,11 +659,18 @@ _ANCHOR_CURVES = (
 _NORMALIZER_COVERS = {3: ("G2", "G4"), 5: ("G4", "G7"), 7: ("G2", "G6")}
 
 
-def _fiber_contains(cover: RatFunc, j: Fraction) -> bool:
-    """Whether j has a rational preimage (possibly t = infinity)."""
-    if evaluate(cover, INFINITY) == j:
-        return True
+def _same_map(f: tuple, g: tuple) -> bool:
+    """Whether two (num, den) pairs define the same rational function."""
+    (a, b), (c, d) = f, g
+    return a * d == c * b
+
+
+def _fiber_contains(cover: Cover, j: Fraction) -> bool:
+    """Whether j has a rational preimage: t = infinity when num - j*den
+    drops below the degree of the cover, else a root of num - j*den."""
     f = cover.num - j * cover.den
+    if f.degree < max(cover.num.degree, cover.den.degree):
+        return True
     return bool(rational_roots(f))
 
 
@@ -677,7 +692,7 @@ def verify_all():
     for l, outer, inner, target in _composition_checks():
         got = compose(_entry(l, outer).cover, inner)
         check(f"compose:{l}.{outer}->{l}.{target}",
-              got == _entry(l, target).cover)
+              _same_map(got, _entry(l, target).cover))
 
     # (b) covers are in lowest terms, so their fibers are the roots of
     # num - j*den; families and fixed curves match their covers / j-values
@@ -687,18 +702,21 @@ def verify_all():
                 check(f"coprime:{e.label}",
                       poly_gcd(e.cover.num, e.cover.den).degree == 0)
             if e.family is not None:
-                check(f"family:{e.label}", _family_j(*e.family) == e.cover)
+                check(f"family:{e.label}",
+                      _same_map(_family_j(*e.family), e.cover))
             if e.curve is not None:
                 check(f"fixed-curve:{e.label}",
                       e.jvals is not None
                       and e.curve.j_invariant() in e.jvals)
 
     # anchor values
-    check("anchor:2.G1@2",
-          evaluate(_entry(2, "G1").cover, F(2)) == F(21952, 9))
-    for l, name, t0, curve in _ANCHOR_CURVES:
+    anchors = [(2, "G1", F(2), F(21952, 9))] + [
+        (l, name, t0, curve.j_invariant())
+        for l, name, t0, curve in _ANCHOR_CURVES]
+    for l, name, t0, j0 in anchors:
+        num, den = _entry(l, name).cover
         check(f"anchor:{l}.{name}@{t0}",
-              evaluate(_entry(l, name).cover, t0) == curve.j_invariant())
+              num.evaluate(t0) == j0 * den.evaluate(t0))
 
     # (c) group structure of every entry
     for l in supported_primes():
@@ -773,8 +791,9 @@ def emit_text() -> str:
         for e in table.entries:
             out.append(f"  {e.label} index {e.index} gens {e.gens}")
             if e.cover is not None:
-                out.append(f"    cover num: {format_poly(e.cover.num)}")
-                out.append(f"    cover den: {format_poly(e.cover.den)}")
+                lead = e.cover.den.leading()  # printed with a monic den
+                out.append(f"    cover num: {format_poly(e.cover.num / lead)}")
+                out.append(f"    cover den: {format_poly(e.cover.den / lead)}")
             if e.jvals is not None:
                 vals = ", ".join(str(v) for v in sorted(e.jvals))
                 out.append(f"    j values: {vals}")

@@ -14,6 +14,9 @@ evidence and not a shared bug:
     int (Kronecker substitution).
   * subgroup_fingerprints enumerates an explicit subgroup, while the
     closed-form predicates in gl2 never build the group.
+  * cover_value and value_at_infinity evaluate a (num, den) cover at a
+    point and read its limit from the leading terms, while the package
+    asks whether num - j*den has a root or drops degree.
 """
 
 from fractions import Fraction
@@ -80,6 +83,24 @@ def schoolbook_product(f, g):
         for j, b in enumerate(g.coeffs):
             out[i + j] = out.get(i + j, Fraction(0)) + a * b
     return Poly([out[i] for i in range(len(out))])
+
+
+def cover_value(cover, t):
+    """num(t)/den(t) for a (num, den) pair of Polys, or None at a pole."""
+    num, den = cover
+    d = den.evaluate(t)
+    return None if d == 0 else num.evaluate(t) / d
+
+
+def value_at_infinity(cover):
+    """The limit of num/den as t grows: the ratio of the leading terms, 0
+    when den has the higher degree, None (a pole) when num has it."""
+    num, den = cover
+    if num.degree > den.degree:
+        return None
+    if num.degree < den.degree:
+        return Fraction(0)
+    return num.leading() / den.leading()
 
 
 def brute_force_ap(curve, p):

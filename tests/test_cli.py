@@ -5,11 +5,13 @@ subprocess to check the console entry point end to end.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import modimage
 import modimage.cli as cli
 from modimage.tables import prime_table, supported_primes
 
@@ -181,6 +183,12 @@ class TestTwistSet:
 
 
 HUGE = str(10 ** 12)
+# exponent notation that would build a 5001-digit numerator
+OVERSIZED_LITERALS = [
+    ("classify", "--short=1e5000,1"),
+    ("classify", "--j", "1e5000"),
+    ("ap", "--curve", "0,0,0,1e5000,1", "--p", "3"),
+]
 
 
 class TestExitCodes:
@@ -205,6 +213,7 @@ class TestExitCodes:
         ("group", "--prime", "2", "--label", "CM.G"),
         ("group", "--prime", "2", "--label", "CM.H1"),
         ("group", "--prime", "2", "--label", "CM.H2"),
+        ("classify", "--j", "5", "--primes="),
     ])
     def test_input_errors_exit_one(self, args, capsys):
         code, _ = run_cli(*args, capsys=capsys)
@@ -247,14 +256,17 @@ class TestExitCodes:
         ("group", "--prime", "1000000007", "--label", "B"),
         ("classify", "--j", "1" + "0" * 250),
         ("classify", "--short", f"{10 ** 70},1"),
-    ])
+    ] + OVERSIZED_LITERALS)
     def test_size_arguments_rejected_before_computing(self, args, capsys,
                                                       monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("computation started")
 
-        for name in ("classify", "classify_from_j", "twist_set", "ap",
-                     "group_from_label"):
+        names = ["classify", "classify_from_j", "twist_set", "ap",
+                 "group_from_label"]
+        if args in OVERSIZED_LITERALS:  # refused before a curve is built
+            names += ["ShortCurve", "WeierstrassCurve"]
+        for name in names:
             monkeypatch.setattr(cli, name, forbidden)
         assert cli.run(list(args)) == 1
         err = capsys.readouterr().err
@@ -263,9 +275,11 @@ class TestExitCodes:
 
 class TestConsoleEntryPoint:
     def test_installed_script_or_module(self):
+        src = os.path.dirname(os.path.dirname(modimage.__file__))
         out = subprocess.run(
             [sys.executable, "-m", "modimage.cli", "ap",
              "--curve", "0,0,0,-338,2392", "--p", "3"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
         assert out.returncode == 0
         assert out.stdout.strip() == "0"

@@ -11,15 +11,19 @@ import dataclasses
 import hashlib
 from fractions import Fraction as F
 
+from hypothesis import example, given, strategies as st
+
 import modimage.tables as tables
+from modimage.classifier import _cover_parameters
 from modimage.ec import PointQ, ShortCurve, scalar_mul
 from modimage.gl2 import (Mat2, Subgroup, is_conjugate, normalizer_nonsplit,
                           octahedral_normalizer)
-from modimage.polyq import INFINITY, Poly, RatFunc, evaluate
-from modimage.tables import (CM_TABLE, EXCEPTIONAL_LOOKUP, cm_entry,
-                             emit_text, group_from_label, nonsplit11,
-                             nonsplit11_contains, nonsplit11_j, prime_table,
-                             supported_primes, verify_all)
+from modimage.polyq import INFINITY, Poly, poly_gcd
+from modimage.tables import (CM_TABLE, EXCEPTIONAL_LOOKUP, Cover, TableEntry,
+                             cm_entry, emit_text, group_from_label,
+                             nonsplit11, nonsplit11_contains, nonsplit11_j,
+                             prime_table, supported_primes, verify_all)
+from oracles import cover_value, divisor_root_search, value_at_infinity
 
 T = Poly.var()
 
@@ -53,7 +57,7 @@ def test_every_cover_is_checked_coprime(monkeypatch):
     def common_factor(e):
         if e.label != "2.G2":
             return e
-        return dataclasses.replace(e, cover=RatFunc(
+        return dataclasses.replace(e, cover=Cover(
             e.cover.num * (T - 1), e.cover.den * (T - 1)))
 
     real = tables.prime_table
@@ -81,17 +85,20 @@ def test_fixed_curves_are_known_j():
 
 def test_cover_values_pin_down_transcription():
     # independent spot values of the genus zero covers
-    assert evaluate(prime_table(2).entries[0].cover, F(2)) == F(21952, 9)
-    assert evaluate(prime_table(5).entries[7].cover, F(1)) == 5 ** 2 * 16 ** 3
-    # the four covers with a finite value at t = infinity, all CM j's
+    assert cover_value(prime_table(2).entries[0].cover, F(2)) == F(21952, 9)
+    assert cover_value(prime_table(5).entries[7].cover, F(1)) \
+        == 5 ** 2 * 16 ** 3
+    # the five covers with a finite value at t = infinity, all CM j's but
+    # one; the fiber test finds t = infinity over each
     finite_at_infinity = {}
     for l in supported_primes():
         for e in prime_table(l).entries:
             if e.cover is None:
                 continue
-            v = evaluate(e.cover, INFINITY)
-            if v is not INFINITY:
+            v = value_at_infinity(e.cover)
+            if v is not None:
                 finite_at_infinity[e.label] = v
+                assert tables._fiber_contains(e.cover, v)
     assert finite_at_infinity == {
         "5.G3": F(0), "5.G7": F(8000), "7.G5": F(-3375), "7.G6": F(8000),
         "13.G3": F(-49353408, 5),
@@ -99,8 +106,54 @@ def test_cover_values_pin_down_transcription():
     # the only non-CM value in that list has affine preimages as well, so
     # a rational-root search cannot silently miss a containment
     cover = prime_table(13).entries[3].cover
-    assert evaluate(cover, F(0)) == F(-49353408, 5)
-    assert evaluate(cover, F(1)) == F(-49353408, 5)
+    assert cover_value(cover, F(0)) == F(-49353408, 5)
+    assert cover_value(cover, F(1)) == F(-49353408, 5)
+
+
+def test_same_map_cross_multiplies():
+    assert tables._same_map((T ** 2 - 1, 2 * T + 2), (T - 1, Poly.const(2)))
+    assert tables._same_map((T, T), (Poly.const(1), Poly.const(1)))
+    assert not tables._same_map((T, T + 1), (T, T + 2))
+
+
+small_fracs = st.builds(F, st.integers(min_value=-9, max_value=9),
+                        st.integers(min_value=1, max_value=4))
+small_polys = st.lists(small_fracs, min_size=1, max_size=5).map(Poly)
+
+
+@given(small_polys, small_polys, small_polys)
+def test_same_map_ignores_a_common_factor(f, g, h):
+    if g.degree < 0 or h.degree < 0:
+        return
+    assert tables._same_map((f * h, g * h), (f, g))
+
+
+# a nonconstant cover: num and den nonzero, coprime, not both constant
+covers = st.tuples(small_polys, small_polys).filter(
+    lambda c: min(c[0].degree, c[1].degree) >= 0
+    and max(c[0].degree, c[1].degree) >= 1
+    and poly_gcd(*c).degree == 0)
+
+
+@given(covers, small_fracs, st.booleans())
+@example((T + 1, T - 1), F(3), True)        # equal degrees: the lead ratio
+@example((T + 1, T - 1), F(3), False)
+@example((T ** 2, T + 1), F(1), True)       # a pole at infinity
+@example((T, T ** 2 + 1), F(1), True)       # 0 at infinity
+@example((T, T ** 2 + 1), F(1), False)
+def test_infinity_lies_over_j_exactly_at_the_value_there(cover, j, at_limit):
+    # j is the value at infinity when at_limit and there is one
+    limit = value_at_infinity(cover)
+    if at_limit and limit is not None:
+        j = limit
+    entry = TableEntry("test", 1, (), cover=Cover(*cover))
+    at_infinity = j == limit
+    roots = divisor_root_search(cover[0] - j * cover[1])
+    assert _cover_parameters(entry, j) == \
+        sorted(roots, key=lambda t: (t.denominator, t.numerator)) \
+        + [INFINITY] * at_infinity
+    assert tables._fiber_contains(entry.cover, j) == (at_infinity
+                                                     or bool(roots))
 
 
 def test_criterion_curve_points_map_to_cm_j():
