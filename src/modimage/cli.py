@@ -61,17 +61,24 @@ def _bounded(flag: str, n: int, limit: int) -> int:
     return n
 
 
+def _echo(text: str) -> str:
+    """The input quoted for an error message, cut to a short prefix."""
+    return repr(text) if len(text) <= 24 else repr(text[:24]) + "..."
+
+
 def _rational(text: str) -> Fraction:
     text = text.strip()  # the exponent is read first: 1e9999999 is not built
     mantissa, e, exponent = text.lower().partition("e")
     try:
-        if e and len(mantissa) + abs(int(exponent)) > _MAX_LITERAL_DIGITS:
+        shift = abs(int(exponent)) if e else 0
+        if max(sum(map(str.isdigit, part)) for part in mantissa.split("/")) \
+                + shift > _MAX_LITERAL_DIGITS:
             raise InputError(f"the numerator and denominator of a rational "
                              f"must be at most {_MAX_LITERAL_DIGITS} digits "
                              f"long")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise InputError(f"malformed rational {text!r}")
+        raise InputError(f"malformed rational {_echo(text)}")
 
 
 def _rational_list(text: str, n: int, what: str):
@@ -88,7 +95,7 @@ def _int_list(text: str):
         try:
             out.append(int(part.strip()))
         except ValueError:
-            raise InputError(f"malformed integer {part.strip()!r}")
+            raise InputError(f"malformed integer {_echo(part.strip())}")
     return out
 
 

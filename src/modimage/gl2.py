@@ -1,15 +1,16 @@
 """Subgroups of GL2 over a prime field, by explicit enumeration.
 
-Matrices are immutable 2x2 arrays over F_l with nonzero determinant.
-Subgroups are generated sets closed under multiplication, eagerly
-enumerated (intended for l <= 13 plus a few named groups at larger l,
-where the orders stay in the tens of thousands).
+Matrices are immutable tuples (a, b, c, d, l) of entries reduced mod l,
+with nonzero determinant. Subgroups are given by generators and
+enumerated on first use (intended for l <= 13 plus a few named groups at
+larger l, where the orders stay in the tens of thousands).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Optional, Tuple
 
 from .exactmath import factor
@@ -20,65 +21,58 @@ def gl2_order(l: int) -> int:
     return (l * l - 1) * (l * l - l)
 
 
-class Mat2:
-    """Invertible 2x2 matrix over F_l."""
+class Mat2(tuple):
+    """Invertible 2x2 matrix [a, b; c, d] over F_l, stored as the tuple
+    (a, b, c, d, l) of reduced entries, so hashing and equality run in
+    C. It is a matrix, not a sequence: + and integer * are refused."""
 
-    __slots__ = ("a", "b", "c", "d", "l")
+    __slots__ = ()
+    a, b, c, d, l = (property(itemgetter(i)) for i in range(5))
 
-    def __init__(self, a: int, b: int, c: int, d: int, l: int):
-        a %= l
-        b %= l
-        c %= l
-        d %= l
+    def __new__(cls, a: int, b: int, c: int, d: int, l: int):
+        a, b, c, d = a % l, b % l, c % l, d % l
         if (a * d - b * c) % l == 0:
             raise ValueError(f"singular matrix [{a},{b};{c},{d}] mod {l}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "l", l)
+        return tuple.__new__(cls, (a, b, c, d, l))
 
-    def __setattr__(self, *args):
-        raise AttributeError("Mat2 is immutable")
+    def _not_a_sequence(self, other):
+        raise TypeError("Mat2 is a matrix: only Mat2 * Mat2 is defined")
+
+    __add__ = __radd__ = __rmul__ = _not_a_sequence
 
     @staticmethod
     def identity(l: int) -> "Mat2":
         return Mat2(1, 0, 0, 1, l)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        l = self.l
-        return Mat2(self.a * other.a + self.b * other.c,
-                    self.a * other.b + self.b * other.d,
-                    self.c * other.a + self.d * other.c,
-                    self.c * other.b + self.d * other.d, l)
+        # a product of invertible reduced matrices is both: no re-check
+        a, b, c, d, l = self
+        e, f, g, h, _ = other
+        return tuple.__new__(Mat2, ((a * e + b * g) % l, (a * f + b * h) % l,
+                                    (c * e + d * g) % l, (c * f + d * h) % l,
+                                    l))
 
     def inverse(self) -> "Mat2":
-        l = self.l
+        a, b, c, d, l = self
         inv_det = pow(self.det(), -1, l)
-        return Mat2(self.d * inv_det, -self.b * inv_det,
-                    -self.c * inv_det, self.a * inv_det, l)
+        return Mat2(d * inv_det, -b * inv_det, -c * inv_det, a * inv_det, l)
 
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d, self.l)
+        a, b, c, d, l = self
+        return tuple.__new__(Mat2, (-a % l, -b % l, -c % l, -d % l, l))
 
     def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.l
+        a, b, c, d, l = self
+        return (a * d - b * c) % l
 
     def trace(self) -> int:
-        return (self.a + self.d) % self.l
+        return (self[0] + self[3]) % self[4]
 
     def tuple(self) -> Tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    def __eq__(self, other):
-        return (isinstance(other, Mat2) and self.l == other.l
-                and self.tuple() == other.tuple())
-
-    def __hash__(self):
-        return hash((self.tuple(), self.l))
+        return self[:4]
 
     def __repr__(self):
-        return f"[{self.a},{self.b};{self.c},{self.d}]"
+        return "[{},{};{},{}]".format(*self)
 
 
 def epsilon(l: int) -> int:
@@ -108,19 +102,24 @@ def primitive_root(l: int) -> int:
 
 def span(generators: Iterable[Mat2], l: int) -> frozenset:
     """Closure of the generators under multiplication (the generated
-    subgroup; inverses come for free in a finite group)."""
-    gens = list(generators)
-    elements = {Mat2.identity(l)}
-    frontier = [Mat2.identity(l)]
+    subgroup; inverses come for free in a finite group). Products are
+    formed on the unpacked entries, and each new one becomes a Mat2 once."""
+    gens = [g.tuple() for g in generators]
+    new = tuple.__new__
+    one = Mat2.identity(l)
+    elements = {one}
+    frontier = [one]
     while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                prod = m * g
-                if prod not in elements:
-                    elements.add(prod)
-                    new.append(prod)
-        frontier = new
+        grown = []
+        for a, b, c, d, _ in frontier:
+            for e, f, g, h in gens:
+                key = ((a * e + b * g) % l, (a * f + b * h) % l,
+                       (c * e + d * g) % l, (c * f + d * h) % l, l)
+                if key not in elements:  # a plain tuple equals its Mat2
+                    m = new(Mat2, key)
+                    elements.add(m)
+                    grown.append(m)
+        frontier = grown
     return frozenset(elements)
 
 
@@ -134,10 +133,10 @@ class Invariants:
 
 
 class Subgroup:
-    """A subgroup of GL2(F_l) given by generators, with its elements
-    enumerated eagerly at construction."""
+    """A subgroup of GL2(F_l) given by generators. Its elements are
+    enumerated the first time they are read, and kept."""
 
-    __slots__ = ("l", "generators", "elements", "label")
+    __slots__ = ("l", "generators", "label", "_elements")
 
     def __init__(self, l: int, generators: Iterable[Mat2], label: str = ""):
         gens = tuple(generators)
@@ -146,11 +145,17 @@ class Subgroup:
                 raise ValueError("generator over the wrong field")
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "elements", span(gens, l))
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_elements", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Subgroup is immutable")
+
+    @property
+    def elements(self) -> frozenset:
+        if self._elements is None:
+            object.__setattr__(self, "_elements", span(self.generators, self.l))
+        return self._elements
 
     @property
     def order(self) -> int:
@@ -159,16 +164,6 @@ class Subgroup:
     @property
     def index(self) -> int:
         return gl2_order(self.l) // self.order
-
-    def __contains__(self, m: Mat2) -> bool:
-        return m in self.elements
-
-    def __eq__(self, other):
-        return (isinstance(other, Subgroup) and self.l == other.l
-                and self.elements == other.elements)
-
-    def __hash__(self):
-        return hash((self.l, self.elements))
 
     def invariants(self) -> Invariants:
         l = self.l
@@ -192,15 +187,15 @@ def is_applicable(G: Subgroup) -> bool:
     yet accounted for: proper, containing -I, with surjective determinant,
     and containing a trace-zero element of determinant -1. At l = 2 the
     -I condition holds automatically since -I = I."""
-    inv = G.invariants()
-    if inv.index <= 1:
-        return False
-    if not inv.has_minus_i:
-        return False
-    if not inv.det_is_full:
-        return False
     l = G.l
-    return any(m.trace() == 0 and m.det() == (l - 1) % l for m in G.elements)
+    if G.index <= 1 or -Mat2.identity(l) not in G.elements:
+        return False
+    dets, odd = set(), False
+    for a, b, c, d, _ in G.elements:
+        det = (a * d - b * c) % l
+        dets.add(det)
+        odd = odd or (det == l - 1 and (a + d) % l == 0)
+    return odd and len(dets) == l - 1
 
 
 def enumerate_gl2(l: int):
@@ -322,11 +317,7 @@ def octahedral_normalizer(l: int, label: str = "") -> Subgroup:
 
 
 def _mat_sum(ms, l: int) -> Mat2:
-    a = sum(m.a for m in ms)
-    b = sum(m.b for m in ms)
-    c = sum(m.c for m in ms)
-    d = sum(m.d for m in ms)
-    return Mat2(a, b, c, d, l)
+    return Mat2(*(sum(m[i] for m in ms) for i in range(4)), l)
 
 
 def _sum_of_squares_minus_one(l: int) -> Tuple[int, int]:

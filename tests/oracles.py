@@ -14,6 +14,8 @@ evidence and not a shared bug:
     int (Kronecker substitution).
   * subgroup_fingerprints enumerates an explicit subgroup, while the
     closed-form predicates in gl2 never build the group.
+  * naive_span closes a set of plain 4-tuples under all pairwise
+    products, while gl2.span grows a frontier by the generators only.
   * cover_value and value_at_infinity evaluate a (num, den) cover at a
     point and read its limit from the leading terms, while the package
     asks whether num - j*den has a root or drops degree.
@@ -124,6 +126,20 @@ def brute_force_ap(curve, p):
 def subgroup_fingerprints(elements):
     """The set of (trace, det) pairs over an explicit set of matrices."""
     return {(m.trace(), m.det()) for m in elements}
+
+
+def naive_span(generators, l):
+    """The subgroup of GL2(F_l) generated by (a, b, c, d) tuples, as a set
+    of reduced 4-tuples: add every product of two members until nothing
+    new appears."""
+    group = {(1, 0, 0, 1)} | {tuple(x % l for x in g) for g in generators}
+    while True:
+        products = {((a * e + b * g) % l, (a * f + b * h) % l,
+                     (c * e + d * g) % l, (c * f + d * h) % l)
+                    for a, b, c, d in group for e, f, g, h in group}
+        if products <= group:
+            return group
+        group |= products
 
 
 def naive_is_square(x):

@@ -183,11 +183,14 @@ class TestTwistSet:
 
 
 HUGE = str(10 ** 12)
-# exponent notation that would build a 5001-digit numerator
+# exponent notation that would build a 5001-digit numerator, and plain
+# literals one digit past what int() reads from a string
 OVERSIZED_LITERALS = [
     ("classify", "--short=1e5000,1"),
     ("classify", "--j", "1e5000"),
     ("ap", "--curve", "0,0,0,1e5000,1", "--p", "3"),
+    ("classify", "--j", "1" * 4301),
+    ("classify", "--j", "2/" + "3" * 4301),
 ]
 
 
@@ -239,6 +242,20 @@ class TestExitCodes:
         assert "unknown label" in err3
         assert "p = 9 is not a prime" in err4
         assert "l = 9 is not a prime" in err5
+
+    @pytest.mark.parametrize("text", ["x" * 5000, "1/" + "0" * 4000,
+                                      "1" * 4000 + "x", "1e" + "9" * 5000],
+                             ids=["letters", "zero-den", "trailing-x",
+                                  "long-exponent"])
+    def test_malformed_literal_is_echoed_short(self, text, capsys):
+        assert cli.run(["classify", "--j", text]) == 1
+        err = capsys.readouterr().err
+        assert "malformed rational" in err and len(err) < 100
+
+    def test_long_plain_literal_says_at_most_4300_digits(self, capsys):
+        assert cli.run(["classify", "--j", "1" * 4301]) == 1
+        err = capsys.readouterr().err
+        assert "at most 4300 digits" in err and "1" * 30 not in err
 
     @pytest.mark.parametrize("args", [
         ("classify", "--curve", "0,0,1,-1,0", "--frobenius-bound", HUGE),

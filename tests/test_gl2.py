@@ -1,8 +1,9 @@
 """Tests for matrix groups over F_l: orders, invariants, conjugacy."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from modimage import gl2, tables
 from modimage.gl2 import (
     Mat2,
     Subgroup,
@@ -25,7 +26,7 @@ from modimage.gl2 import (
     primitive_root,
     span,
 )
-from oracles import subgroup_fingerprints, squares_mod
+from oracles import naive_span, subgroup_fingerprints, squares_mod
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 
@@ -70,6 +71,29 @@ def test_mat2_basics():
         Mat2(1, 2, 2, 4, 5)  # singular
 
 
+def test_mat2_is_a_matrix_not_a_sequence():
+    m, n = Mat2(1, 2, 3, 4, 5), Mat2(2, 0, 0, 1, 5)
+    with pytest.raises(TypeError):
+        m + n
+    with pytest.raises(TypeError):
+        3 * m
+    with pytest.raises(TypeError):
+        (1, 2) + m
+    with pytest.raises(AttributeError):
+        m.a = 2
+    assert (m.a, m.b, m.c, m.d, m.l) == (1, 2, 3, 4, 5)
+    assert m * n == Mat2(2, 2, 6, 4, 5)
+
+
+def test_mat2_hash_agrees_with_equality():
+    reduced, unreduced = Mat2(1, 2, 3, 4, 5), Mat2(-4, 12, 3, -1, 5)
+    assert reduced == unreduced and hash(reduced) == hash(unreduced)
+    assert len({reduced, unreduced}) == 1
+    assert Mat2.identity(5) != Mat2.identity(7)
+    assert Mat2(1, 2, 3, 4, 5) != Mat2(1, 2, 3, 4, 7)
+    assert -Mat2.identity(5) == Mat2(4, 0, 0, 4, 5)
+
+
 @given(
     st.sampled_from([3, 5, 7]),
     st.tuples(*[st.integers(min_value=0, max_value=6)] * 8),
@@ -89,6 +113,45 @@ def test_span_small():
     full = span([Mat2(2, 0, 0, 1, 5), Mat2(1, 1, 0, 1, 5),
                  Mat2(0, 1, 4, 0, 5)], 5)
     assert len(full) == gl2_order(5)
+
+
+@st.composite
+def _generator_sets(draw):
+    """A prime l and one to three invertible (a, b, c, d) tuples. At
+    l >= 7 a set of two or more is upper triangular, so that its group
+    stays small enough for the quadratic oracle."""
+    l = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    k = draw(st.integers(min_value=1, max_value=3))
+    entry = st.integers(min_value=0, max_value=l - 1)
+    lower = st.just(0) if l >= 7 and k > 1 else entry
+    gens = draw(st.lists(st.tuples(entry, entry, lower, entry),
+                         min_size=k, max_size=k))
+    assume(all((a * d - b * c) % l for a, b, c, d in gens))
+    return l, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_sets())
+def test_span_matches_naive_closure(case):
+    l, gens = case
+    spanned = span([Mat2(*g, l) for g in gens], l)
+    assert {m.tuple() for m in spanned} == naive_span(gens, l)
+    assert all(isinstance(m, Mat2) for m in spanned)
+
+
+def test_subgroups_span_only_when_elements_are_read(monkeypatch):
+    calls = []
+
+    def counting_span(generators, l):
+        calls.append(l)
+        return span(generators, l)
+
+    monkeypatch.setattr(gl2, "span", counting_span)
+    tables._gens_of(borel(13))
+    G = normalizer_split(7)
+    assert calls == []
+    assert len(G.elements) == G.order == 72
+    assert calls == [7]
 
 
 def test_named_subgroup_orders():
@@ -138,9 +201,15 @@ def test_applicability():
     # at l = 3 the octahedral construction fills all of GL2(F_3)
     assert octahedral_normalizer(3).order == gl2_order(3)
     assert not is_applicable(octahedral_normalizer(3))
-    # no -I: the trivial subgroup of odd order
+    # <diag(2, 3)> has order 4 and holds -I, but every determinant is 1
     H = Subgroup(5, [Mat2(2, 0, 0, 3, 5)])
     assert not is_applicable(H)
+    # each fails one condition only: no -I (3.H3.1, determinants onto
+    # and [1, 0; 0, 2] of trace 0 and det -1), then determinants {1, -1}
+    assert not is_applicable(Subgroup(3, [Mat2(1, 1, 0, 1, 3),
+                                          Mat2(1, 0, 0, 2, 3)]))
+    assert not is_applicable(Subgroup(7, [Mat2(6, 0, 0, 6, 7),
+                                          Mat2(0, 1, 1, 0, 7)]))
 
 
 def test_applicability_mod_two():
