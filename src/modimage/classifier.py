@@ -16,9 +16,8 @@ mod-l representation up to conjugacy in GL_2(F_l):
   the mod-9 refinements for j = 0 and the twist tests at l = D.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .exactmath import (Incomplete, factor, is_cube, is_probable_prime,
                         is_square, legendre, primes_up_to)
@@ -50,8 +49,7 @@ class FactorizationIncomplete(ArithmeticError):
     """The discriminant would not factor under the trial bound."""
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A Frobenius witness (a_p, p) mod l incompatible with a maximal
     subgroup type."""
     kind: str
@@ -60,8 +58,7 @@ class Certificate:
     det: int
 
 
-@dataclass(frozen=True, slots=True)
-class ImageResult:
+class ImageResult(NamedTuple):
     """Mod-l verdict for one prime.
 
     label is "GL2" or a group label from the tables; witness_t is the
@@ -77,8 +74,7 @@ class ImageResult:
     note: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class Report:
+class Report(NamedTuple):
     curve: Optional[WeierstrassCurve]
     j: Fraction
     cm: Optional[CMEntry]

@@ -91,11 +91,14 @@ def _rational_list(text: str, n: int, what: str):
 
 def _int_list(text: str):
     out = []
-    for part in text.split(","):
+    for part in map(str.strip, text.split(",")):
+        if sum(map(str.isdigit, part)) > _MAX_LITERAL_DIGITS:
+            raise InputError(f"an integer must be at most "
+                             f"{_MAX_LITERAL_DIGITS} digits long")
         try:
-            out.append(int(part.strip()))
+            out.append(int(part))
         except ValueError:
-            raise InputError(f"malformed integer {_echo(part.strip())}")
+            raise InputError(f"malformed integer {_echo(part)}")
     return out
 
 

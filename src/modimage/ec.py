@@ -9,9 +9,9 @@ exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from operator import itemgetter
+from typing import Tuple, Union
 
 from .exactmath import is_cube, is_square
 from .polyq import Poly
@@ -31,31 +31,44 @@ def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
-    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q."""
+def _b_invariants(a1, a2, a3, a4, a6):
+    """(b2, b4, b6, b8) of the a-invariants, over Z or Q alike."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return b2, b4, b6, b8
 
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
 
-    def __init__(self, a1: Rat, a2: Rat, a3: Rat, a4: Rat, a6: Rat):
-        for name, v in zip(("a1", "a2", "a3", "a4", "a6"),
-                           (a1, a2, a3, a4, a6)):
-            object.__setattr__(self, name, _fr(v))
+def _discriminant(b2, b4, b6, b8):
+    return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
+def _not_a_sequence(self, other):
+    raise TypeError(f"{type(self).__name__} is not a sequence")
+
+
+class WeierstrassCurve(tuple):
+    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q, stored as the
+    immutable tuple (a1, a2, a3, a4, a6) of Fractions. It is a curve, not a
+    sequence: + and integer * are refused."""
+
+    __slots__ = ()
+    a1, a2, a3, a4, a6 = (property(itemgetter(i)) for i in range(5))
+
+    def __new__(cls, a1: Rat, a2: Rat, a3: Rat, a4: Rat, a6: Rat):
+        self = tuple.__new__(cls, map(_fr, (a1, a2, a3, a4, a6)))
         if self.discriminant() == 0:
             raise SingularCurveError("discriminant is zero")
+        return self
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _not_a_sequence
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def b_invariants(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3
-              - a4 * a4)
-        return b2, b4, b6, b8
+        return _b_invariants(*self)
 
     def c_invariants(self) -> Tuple[Fraction, Fraction]:
         b2, b4, b6, _ = self.b_invariants()
@@ -64,9 +77,7 @@ class WeierstrassCurve:
         return c4, c6
 
     def discriminant(self) -> Fraction:
-        b2, b4, b6, b8 = self.b_invariants()
-        return (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6
-                + 9 * b2 * b4 * b6)
+        return _discriminant(*_b_invariants(*self))
 
     def j_invariant(self) -> Fraction:
         c4, _ = self.c_invariants()
@@ -74,8 +85,8 @@ class WeierstrassCurve:
 
     def a_invariants(self) -> Tuple[Fraction, Fraction, Fraction, Fraction,
                                     Fraction]:
-        """(a1, a2, a3, a4, a6)."""
-        return self.a1, self.a2, self.a3, self.a4, self.a6
+        """(a1, a2, a3, a4, a6) as a plain tuple."""
+        return tuple(self)
 
     def rhs(self, x: Rat) -> Fraction:
         x = _fr(x)
@@ -86,22 +97,26 @@ class WeierstrassCurve:
         return y * y + self.a1 * x * y + self.a3 * y == self.rhs(x)
 
     def __repr__(self):
-        return (f"WeierstrassCurve({self.a1}, {self.a2}, {self.a3}, "
-                f"{self.a4}, {self.a6})")
+        return "WeierstrassCurve({}, {}, {}, {}, {})".format(*self)
 
 
-@dataclass(frozen=True)
-class ShortCurve:
-    """y^2 = x^3 + A x + B over Q."""
+class ShortCurve(tuple):
+    """y^2 = x^3 + A x + B over Q, stored as the immutable tuple (A, B) of
+    Fractions. Like WeierstrassCurve, it refuses + and integer *."""
 
-    A: Fraction
-    B: Fraction
+    __slots__ = ()
+    A, B = (property(itemgetter(i)) for i in range(2))
 
-    def __init__(self, A: Rat, B: Rat):
-        object.__setattr__(self, "A", _fr(A))
-        object.__setattr__(self, "B", _fr(B))
-        if 4 * self.A ** 3 + 27 * self.B ** 2 == 0:
+    def __new__(cls, A: Rat, B: Rat):
+        A, B = _fr(A), _fr(B)
+        if 4 * A ** 3 + 27 * B ** 2 == 0:
             raise SingularCurveError("discriminant is zero")
+        return tuple.__new__(cls, (A, B))
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _not_a_sequence
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def to_long(self) -> WeierstrassCurve:
         return WeierstrassCurve(0, 0, 0, self.A, self.B)
@@ -110,7 +125,7 @@ class ShortCurve:
         return self.to_long().j_invariant()
 
     def __repr__(self):
-        return f"ShortCurve({self.A}, {self.B})"
+        return "ShortCurve({}, {})".format(*self)
 
 
 def short_model(E: WeierstrassCurve) -> ShortCurve:
@@ -165,11 +180,12 @@ def twist_test(E, Eprime, d: Rat) -> bool:
 def integral_model(E: WeierstrassCurve) -> Tuple[WeierstrassCurve, int]:
     """Scale (x, y) -> (u^2 x, u^3 y) with u the lcm of the coefficient
     denominators, giving integer a-invariants. Returns (curve, u)."""
-    u = 1
-    for v in (E.a1, E.a2, E.a3, E.a4, E.a6):
-        u = math.lcm(u, v.denominator)
-    return WeierstrassCurve(E.a1 * u, E.a2 * u ** 2, E.a3 * u ** 3,
-                            E.a4 * u ** 4, E.a6 * u ** 6), u
+    a1, a2, a3, a4, a6 = E
+    u = math.lcm(a1.denominator, a2.denominator, a3.denominator,
+                 a4.denominator, a6.denominator)
+    # the discriminant scales by u^12, so it stays nonzero: no re-check
+    return tuple.__new__(WeierstrassCurve, (a1 * u, a2 * u ** 2, a3 * u ** 3,
+                                            a4 * u ** 4, a6 * u ** 6)), u
 
 
 def ap(M: WeierstrassCurve, p: int) -> int:
@@ -182,11 +198,12 @@ def ap(M: WeierstrassCurve, p: int) -> int:
     of 4x^3 + b2 x^2 + 2 b4 x + b6 (complete the square in y); p = 2 is a
     four-point brute force.
     """
-    if any(a.denominator != 1 for a in M.a_invariants()):
+    if any(a.denominator != 1 for a in M):
         raise ValueError(f"ap needs an integral model, got {M!r}")
-    if int(M.discriminant()) % p == 0:
+    a1, a2, a3, a4, a6 = (a.numerator for a in M)
+    b2, b4, b6, b8 = _b_invariants(a1, a2, a3, a4, a6)
+    if _discriminant(b2, b4, b6, b8) % p == 0:
         raise BadReduction(f"p = {p} divides the discriminant")
-    a1, a2, a3, a4, a6 = map(int, M.a_invariants())
     if p == 2:
         count = 1
         for x in (0, 1):
@@ -195,9 +212,6 @@ def ap(M: WeierstrassCurve, p: int) -> int:
                         - (x ** 3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
                     count += 1
         return 2 + 1 - count
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
     char = bytearray(p)  # quadratic character + 1: chi(v) = char[v] - 1
     char[0] = 1
     for v in range(1, p):
@@ -261,26 +275,26 @@ def division_polynomial(E, n: int) -> Poly:
 
 # --- rational points -------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointQ:
-    """A rational point on a long Weierstrass curve; x = y = None is the
-    point at infinity."""
+class PointQ(tuple):
+    """A rational point on a long Weierstrass curve, stored as the immutable
+    tuple (curve, x, y); x = y = None is the point at infinity. + is the
+    group law; integer * is refused (scalar_mul is the multiple)."""
 
-    curve: WeierstrassCurve
-    x: Optional[Fraction]
-    y: Optional[Fraction]
+    __slots__ = ()
+    curve, x, y = (property(itemgetter(i)) for i in range(3))
 
-    def __init__(self, curve: WeierstrassCurve, x=None, y=None):
-        object.__setattr__(self, "curve", curve)
+    def __new__(cls, curve: WeierstrassCurve, x=None, y=None):
         if x is None and y is None:
-            object.__setattr__(self, "x", None)
-            object.__setattr__(self, "y", None)
-            return
+            return tuple.__new__(cls, (curve, None, None))
         x, y = _fr(x), _fr(y)
         if not curve.contains(x, y):
             raise ValueError(f"({x}, {y}) is not on the curve")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        return tuple.__new__(cls, (curve, x, y))
+
+    __radd__ = __mul__ = __rmul__ = _not_a_sequence
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def is_infinity(self) -> bool:
         return self.x is None

@@ -7,9 +7,8 @@ are exact. No floating point is used anywhere in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -105,8 +104,7 @@ def legendre(a: Rat, p: int) -> int:
     return 1 if s == 1 else -1
 
 
-@dataclass(frozen=True)
-class Incomplete:
+class Incomplete(NamedTuple):
     """Partial factorization: trial division plus a primality check on the
     cofactor did not finish. `factors` holds what was found, `cofactor` the
     remaining composite (or unproven) part."""

@@ -8,10 +8,9 @@ larger l, where the orders stay in the tens of thousands).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .exactmath import factor
 
@@ -123,8 +122,7 @@ def span(generators: Iterable[Mat2], l: int) -> frozenset:
     return frozenset(elements)
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     order: int
     index: int
     det_is_full: bool

@@ -28,7 +28,6 @@ the nonsplit-11 criterion) and is exposed on the command line as
 `verify-tables`.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -62,8 +61,7 @@ class Cover(NamedTuple):
     den: Poly = Poly.const(1)
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     """One maximal image candidate at a prime l."""
 
     label: str
@@ -78,8 +76,7 @@ class TableEntry:
     criterion: str = ""              # nonempty: handled by a special test
 
 
-@dataclass(frozen=True)
-class PrimeTable:
+class PrimeTable(NamedTuple):
     l: int
     twist: int          # l* = (-1)^((l-1)/2) * l; the only twist that matters
     entries: tuple
@@ -379,8 +376,7 @@ def prime_table(l: int) -> PrimeTable:
 
 # --- complex multiplication over Q ------------------------------------------
 
-@dataclass(frozen=True)
-class CMEntry:
+class CMEntry(NamedTuple):
     """One of the thirteen CM j-invariants over Q.
 
     field_disc is the (positive) squarefree D with CM field Q(sqrt(-D));
@@ -464,8 +460,7 @@ _B11_BRACKET = (
 )
 
 
-@dataclass(frozen=True)
-class NonsplitCriterion11:
+class NonsplitCriterion11(NamedTuple):
     """Deciding containment in the nonsplit Cartan normalizer at 11.
 
     The rational points of the relevant modular curve form a rank-one

@@ -252,8 +252,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "malformed rational" in err and len(err) < 100
 
-    def test_long_plain_literal_says_at_most_4300_digits(self, capsys):
-        assert cli.run(["classify", "--j", "1" * 4301]) == 1
+    @pytest.mark.parametrize("args", [
+        ("classify", "--j", "1" * 4301),
+        ("classify", "--j", "5", "--primes", "1" * 4301),
+    ], ids=["rational", "integer"])
+    def test_long_plain_literal_says_at_most_4300_digits(self, args, capsys):
+        assert cli.run(list(args)) == 1
         err = capsys.readouterr().err
         assert "at most 4300 digits" in err and "1" * 30 not in err
 
@@ -290,13 +294,28 @@ class TestExitCodes:
         assert "must be" in err or "is not a prime" in err
 
 
+def run_python(*args):
+    """Run a fresh interpreter that imports modimage from this checkout."""
+    src = os.path.dirname(os.path.dirname(modimage.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+
+
 class TestConsoleEntryPoint:
     def test_installed_script_or_module(self):
-        src = os.path.dirname(os.path.dirname(modimage.__file__))
-        out = subprocess.run(
-            [sys.executable, "-m", "modimage.cli", "ap",
-             "--curve", "0,0,0,-338,2392", "--p", "3"],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=src))
+        out = run_python("-m", "modimage.cli", "ap",
+                         "--curve", "0,0,0,-338,2392", "--p", "3")
         assert out.returncode == 0
         assert out.stdout.strip() == "0"
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # both cost cold start: dataclasses pulls in inspect, ast and dis
+        out = run_python("-c", "import sys; before = set(sys.modules); "
+                         "import modimage.cli; "
+                         "print(modimage.__file__); "
+                         "print(*sorted({'dataclasses', 'inspect'} "
+                         "& (set(sys.modules) - before)))")
+        assert out.returncode == 0, out.stderr
+        path, newly_loaded = out.stdout.split("\n")[:2]
+        assert path == modimage.__file__
+        assert newly_loaded == ""

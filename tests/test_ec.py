@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modimage.ec import (
+    BadReduction,
     PointQ,
     ShortCurve,
     SingularCurveError,
@@ -45,6 +46,22 @@ def test_invariants_and_j():
     assert CURVE_J131.j_invariant() == -24729001
     assert -24729001 == -11 * 131 ** 3
     assert ShortCurve(0, 16).j_invariant() == 0
+
+
+def test_curves_and_points_are_not_sequences():
+    # as tuples they would concatenate and repeat; only the group law is +
+    P = PointQ(RANK1_11, 4, 5)
+    for x in (CURVE_J121, FIXED7, P):
+        with pytest.raises(TypeError):
+            x * 2
+        with pytest.raises(TypeError):
+            2 * x
+        with pytest.raises(TypeError):
+            (1, 2) + x
+    for E in (CURVE_J121, FIXED7):
+        with pytest.raises(TypeError):
+            E + E
+    assert P + P == scalar_mul(P, 2) == PointQ(RANK1_11, 2, 0)
 
 
 def test_short_model_preserves_j():
@@ -114,7 +131,7 @@ def test_ap_anchors():
 
 
 def test_ap_needs_an_integral_model():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ap needs an integral model"):
         ap(WeierstrassCurve(0, 0, 0, Fraction(-1, 4), Fraction(1, 8)), 7)
 
 
@@ -129,6 +146,9 @@ def test_ap_against_brute_force():
         disc = int(E.discriminant())
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             if disc % p == 0:
+                with pytest.raises(BadReduction,
+                                   match=f"p = {p} divides the discriminant"):
+                    ap(E, p)
                 continue
             assert ap(E, p) == brute_force_ap(E, p)
 

@@ -7,7 +7,6 @@ multiples of its generator, and conjugacy of listed generators with the
 standard subgroup constructors.
 """
 
-import dataclasses
 import hashlib
 from fractions import Fraction as F
 
@@ -57,12 +56,12 @@ def test_every_cover_is_checked_coprime(monkeypatch):
     def common_factor(e):
         if e.label != "2.G2":
             return e
-        return dataclasses.replace(e, cover=Cover(
+        return e._replace(cover=Cover(
             e.cover.num * (T - 1), e.cover.den * (T - 1)))
 
     real = tables.prime_table
-    bad = dataclasses.replace(
-        real(2), entries=tuple(map(common_factor, real(2).entries)))
+    bad = real(2)._replace(
+        entries=tuple(map(common_factor, real(2).entries)))
     monkeypatch.setattr(tables, "prime_table",
                         lambda l: bad if l == 2 else real(l))
     failed = [name for name, ok, _ in tables.verify_all() if not ok]
