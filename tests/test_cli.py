@@ -252,12 +252,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "malformed rational" in err and len(err) < 100
 
-    @pytest.mark.parametrize("args", [
-        ("classify", "--j", "1" * 4301),
-        ("classify", "--j", "5", "--primes", "1" * 4301),
-    ], ids=["rational", "integer"])
-    def test_long_plain_literal_says_at_most_4300_digits(self, args, capsys):
-        assert cli.run(list(args)) == 1
+    def test_long_plain_literal_says_at_most_4300_digits(self, capsys):
+        assert cli.run(["classify", "--j", "1" * 4301]) == 1
+        err = capsys.readouterr().err
+        assert "at most 4300 digits" in err and "1" * 30 not in err
+
+    def test_long_integer_argument_says_at_most_4300_digits(self, capsys):
+        assert cli.run(["classify", "--j", "5", "--primes", "1" * 4301]) == 1
         err = capsys.readouterr().err
         assert "at most 4300 digits" in err and "1" * 30 not in err
 
