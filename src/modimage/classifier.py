@@ -4,16 +4,21 @@ Given an elliptic curve over Q and a prime l, determine the image of the
 mod-l representation up to conjugacy in GL_2(F_l):
 
 * non-CM curves at l <= 13 are classified by walking the genus-zero cover
-  table in order of decreasing index, refining a cover hit to a twist
-  sublabel with the curve parametrized by the matched value;
-* l = 11 additionally tests membership in the image of the rank-one
-  nonsplit normalizer curve through its plane quadratic criterion;
+  table in order of decreasing index; the first hit (a cover parameter,
+  a j-value, or at l = 11 the nonsplit normalizer's plane quadratic
+  criterion) is refined to a twist sublabel with the curve parametrized
+  by the matched value;
 * at l = 13 and l >= 17 the remaining open containments (nonsplit or
   split normalizer images with no known rational points) give verdicts
   conditional on the surjectivity conjecture, upgraded to proven when
   Frobenius traces certify non-containment in every open possibility;
 * CM curves are classified by the discriminant table rules, including
-  the mod-9 refinements for j = 0 and the twist tests at l = D.
+  the mod-9 refinements for j = 0 and the twist tests at l = D; at l = 2
+  away from j in {0, 1728} the l = 2 table decides, since a quadratic
+  twist does not move the mod-2 image.
+
+The walk and the CM rules yield labels; each verdict path builds its
+ImageResult once.
 """
 
 from fractions import Fraction
@@ -169,17 +174,37 @@ def _tail(E, l: int, bound: int, candidates) -> ImageResult:
 
     candidates pairs each open label with its maximal subgroup type; a
     Frobenius certificate against a type closes its labels, and the
-    verdict is proven once none is left open.
+    verdict is proven once none is left open. Without a model no
+    certificate can be sought, so every candidate stays open.
     """
     if E is None:
-        return ImageResult(l, "GL2", STATUS_CONDITIONAL,
-                           possible=tuple(lab for lab, _ in candidates),
-                           note="model required for Frobenius certificates")
-    found = frobenius_noncontainment(E, l, bound)
+        found, note = {}, "model required for Frobenius certificates"
+    else:
+        found, note = frobenius_noncontainment(E, l, bound), ""
     certs = tuple(found[k] for k, _ in MAXIMAL_KINDS if k in found)
     possible = tuple(lab for lab, kind in candidates if kind not in found)
     status = STATUS_CONDITIONAL if possible else STATUS_PROVEN
-    return ImageResult(l, "GL2", status, certificates=certs, possible=possible)
+    return ImageResult(l, "GL2", status, certificates=certs,
+                       possible=possible, note=note)
+
+
+def _first_hit(j, l: int):
+    """The first entry of the table for l whose image j lies under, in
+    the table's decreasing-index order, as (entry, t): t is the smallest
+    cover parameter over j, or None for a j-value or nonsplit-11 criterion
+    hit. None when j lies under no entry."""
+    for entry in prime_table(l).entries:
+        if entry.criterion == "nonsplit-fiber":
+            if nonsplit11_contains(j):
+                return entry, None
+        elif entry.jvals is not None:
+            if j in entry.jvals:
+                return entry, None
+        else:
+            params = _cover_parameters(entry, j)
+            if params:
+                return entry, params[0]
+    return None
 
 
 def classify_prime_noncm(E, j, l: int,
@@ -193,23 +218,11 @@ def classify_prime_noncm(E, j, l: int,
     """
     j = Fraction(j)
     if l in supported_primes():
-        table = prime_table(l)
-        for entry in table.entries:
-            if entry.criterion == "nonsplit-fiber":
-                if nonsplit11_contains(j):
-                    return ImageResult(l, entry.label, STATUS_PROVEN)
-                continue
-            if entry.jvals is not None:
-                if j not in entry.jvals:
-                    continue
-                label, note = _refine(entry, None, E, table.twist)
-                return ImageResult(l, label, STATUS_PROVEN, note=note)
-            params = _cover_parameters(entry, j)
-            if not params:
-                continue
-            label, note = _refine(entry, params[0], E, table.twist)
-            return ImageResult(l, label, STATUS_PROVEN, witness_t=params[0],
-                               note=note)
+        hit = _first_hit(j, l)
+        if hit is not None:
+            entry, t = hit
+            label, note = _refine(entry, t, E, prime_table(l).twist)
+            return ImageResult(l, label, STATUS_PROVEN, witness_t=t, note=note)
         if l == 13:
             return _tail(E, 13, frobenius_bound,
                          (("13.Ns", "SplitNormalizer"),
@@ -227,53 +240,35 @@ def classify_prime_noncm(E, j, l: int,
 
 # --- CM curves ---------------------------------------------------------------
 
-# j-invariants whose mod-2 image is the order-2 group, and those with
-# full mod-2 image; j = 0 and j = 1728 depend on the model
-_MOD2_ORDER2 = frozenset(Fraction(v) for v in (
-    54000, 287496, -3375, 16581375, 8000))
-_MOD2_FULL = frozenset(Fraction(v) for v in (
-    -12288000, -32768, -884736, -884736000, -147197952000,
-    -262537412640768000))
-
-
-def _classify_cm_2(E, entry: CMEntry) -> ImageResult:
-    j = entry.j
+def _classify_cm_2(E, j) -> str:
     if j == 1728:
-        d = -short_model(_as_long(E)).A
-        label = "2.G1" if is_square(d) else "2.G2"
-    elif j == 0:
-        d = short_model(_as_long(E)).B
-        label = "2.G2" if is_cube(d) else "GL2"
-    elif j in _MOD2_ORDER2:
-        label = "2.G2"
-    elif j in _MOD2_FULL:
-        label = "GL2"
-    else:
-        raise AssertionError(f"CM j-invariant {j} missing from mod-2 buckets")
-    return ImageResult(2, label, STATUS_PROVEN)
+        return "2.G1" if is_square(-short_model(E).A) else "2.G2"
+    if j == 0:
+        return "2.G2" if is_cube(short_model(E).B) else "GL2"
+    # a quadratic twist does not move the mod-2 image, and away from
+    # j in {0, 1728} every model with this j is one, so j decides it
+    return classify_prime_noncm(None, j, 2).label
 
 
-def _classify_cm_j0(E, l: int) -> ImageResult:
+def _classify_cm_j0(E, l: int) -> str:
     """j = 0 at an odd prime: sextic twists split the normalizer verdict
     by l mod 9, with an index-3 drop exactly on the twist orbit of
     y^2 = x^3 + 16 l^e."""
-    d = short_model(_as_long(E)).B
+    d = short_model(E).B
     if l == 3:
         sq = is_square(d) or is_square(-3 * d)
         if is_cube(-4 * d):
-            label = "3.H1.1" if sq else "3.G1"
-        elif is_square(d):
-            label = "3.H3.1"
-        elif is_square(-3 * d):
-            label = "3.H3.2"
-        else:
-            label = "3.G3"
-        return ImageResult(3, label, STATUS_PROVEN)
+            return "3.H1.1" if sq else "3.G1"
+        if is_square(d):
+            return "3.H3.1"
+        if is_square(-3 * d):
+            return "3.H3.2"
+        return "3.G3"
     m = l % 9
     if m == 1:
-        return ImageResult(l, f"{l}.Ns", STATUS_PROVEN)
+        return f"{l}.Ns"
     if m == 8:
-        return ImageResult(l, f"{l}.Nns", STATUS_PROVEN)
+        return f"{l}.Nns"
     if m in (4, 7):
         # (l - 1)/3 = e mod 3 with e in {1, 2}
         e = 1 if m == 4 else 2
@@ -282,8 +277,8 @@ def _classify_cm_j0(E, l: int) -> ImageResult:
         # (l + 1)/3 = -e mod 3 with e in {1, 2}
         e = 2 if m == 2 else 1
         base, drop = f"{l}.Nns", f"{l}.Nns-index3"
-    twisted = twist_test(ShortCurve(0, 16 * l ** e), _as_long(E), 1)
-    return ImageResult(l, drop if twisted else base, STATUS_PROVEN)
+    twisted = twist_test(ShortCurve(0, 16 * l ** e), E, 1)
+    return drop if twisted else base
 
 
 def _as_long(E):
@@ -293,31 +288,33 @@ def _as_long(E):
 def classify_cm(E, l: int, entry: CMEntry) -> ImageResult:
     """Image of the mod-l representation of a CM curve.
 
-    E may be None only where the verdict depends on j alone (the mod-2
-    buckets away from j in {0, 1728}, and the normalizer verdict at
-    primes not dividing the CM discriminant); elsewhere the model
-    decides among twists.
+    E may be None only where the verdict depends on j alone (l = 2 away
+    from j in {0, 1728}, where the l = 2 table decides, and the
+    normalizer verdict at primes not dividing the CM discriminant);
+    elsewhere the model decides among twists.
     """
+    E = _as_long(E)
     j = entry.j
+    note = ""
     if l == 2:
         if j in (0, 1728) and E is None:
             raise ValueError("model required for j in {0, 1728}")
-        return _classify_cm_2(E, entry)
-    if j == 0:
+        label = _classify_cm_2(E, j)
+    elif j == 0:
         if E is None:
             raise ValueError("model required for j = 0")
-        return _classify_cm_j0(E, l)
-    if l == entry.field_disc:
-        if E is None:
-            return ImageResult(l, f"{l}.CM.G", STATUS_PROVEN,
-                               note="model required for twist refinement")
+        label = _classify_cm_j0(E, l)
+    elif l == entry.field_disc and E is None:
+        label, note = f"{l}.CM.G", "model required for twist refinement"
+    elif l == entry.field_disc:
         # every prime CM field discriminant is 3 mod 4, so l* = -l
-        labels = (f"{l}.CM.H1", f"{l}.CM.H2", f"{l}.CM.G")
-        return ImageResult(l, _twist_label(entry.model, E, -l, labels),
-                           STATUS_PROVEN)
-    side = legendre(-entry.field_disc, l)
-    label = f"{l}.Ns" if side == 1 else f"{l}.Nns"
-    return ImageResult(l, label, STATUS_PROVEN)
+        label = _twist_label(entry.model, E, -l, (
+            f"{l}.CM.H1", f"{l}.CM.H2", f"{l}.CM.G"))
+    elif legendre(-entry.field_disc, l) == 1:
+        label = f"{l}.Ns"
+    else:
+        label = f"{l}.Nns"
+    return ImageResult(l, label, STATUS_PROVEN, note=note)
 
 
 # --- entry points ------------------------------------------------------------

@@ -99,10 +99,13 @@ def primitive_root(l: int) -> int:
         g += 1
 
 
-def span(generators: Iterable[Mat2], l: int) -> frozenset:
+def span(generators: Iterable[Mat2], l: int) -> set:
     """Closure of the generators under multiplication (the generated
     subgroup; inverses come for free in a finite group). Products are
-    formed on the unpacked entries, and each new one becomes a Mat2 once."""
+    formed on the unpacked entries, and each new one becomes a Mat2 once.
+
+    Returns the set it built, not a frozen copy, so the group is held in
+    memory once: callers must not mutate it."""
     gens = [g.tuple() for g in generators]
     new = tuple.__new__
     one = Mat2.identity(l)
@@ -119,7 +122,7 @@ def span(generators: Iterable[Mat2], l: int) -> frozenset:
                     elements.add(m)
                     grown.append(m)
         frontier = grown
-    return frozenset(elements)
+    return elements
 
 
 class Invariants(NamedTuple):
@@ -150,7 +153,8 @@ class Subgroup:
         raise AttributeError("Subgroup is immutable")
 
     @property
-    def elements(self) -> frozenset:
+    def elements(self) -> set:
+        """The elements, as a set shared by every reader: do not mutate."""
         if self._elements is None:
             object.__setattr__(self, "_elements", span(self.generators, self.l))
         return self._elements
@@ -231,18 +235,17 @@ def is_conjugate(G: Subgroup, H: Subgroup) -> Tuple[bool, Optional[Mat2]]:
 
 # --- the named subgroups ---------------------------------------------------
 
-def cartan_split(l: int, label: str = "") -> Subgroup:
+def cartan_split(l: int) -> Subgroup:
     """Diagonal matrices."""
     g = primitive_root(l)
-    return Subgroup(l, [Mat2(g, 0, 0, 1, l), Mat2(1, 0, 0, g, l)],
-                    label or f"{l}.Cs")
+    return Subgroup(l, [Mat2(g, 0, 0, 1, l), Mat2(1, 0, 0, g, l)], f"{l}.Cs")
 
 
-def cartan_nonsplit(l: int, label: str = "") -> Subgroup:
+def cartan_nonsplit(l: int) -> Subgroup:
     """Matrices [a, b*eps; b, a], the image of F_{l^2}^* acting on itself."""
     e = epsilon(l)
     gen = _nonsplit_generator(l, e)
-    return Subgroup(l, [gen], label or f"{l}.Cns")
+    return Subgroup(l, [gen], f"{l}.Cns")
 
 
 @lru_cache(maxsize=None)
@@ -269,33 +272,33 @@ def _order(m: Mat2) -> int:
     return k
 
 
-def normalizer_split(l: int, label: str = "") -> Subgroup:
+def normalizer_split(l: int) -> Subgroup:
     G = cartan_split(l)
     gens = list(G.generators) + [Mat2(0, 1, 1, 0, l)]
-    return Subgroup(l, gens, label or f"{l}.Ns")
+    return Subgroup(l, gens, f"{l}.Ns")
 
 
-def normalizer_nonsplit(l: int, label: str = "") -> Subgroup:
+def normalizer_nonsplit(l: int) -> Subgroup:
     G = cartan_nonsplit(l)
     gens = list(G.generators) + [Mat2(1, 0, 0, -1, l)]
-    return Subgroup(l, gens, label or f"{l}.Nns")
+    return Subgroup(l, gens, f"{l}.Nns")
 
 
-def borel(l: int, label: str = "") -> Subgroup:
+def borel(l: int) -> Subgroup:
     g = primitive_root(l)
     return Subgroup(l, [Mat2(g, 0, 0, 1, l), Mat2(1, 0, 0, g, l),
-                        Mat2(1, 1, 0, 1, l)], label or f"{l}.B")
+                        Mat2(1, 1, 0, 1, l)], f"{l}.B")
 
 
-def full_gl2(l: int, label: str = "") -> Subgroup:
+def full_gl2(l: int) -> Subgroup:
     g = primitive_root(l)
     return Subgroup(l, [Mat2(g, 0, 0, 1, l), Mat2(1, 1, 0, 1, l),
                         Mat2(0, 1, 1, 0, l)] if l > 2 else
                     [Mat2(1, 1, 0, 1, l), Mat2(0, 1, 1, 0, l)],
-                    label or "GL2")
+                    f"{l}.GL2")
 
 
-def octahedral_normalizer(l: int, label: str = "") -> Subgroup:
+def octahedral_normalizer(l: int) -> Subgroup:
     """The subgroup of order 24(l-1) whose projective image is the
     octahedral group S4, built from a quaternion pair i, j with
     i^2 = j^2 = -I and ij = -ji, the 3-cycle I+i+j+ij, the 4-fold
@@ -311,7 +314,7 @@ def octahedral_normalizer(l: int, label: str = "") -> Subgroup:
     four = _mat_sum([Mat2.identity(l), i], l)
     g = primitive_root(l)
     scal = Mat2(g, 0, 0, g, l)
-    return Subgroup(l, [i, j, sigma, four, scal], label or f"{l}.S4")
+    return Subgroup(l, [i, j, sigma, four, scal], f"{l}.S4")
 
 
 def _mat_sum(ms, l: int) -> Mat2:

@@ -59,6 +59,10 @@ class Poly:
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _poly, not by setting slots
+        return _poly, (list(self.ints), self.den)
+
     @staticmethod
     def const(c: Rat) -> "Poly":
         return Poly([c])

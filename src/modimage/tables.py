@@ -545,6 +545,11 @@ def _subgroup(l: int, gens, label: str) -> Subgroup:
                     label=label)
 
 
+# the families each named by one gl2 constructor, labelled l.name
+_NAMED = {"GL2": full_gl2, "Cs": cartan_split, "Cns": cartan_nonsplit,
+          "Ns": normalizer_split, "Nns": normalizer_nonsplit, "B": borel}
+
+
 def group_from_label(l: int, name: str) -> Subgroup:
     """Build the subgroup of GL2(F_l) named by a verdict label.
 
@@ -558,19 +563,9 @@ def group_from_label(l: int, name: str) -> Subgroup:
         name = name[len(f"{l}."):]
     if name.startswith("CM.") and l == 2:
         raise ValueError(f"2.{name} needs an odd l")
+    if name in _NAMED:
+        return _NAMED[name](l)
     g = primitive_root(l) if l > 2 else 1
-    if name == "GL2":
-        return full_gl2(l, label=f"{l}.GL2")
-    if name == "Cs":
-        return cartan_split(l, label=f"{l}.Cs")
-    if name == "Cns":
-        return cartan_nonsplit(l, label=f"{l}.Cns")
-    if name == "Ns":
-        return normalizer_split(l, label=f"{l}.Ns")
-    if name == "Nns":
-        return normalizer_nonsplit(l, label=f"{l}.Nns")
-    if name == "B":
-        return borel(l, label=f"{l}.B")
     if name == "Ns-index3":
         if (l - 1) % 3 != 0:
             raise ValueError(f"{l}.Ns-index3 needs l = 1 mod 3")

@@ -19,6 +19,9 @@ evidence and not a shared bug:
   * cover_value and value_at_infinity evaluate a (num, den) cover at a
     point and read its limit from the leading terms, while the package
     asks whether num - j*den has a root or drops degree.
+  * mod2_label reads the mod-2 image of y^2 = x^3 + Ax + B off the
+    rational roots and discriminant of the 2-division cubic, while the
+    classifier walks the l = 2 cover table.
 """
 
 from fractions import Fraction
@@ -153,3 +156,15 @@ def naive_is_square(x):
 def squares_mod(p):
     """The set of nonzero quadratic residues mod an odd prime p."""
     return {(x * x) % p for x in range(1, p)}
+
+
+def mod2_label(A, B):
+    """The mod-2 image label of y^2 = x^3 + Ax + B from its 2-division
+    cubic: three rational roots give 2.G1, one gives 2.G2, none with a
+    square discriminant gives 2.G3 (cyclic of order 3), else GL2."""
+    roots = divisor_root_search(Poly([B, A, 0, 1]))
+    if len(roots) == 3:
+        return "2.G1"
+    if len(roots) == 1:
+        return "2.G2"
+    return "2.G3" if naive_is_square(-4 * A ** 3 - 27 * B ** 2) else "GL2"

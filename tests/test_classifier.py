@@ -6,6 +6,8 @@ modular cover, and the twist refinements were cross-checked with
 quadratic twists by the distinguished discriminant.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -22,6 +24,7 @@ from modimage.classifier import (
     frobenius_noncontainment,
     twist_set,
 )
+from modimage.cli import _print_text_report, report_to_dict
 from modimage.ec import (
     ShortCurve,
     SingularCurveError,
@@ -42,7 +45,7 @@ from modimage.gl2 import (
 )
 from modimage.tables import (CM_TABLE, group_from_label, prime_table,
                              supported_primes)
-from oracles import brute_force_ap, subgroup_fingerprints
+from oracles import brute_force_ap, mod2_label, subgroup_fingerprints
 
 
 def short(A, B):
@@ -200,6 +203,23 @@ class TestComplexMultiplication:
         # j = 0: index-2 image iff B is a cube
         assert one(short(0, 1), 2).label == "2.G2"
         assert one(short(0, 2), 2).label == "GL2"
+
+    def test_mod_2_away_from_0_and_1728_is_read_off_the_2_division_cubic(self):
+        # a quadratic twist does not move the mod-2 image, so each model,
+        # its twists and its j alone give the one label the cubic decides
+        seen = set()
+        for entry in CM_TABLE:
+            if entry.j in (0, 1728):
+                continue
+            E = entry.model
+            expected = mod2_label(int(E.A), int(E.B))
+            labels = {one(E.to_long(), 2).label,
+                      classify_from_j(entry.j, [2]).results[0].label}
+            labels |= {one(quadratic_twist(E, d).to_long(), 2).label
+                       for d in (-1, 2, -3)}
+            assert labels == {expected}, entry.j
+            seen.add(expected)
+        assert seen == {"2.G2", "GL2"}
 
 
 class TestFrobeniusTail:
@@ -412,3 +432,59 @@ class TestFingerprintSoundness:
                             (E, r.label, p)
                 verdicts += 1
         assert verdicts >= 100 and len(prints) >= 30
+
+
+class TestVerdictExits:
+    # one input per way a verdict can come out, each given as
+    # (model or None, j or None, primes, frobenius bound)
+    J11 = F(21400770996000000, 952809757913927)  # -3 * generator, nonsplit 11
+    CASES = (
+        # non-CM: cover hit with its witness t; j-value hit refined by
+        # twist; the nonsplit-11 criterion; a cover hit at l = 2
+        (WeierstrassCurve(0, -1, 1, -10, -20), None, [5], 1000),
+        (WeierstrassCurve(1, 1, 1, -305, 7888), None, [11], 1000),
+        (short(3 * J11 * (1728 - J11), 2 * J11 * (1728 - J11) ** 2), None,
+         [11], 1000),
+        (short(-3, 1), None, [2], 1000),
+        # GL2 at every table prime, the proven 13, 17 and 37 tails; the
+        # conditional 13 and l >= 17 tails; the 17 and 37 lookups
+        (WeierstrassCurve(0, 0, 1, -1, 0), None, [2, 3, 5, 7, 11, 13, 17, 37],
+         1000),
+        (WeierstrassCurve(0, 0, 1, -1, 0), None, [13, 19, 23], 6),
+        (WeierstrassCurve(1, 0, 1, -190891, -36002922), None, [17], 1000),
+        (WeierstrassCurve(1, 1, 1, -208083, -36621194), None, [37], 1000),
+        # CM, j = 0: at 3, and by l mod 9 (1, 2, 4, 5, 7, 8), with the
+        # index-3 drop at 13 and 11
+        (short(0, 16), None, [2, 3, 5, 7, 11, 13, 17, 19], 1000),
+        (short(0, 16 * 13), None, [13], 1000),
+        (short(0, 16 * 121), None, [11], 1000),
+        (short(0, 2), None, [2, 3], 1000),
+        # CM, j = 1728 at 2 both ways; the l = 2 table for other CM j;
+        # l = D with a model, its -D twist, and without a model
+        (short(-1, 0), None, [2], 1000),
+        (short(1, 0), None, [2, 3, 5], 1000),
+        (short(-1715, 33614), None, [2, 7, 11], 1000),
+        (quadratic_twist(ShortCurve(-1715, 33614), -7).to_long(), None, [7],
+         1000),
+        (short(-15, 22), None, [2, 3, 5, 7], 1000),
+        (None, F(-3375), [2, 7, 11], 1000),
+        # from j alone: a j-value hit and the 13 tail, each with a note
+        (None, F(-121), [11], 1000),
+        (None, F(3), [13], 1000),
+    )
+    # sha256 of the text and JSON renderings of every case's report
+    SHA256 = ("e1e9a0f2d82e3f7aa54cada7ca1a6f15"
+              "307abc91cdafd75919461e71f6eef1aa")
+
+    def test_verdict_exits_are_pinned(self, capsys):
+        digest = hashlib.sha256()
+        for model, j, primes, bound in self.CASES:
+            if model is None:
+                report = classify_from_j(j, primes, frobenius_bound=bound)
+            else:
+                report = classify(model, primes, frobenius_bound=bound)
+            _print_text_report(report, model)
+            digest.update(capsys.readouterr().out.encode())
+            digest.update(json.dumps(report_to_dict(report, model),
+                                     indent=2).encode())
+        assert digest.hexdigest() == self.SHA256

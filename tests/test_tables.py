@@ -10,13 +10,14 @@ standard subgroup constructors.
 import hashlib
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 import modimage.tables as tables
 from modimage.classifier import _cover_parameters
 from modimage.ec import PointQ, ShortCurve, scalar_mul
-from modimage.gl2 import (Mat2, Subgroup, is_conjugate, normalizer_nonsplit,
-                          octahedral_normalizer)
+from modimage.gl2 import (Mat2, Subgroup, gl2_order, is_conjugate,
+                          normalizer_nonsplit, octahedral_normalizer)
 from modimage.polyq import INFINITY, Poly, poly_gcd
 from modimage.tables import (CM_TABLE, EXCEPTIONAL_LOOKUP, Cover, TableEntry,
                              cm_entry, emit_text, group_from_label,
@@ -188,6 +189,23 @@ def test_listed_generators_match_constructors():
     assert ok and witness is not None
 
 
+# every family group_from_label names at an odd l, with its order and
+# the residue of l mod 3 it needs (None: any)
+NAMED_FAMILIES = {
+    "GL2": (gl2_order, None),
+    "Cs": (lambda l: (l - 1) ** 2, None),
+    "Cns": (lambda l: l * l - 1, None),
+    "Ns": (lambda l: 2 * (l - 1) ** 2, None),
+    "Nns": (lambda l: 2 * (l * l - 1), None),
+    "B": (lambda l: l * (l - 1) ** 2, None),
+    "Ns-index3": (lambda l: 2 * (l - 1) ** 2 // 3, 1),
+    "Nns-index3": (lambda l: 2 * (l * l - 1) // 3, 2),
+    "CM.G": (lambda l: 2 * l * (l - 1), None),
+    "CM.H1": (lambda l: l * (l - 1), None),
+    "CM.H2": (lambda l: l * (l - 1), None),
+}
+
+
 def test_group_from_label():
     for l in supported_primes():
         for e in prime_table(l).entries:
@@ -203,6 +221,17 @@ def test_group_from_label():
     assert ok
     gl = group_from_label(11, "GL2")
     assert gl.index == 1
+    for l in (3, 5, 7, 11, 13):
+        for name, (order, residue) in NAMED_FAMILIES.items():
+            if residue is not None and l % 3 != residue:
+                with pytest.raises(ValueError, match="needs l ="):
+                    group_from_label(l, name)
+                continue
+            for given_as in (name, f"{l}.{name}"):
+                G = group_from_label(l, given_as)
+                assert G.label == f"{l}.{name}"
+                assert G.order * G.index == gl2_order(l)
+                assert G.order == order(l), (l, name)
 
 
 def test_cm_table_lookup():

@@ -15,7 +15,8 @@ from modimage.classifier import Certificate, ImageResult, classify
 from modimage.ec import PointQ, ShortCurve, WeierstrassCurve, short_model
 from modimage.exactmath import Incomplete
 from modimage.gl2 import borel
-from modimage.tables import CM_TABLE, CMEntry, nonsplit11, prime_table
+from modimage.tables import (CM_TABLE, CMEntry, nonsplit11, prime_table,
+                             supported_primes)
 
 E = WeierstrassCurve(1, 1, 1, -305, 7888)
 RANK1_11 = WeierstrassCurve(0, -1, 1, -7, 10)
@@ -62,8 +63,9 @@ def test_equal_values_compare_and_hash_equal():
 
 
 def test_curves_and_points_copy_as_values():
+    tables = [prime_table(l) for l in supported_primes()] + [nonsplit11()]
     for value in (E, ShortCurve(-15, 22), PointQ(RANK1_11, 4, 5),
-                  PointQ(RANK1_11)):
+                  PointQ(RANK1_11), *tables):
         assert copy.deepcopy(value) == value
         assert pickle.loads(pickle.dumps(value)) == value
 
