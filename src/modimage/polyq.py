@@ -3,9 +3,12 @@
 A polynomial is stored as integer numerators over one denominator, so
 its arithmetic runs on ints; _poly, which builds every one, brings it to
 that form. A product is one big-int product of the numerators (Kronecker
-substitution); one integer pseudo-division, _pseudo_divmod, serves the
-gcd and exact division. compose substitutes one map of the projective
-line, given as a (num, den) pair, into another.
+substitution). poly_gcd first asks whether the gcd is 1 by Euclid on
+the primitive parts reduced modulo one word-sized prime, and only when
+that is inconclusive runs the exact primitive remainder sequence; one
+integer pseudo-division, _pseudo_divmod, serves that sequence and exact
+division. compose substitutes one map of the projective line, given as a
+(num, den) pair, into another.
 
 rational_roots finds all rational roots of a polynomial by reducing to a
 squarefree integer polynomial, picking the smallest prime at which the
@@ -248,14 +251,49 @@ def _pseudo_divmod(a: list, b: list) -> tuple:
     return q, r
 
 
+# The prime of poly_gcd's coprimality test: the largest below 2^30, so
+# every residue is a single-digit CPython int.
+_GCD_PRIME = 1073741789
+
+
+def _coprime_mod_p(a: list, b: list) -> bool:
+    """Whether Euclid on the integer lists a and b (nonzero, no leading
+    zero) reduced mod _GCD_PRIME ends in a nonzero constant."""
+    p = _GCD_PRIME
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+    while b and b[-1] == 0:
+        b.pop()
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        for k in range(len(a) - len(b), -1, -1):
+            u = a.pop() * inv % p
+            a[k:] = [(c - u * v) % p for c, v in zip(a[k:], b)]
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return bool(b)
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over Q (zero for two zeros), by a primitive pseudo-
-    remainder sequence on integer lists. Stripping the content after each
-    _pseudo_divmod keeps the numbers near the size of the inputs'
-    subresultants, where fraction Euclid squares them at every step."""
+    """Monic gcd over Q (zero for two zeros).
+
+    First a modular coprimality test: when the prime _GCD_PRIME does not
+    divide the leading coefficient of a, the longer primitive part, and
+    Euclid on a and b reduced mod that prime ends in a nonzero constant,
+    the gcd is 1. Sound because a common factor over Q has a primitive
+    integer multiple whose leading coefficient divides lead(a), so it
+    keeps its degree mod the prime and divides both reductions.
+
+    Otherwise a primitive pseudo-remainder sequence on integer lists.
+    Stripping the content after each _pseudo_divmod keeps the numbers
+    near the size of the inputs' subresultants, where fraction Euclid
+    squares them at every step."""
     a, b = f.primitive(), g.primitive()
     if len(a) < len(b):
         a, b = b, a
+    if len(b) > 1 and a[-1] % _GCD_PRIME and _coprime_mod_p(a, b):
+        return Poly.const(1)
     while len(b) > 1:
         a, b = b, _primitive(_pseudo_divmod(a, b)[1])
     return _poly(a).monic() if not b else Poly.const(1)

@@ -12,6 +12,10 @@ evidence and not a shared bug:
   * schoolbook_product multiplies coefficient by coefficient in
     Fractions, while Poly.__mul__ packs integer coefficients into one big
     int (Kronecker substitution).
+  * fraction_gcd runs Euclid on Fraction coefficient lists, making the
+    divisor monic at every step, while polyq.poly_gcd tests coprimality
+    modulo one prime and otherwise runs an integer pseudo-remainder
+    sequence.
   * subgroup_fingerprints enumerates an explicit subgroup, while the
     closed-form predicates in gl2 never build the group.
   * naive_span closes a set of plain 4-tuples under all pairwise
@@ -88,6 +92,29 @@ def schoolbook_product(f, g):
         for j, b in enumerate(g.coeffs):
             out[i + j] = out.get(i + j, Fraction(0)) + a * b
     return Poly([out[i] for i in range(len(out))])
+
+
+def fraction_gcd(f, g):
+    """The monic gcd of two Polys as a tuple of Fractions, index = degree
+    (() for two zeros), by Euclid's algorithm on their coefficients."""
+    a, b = _trimmed(f.coeffs), _trimmed(g.coeffs)
+    while b:
+        b = [c / b[-1] for c in b]
+        r = list(a)
+        while len(r) >= len(b):
+            u, shift = r[-1], len(r) - len(b)
+            for i, c in enumerate(b):
+                r[shift + i] -= u * c
+            r = _trimmed(r)
+        a, b = b, r
+    return tuple(c / a[-1] for c in a)
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
 
 
 def cover_value(cover, t):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import modimage.polyq as polyq
 from modimage.polyq import (
     Poly,
     compose,
@@ -13,9 +14,12 @@ from modimage.polyq import (
     poly_gcd,
     poly_sqrt,
     rational_roots,
+    _GCD_PRIME as P,
     _pseudo_divmod,
 )
-from oracles import cover_value, divisor_root_search, schoolbook_product
+from modimage.tables import prime_table
+from oracles import (cover_value, divisor_root_search, fraction_gcd,
+                     schoolbook_product)
 
 T = Poly.var()
 
@@ -137,6 +141,69 @@ def test_gcd_divides(f, g):
         return
     assert exact_divide(f, d) is not None
     assert exact_divide(g, d) is not None
+
+
+# near multiples of the coprimality test's prime, so that reductions mod
+# P collide or lose their leading term
+gcd_coeffs = st.one_of(
+    small_fracs,
+    st.builds(lambda k, s: k * P + s, st.integers(min_value=-3, max_value=3),
+              st.sampled_from([-1, 0, 1])),
+)
+gcd_polys = st.lists(gcd_coeffs, max_size=5).map(Poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gcd_polys, gcd_polys, st.booleans(),
+       st.lists(gcd_coeffs, min_size=2, max_size=4).map(Poly))
+@example(T + P + 1, T + 1, True, P * T ** 2 + 1)
+def test_gcd_matches_fraction_euclid(f, g, shared, h):
+    if shared:
+        f, g = f * h, g * h
+    assert poly_gcd(f, g).coeffs == fraction_gcd(f, g)
+
+
+@pytest.mark.parametrize("f, g, expected", [
+    (T, T + P, Poly.const(1)),        # equal mod P: the test is inconclusive
+    (P * T + 1, T, Poly.const(1)),    # P divides lead(a): the test is skipped
+    (T * (T + P), T, T),
+    (Poly(), Poly(), Poly()),
+    (Poly(), 2 * T + 4, T + 2),
+    (Poly.const(3), T ** 2 + 1, Poly.const(1)),
+    (Poly.const(3), Poly(), Poly.const(1)),
+])
+def test_gcd_edge_cases(f, g, expected):
+    assert poly_gcd(f, g) == expected
+    assert poly_gcd(g, f) == expected
+
+
+def fibre_at_generic_j():
+    """num - j*den for the 13.G6 cover at a j off every table."""
+    cover = next(e.cover for e in prime_table(13).entries
+                 if e.label == "13.G6")
+    return cover.num - Fraction(1234567, 89) * cover.den
+
+
+def test_trivial_gcd_skips_the_remainder_sequence(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("pseudo-division ran")
+
+    monkeypatch.setattr(polyq, "_pseudo_divmod", refuse)
+    f = fibre_at_generic_j()
+    assert poly_gcd(f, f.derivative()) == 1
+
+
+def test_common_factor_runs_the_remainder_sequence(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return _pseudo_divmod(a, b)
+
+    monkeypatch.setattr(polyq, "_pseudo_divmod", counted)
+    f = fibre_at_generic_j()
+    assert poly_gcd(f ** 2, (f ** 2).derivative()) == f.monic()
+    assert calls
 
 
 big = 2 ** 200
