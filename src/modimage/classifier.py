@@ -324,6 +324,8 @@ def _checked_primes(primes):
         return DEFAULT_PRIMES
     out = []
     for l in primes:
+        if int(l) != l:
+            raise ValueError(f"{l} is not an integer")
         l = int(l)
         if l < 2 or not is_probable_prime(l):
             raise ValueError(f"{l} is not prime")

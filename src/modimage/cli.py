@@ -12,6 +12,9 @@ Subcommands:
   given bound cannot eliminate.
 
 Exit codes: 0 on success, 1 on bad input, 2 on verification failure.
+Subcommands raise; ``run`` is the one place that turns an ``InputError``,
+a library ``ValueError`` or a ``FactorizationIncomplete`` into a single
+``modimage: error:`` line on stderr and exit 1.
 """
 
 import argparse
@@ -52,7 +55,7 @@ _MAX_LITERAL_DIGITS = 4300
 
 
 class InputError(Exception):
-    """Bad command line input; maps to exit code 1."""
+    """Bad command line input found by the CLI itself; exit code 1."""
 
 
 def _bounded(flag: str, n: int, limit: int) -> int:
@@ -208,13 +211,10 @@ def cmd_classify(ns) -> int:
     if max(abs(j.numerator), j.denominator) >= 10 ** _MAX_J_DIGITS:
         raise InputError(f"the numerator and denominator of j must be at "
                          f"most {_MAX_J_DIGITS} digits long")
-    try:
-        if model is not None:
-            report = classify(model, primes, frobenius_bound=bound)
-        else:
-            report = classify_from_j(j, primes, frobenius_bound=bound)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    if model is not None:
+        report = classify(model, primes, frobenius_bound=bound)
+    else:
+        report = classify_from_j(j, primes, frobenius_bound=bound)
     if ns.format == "json":
         print(json.dumps(report_to_dict(report, model), indent=2))
     else:
@@ -242,10 +242,7 @@ def cmd_group(ns) -> int:
         raise InputError(f"l = {ns.prime} is not a prime")
     if ns.prime > _MAX_GROUP_PRIME:
         raise InputError(f"--prime must be at most {_MAX_GROUP_PRIME}")
-    try:
-        g = group_from_label(ns.prime, ns.label)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    g = group_from_label(ns.prime, ns.label)
     inv = g.invariants()
     print(f"label: {g.label}")
     print(f"order: {inv.order}")
@@ -263,10 +260,7 @@ def cmd_ap(ns) -> int:
     if not is_probable_prime(ns.p):
         raise InputError(f"p = {ns.p} is not a prime")
     M, _ = integral_model(E)
-    try:
-        print(ap(M, ns.p))
-    except ValueError as exc:  # BadReduction
-        raise InputError(str(exc))
+    print(ap(M, ns.p))
     return 0
 
 
@@ -275,10 +269,7 @@ def cmd_twist_set(ns) -> int:
     r = _bounded("--r", ns.r, _MAX_SCAN_BOUND)
     factor_bound = _bounded("--factor-bound", ns.factor_bound,
                             _MAX_FACTOR_BOUND)
-    try:
-        ds = twist_set(E, ns.prime, r, factor_bound=factor_bound)
-    except (ValueError, FactorizationIncomplete) as exc:
-        raise InputError(str(exc))
+    ds = twist_set(E, ns.prime, r, factor_bound=factor_bound)
     print(" ".join(str(d) for d in sorted(ds)))
     return 0
 
@@ -355,7 +346,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return ns.func(ns)
-    except InputError as exc:
+    except (InputError, ValueError, FactorizationIncomplete) as exc:
         print(f"modimage: error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,7 @@ quadratic twists by the distinguished discriminant.
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -45,7 +46,12 @@ from modimage.gl2 import (
 )
 from modimage.tables import (CM_TABLE, group_from_label, prime_table,
                              supported_primes)
-from oracles import brute_force_ap, mod2_label, subgroup_fingerprints
+from oracles import (brute_force_ap, divisor_root_search, mod2_label,
+                     naive_is_square, subgroup_fingerprints)
+
+
+# -3 * the generator on the nonsplit-11 criterion curve
+J11 = F(21400770996000000, 952809757913927)
 
 
 def short(A, B):
@@ -221,6 +227,39 @@ class TestComplexMultiplication:
             seen.add(expected)
         assert seen == {"2.G2", "GL2"}
 
+    def test_j0_at_3_follows_the_3_torsion_of_the_model(self):
+        # on y^2 = x^3 + d, (0, +-sqrt d) is a rational 3-torsion point iff
+        # d is a square, the -3 twist has one iff -3d is a square, and
+        # psi_3 = 3x(x^3 + 4d) has a second rational root iff -4d is a cube
+        prints, labels = {}, set()
+        for d in (1, 4, 9, -3, -12, -27, 3, 5, -1, 2, 16, -432):
+            point, twisted = naive_is_square(d), naive_is_square(-3 * d)
+            if len(divisor_root_search(Poly([0, 12 * d, 0, 0, 3]))) == 2:
+                expected = "3.H1.1" if point or twisted else "3.G1"
+            elif point:
+                expected = "3.H3.1"
+            elif twisted:
+                expected = "3.H3.2"
+            else:
+                expected = "3.G3"
+            assert one(short(0, d), 3).label == expected, d
+            labels.add(expected)
+            prints[d] = subgroup_fingerprints(
+                group_from_label(3, expected).elements)
+        assert labels == {"3.H3.1", "3.H3.2", "3.G3", "3.G1", "3.H1.1"}
+        # Frobenius soundness at the good p <= 300 (p > 3, p not dividing
+        # d): one scan of every (x, y) mod p counts the affine points of
+        # y^2 = x^3 + d for all d at once, as brute_force_ap does for one
+        # curve (compared at p = 31)
+        for p in primes_up_to(300)[2:]:
+            affine = Counter((y * y - x ** 3) % p
+                             for x in range(p) for y in range(p))
+            if p == 31:
+                assert p - affine[5] == brute_force_ap(short(0, 5), p)
+            for d, fp in prints.items():
+                if d % p:
+                    assert ((p - affine[d % p]) % 3, p % 3) in fp, (d, p)
+
 
 class TestFrobeniusTail:
     def test_conditional_shrinks_to_proven_at_13(self):
@@ -384,6 +423,13 @@ class TestInputValidation:
         rep = classify(WeierstrassCurve(0, 0, 1, -1, 0), [5, 5, 3])
         assert [r.prime for r in rep.results] == [3, 5]
 
+    def test_non_integer_prime_rejected(self):
+        E = WeierstrassCurve(1, 1, 1, -305, 7888)
+        for l in (F(23, 2), 11.7):
+            with pytest.raises(ValueError, match="is not an integer"):
+                classify(E, [l])
+        assert classify(E, [F(11)]) == classify(E, [11])
+
 
 class TestFingerprintSoundness:
     # a verdict G at l claims the image of Frobenius at every good p != l
@@ -434,10 +480,97 @@ class TestFingerprintSoundness:
         assert verdicts >= 100 and len(prints) >= 30
 
 
+class TestCompleteness:
+    # a GL2 verdict must not hide a proper image; the point counts and the
+    # enumerated groups here never touch the classifier's fingerprint tests
+
+    def test_mod_2_is_read_off_the_2_division_cubic(self):
+        # exact both ways: (x - 1)(x - 2)(x + 3) splits (2.G1, j = 148176/25);
+        # x^3 - 3x + 1 has no rational root and discriminant 81 (2.G3)
+        assert one(short(-7, 6), 2).label == mod2_label(-7, 6) == "2.G1"
+        assert one(short(-3, 1), 2).label == mod2_label(-3, 1) == "2.G3"
+        cm_js = {e.j for e in CM_TABLE}
+        rng = random.Random(2)
+        models = set()
+        while len(models) < 300:
+            A, B = rng.randint(-30, 30), rng.randint(-30, 30)
+            den = 4 * A ** 3 + 27 * B ** 2
+            if den and F(6912 * A ** 3, den) not in cm_js:
+                models.add((A, B))
+        for A, B in sorted(models):
+            assert one(short(A, B), 2).label == mod2_label(A, B), (A, B)
+
+    # Over Q the determinant is onto, so a proper image at 5 <= l <= 13
+    # lies in a Borel, a split or nonsplit Cartan normalizer, or has
+    # projective image S4 (Serre, Invent. Math. 1972, 2.6): each of these
+    # must miss the (a_p mod l, p mod l) pair of some good p
+    MAXIMAL = (borel, normalizer_split, normalizer_nonsplit,
+               octahedral_normalizer)
+    PRIMES = (5, 7, 11, 13)
+    BOUND = 300
+
+    # one j on each table entry at 5 <= l <= 13 (a cover value at a small
+    # t, a listed j, the nonsplit-11 criterion's), written out so that a
+    # dropped or mistranscribed entry leaves its member behind
+    MEMBERS = {
+        5: (F(-122023936, 161051), F(1511372858176, 6956883693),
+            F(552960000, 161051), F(-5000), F(-25, 2), F(-1, 608), F(1875),
+            F(64), F(-36)),
+        7: (F(2268945, 128), F(-68694048000, 62748517), F(-2146689, 1664),
+            F(-2401, 6), F(-56723625, 13), F(106227040256, 62748517),
+            F(-15590912409, 78125)),
+        11: (F(-121), F(-24729001), J11),
+        13: (F(-160855552000, 1594323), F(-14210405279629, 14648437500),
+             F(-60698457, 40960), F(-49353408, 5), F(-274432, 7971615),
+             F(-28672, 3), F(-189, 2)),
+    }
+
+    def corpus(self):
+        """60 seeded small curves at every l, and each member at its l."""
+        rng = random.Random(5)
+        out = []
+        while len(out) < 60:
+            try:
+                E = WeierstrassCurve(rng.randint(0, 1), rng.randint(-1, 1),
+                                     rng.randint(0, 1), rng.randint(-30, 30),
+                                     rng.randint(-30, 30))
+            except SingularCurveError:
+                continue
+            out.append((E, self.PRIMES))
+        for l, js in self.MEMBERS.items():
+            out += [(short(-3 * j * (j - 1728), -2 * j * (j - 1728) ** 2),
+                     [l]) for j in js]
+        return out
+
+    def test_every_gl2_verdict_misses_each_maximal_type(self):
+        prints = {(l, make): subgroup_fingerprints(make(l).elements)
+                  for l in self.PRIMES for make in self.MAXIMAL}
+        verdicts = 0
+        for E, primes in self.corpus():
+            M, _ = integral_model(E)
+            disc = int(M.discriminant())
+            good = [p for p in primes_up_to(self.BOUND) if disc % p]
+            traces = {}  # counted on demand, shared by every l and type
+
+            def pair(p, l):
+                if p not in traces:
+                    traces[p] = brute_force_ap(M, p)
+                return traces[p] % l, p % l
+
+            for r in classify(E, primes).results:
+                if r.label != "GL2":
+                    continue
+                l = r.prime
+                for make in self.MAXIMAL:
+                    assert any(pair(p, l) not in prints[l, make]
+                               for p in good if p != l), (E, l, make)
+                verdicts += 1
+        assert verdicts >= 200
+
+
 class TestVerdictExits:
     # one input per way a verdict can come out, each given as
     # (model or None, j or None, primes, frobenius bound)
-    J11 = F(21400770996000000, 952809757913927)  # -3 * generator, nonsplit 11
     CASES = (
         # non-CM: cover hit with its witness t; j-value hit refined by
         # twist; the nonsplit-11 criterion; a cover hit at l = 2

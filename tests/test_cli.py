@@ -13,6 +13,7 @@ import pytest
 
 import modimage
 import modimage.cli as cli
+from modimage.classifier import FactorizationIncomplete
 from modimage.tables import prime_table, supported_primes
 
 
@@ -21,6 +22,12 @@ def run_cli(*args, capsys=None):
     code = cli.run(list(args))
     out = capsys.readouterr().out if capsys is not None else ""
     return code, out
+
+
+def assert_one_error_line(err):
+    """stderr of an exit 1: a single `modimage: error:` line, no traceback."""
+    assert err.startswith("modimage: error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def plus_minus_level(label: str) -> str:
@@ -219,24 +226,56 @@ class TestExitCodes:
         ("classify", "--j", "5", "--primes="),
     ])
     def test_input_errors_exit_one(self, args, capsys):
-        code, _ = run_cli(*args, capsys=capsys)
-        assert code == 1
+        assert cli.run(list(args)) == 1
+        assert_one_error_line(capsys.readouterr().err)
+
+    # one case per library error that run() turns into exit 1
+    @pytest.mark.parametrize("args, message", [
+        (("ap", "--curve", "0,-1,1,-10,-20", "--p", "11"),
+         "p = 11 divides the discriminant"),
+        (("twist-set", "--short=0,1000000016000000063", "--prime", "7",
+          "--r", "10", "--factor-bound", "0"), "resists trial division"),
+        (("group", "--prime", "11", "--label", "XX"), "unknown label 11.XX"),
+        (("classify", "--j", "0"), "j = 0 needs a curve model"),
+    ], ids=["BadReduction", "FactorizationIncomplete", "unknown-label",
+            "j-zero"])
+    def test_library_errors_exit_one(self, args, message, capsys):
+        assert cli.run(list(args)) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert message in err
+
+    @pytest.mark.parametrize("name, args, exc", [
+        ("verify_all", ["verify-tables"], ValueError("bad table")),
+        ("classify", ["classify", "--curve", "0,0,1,-1,0"],
+         FactorizationIncomplete("no factorization")),
+    ], ids=["ValueError", "FactorizationIncomplete"])
+    def test_library_error_from_any_call_is_one_line(self, name, args, exc,
+                                                      capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, name, fail)
+        assert cli.run(args) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert str(exc) in err
 
     def test_help_exits_zero(self, capsys):
         code, _ = run_cli("--help", capsys=capsys)
         assert code == 0
 
     def test_distinct_error_messages(self, capsys):
-        cli.run(["classify", "--curve", "1,2,bad,4,5"])
-        err1 = capsys.readouterr().err
-        cli.run(["classify", "--curve", "0,0,0,0,0"])
-        err2 = capsys.readouterr().err
-        cli.run(["group", "--prime", "11", "--label", "XX"])
-        err3 = capsys.readouterr().err
-        cli.run(["ap", "--curve", "0,0,0,-338,2392", "--p", "9"])
-        err4 = capsys.readouterr().err
-        cli.run(["group", "--prime", "9", "--label", "B"])
-        err5 = capsys.readouterr().err
+        errs = []
+        for args in (["classify", "--curve", "1,2,bad,4,5"],
+                     ["classify", "--curve", "0,0,0,0,0"],
+                     ["group", "--prime", "11", "--label", "XX"],
+                     ["ap", "--curve", "0,0,0,-338,2392", "--p", "9"],
+                     ["group", "--prime", "9", "--label", "B"]):
+            assert cli.run(args) == 1
+            errs.append(capsys.readouterr().err)
+            assert_one_error_line(errs[-1])
+        err1, err2, err3, err4, err5 = errs
         assert "malformed rational" in err1
         assert "singular" in err2
         assert "unknown label" in err3
@@ -250,16 +289,19 @@ class TestExitCodes:
     def test_malformed_literal_is_echoed_short(self, text, capsys):
         assert cli.run(["classify", "--j", text]) == 1
         err = capsys.readouterr().err
+        assert_one_error_line(err)
         assert "malformed rational" in err and len(err) < 100
 
     def test_long_plain_literal_says_at_most_4300_digits(self, capsys):
         assert cli.run(["classify", "--j", "1" * 4301]) == 1
         err = capsys.readouterr().err
+        assert_one_error_line(err)
         assert "at most 4300 digits" in err and "1" * 30 not in err
 
     def test_long_integer_argument_says_at_most_4300_digits(self, capsys):
         assert cli.run(["classify", "--j", "5", "--primes", "1" * 4301]) == 1
         err = capsys.readouterr().err
+        assert_one_error_line(err)
         assert "at most 4300 digits" in err and "1" * 30 not in err
 
     @pytest.mark.parametrize("args", [
@@ -292,6 +334,7 @@ class TestExitCodes:
             monkeypatch.setattr(cli, name, forbidden)
         assert cli.run(list(args)) == 1
         err = capsys.readouterr().err
+        assert_one_error_line(err)
         assert "must be" in err or "is not a prime" in err
 
 

@@ -16,14 +16,17 @@ from hypothesis import example, given, strategies as st
 import modimage.tables as tables
 from modimage.classifier import _cover_parameters
 from modimage.ec import PointQ, ShortCurve, scalar_mul
-from modimage.gl2 import (Mat2, Subgroup, gl2_order, is_conjugate,
-                          normalizer_nonsplit, octahedral_normalizer)
+from modimage.exactmath import primes_up_to
+from modimage.gl2 import (Mat2, Subgroup, gl2_order, is_applicable,
+                          is_conjugate, normalizer_nonsplit,
+                          octahedral_normalizer)
 from modimage.polyq import INFINITY, Poly, poly_gcd
 from modimage.tables import (CM_TABLE, EXCEPTIONAL_LOOKUP, Cover, TableEntry,
                              cm_entry, emit_text, group_from_label,
                              nonsplit11, nonsplit11_contains, nonsplit11_j,
                              prime_table, supported_primes, verify_all)
-from oracles import cover_value, divisor_root_search, value_at_infinity
+from oracles import (brute_force_ap, cover_value, divisor_root_search,
+                     subgroup_fingerprints, value_at_infinity)
 
 T = Poly.var()
 
@@ -232,6 +235,26 @@ def test_group_from_label():
                 assert G.label == f"{l}.{name}"
                 assert G.order * G.index == gl2_order(l)
                 assert G.order == order(l), (l, name)
+
+
+def test_exceptional_groups_from_label():
+    # Borel subgroups of index 4 at 17 and of index 3 at 37; each must
+    # hold every Frobenius pair of a curve with its lookup j
+    sizes = {"17.G1": (1088, 72), "17.G2": (1088, 72),
+             "37.G3": (15984, 114), "37.G4": (15984, 114)}
+    for (l, j), label in EXCEPTIONAL_LOOKUP.items():
+        G = group_from_label(l, label)
+        assert (G.order, G.index) == sizes[label]
+        assert is_applicable(G)
+        u = j.denominator  # scales y^2 = x^3 - 3j(j - 1728)x - 2j(j - 1728)^2
+        M = ShortCurve(-3 * j * (j - 1728) * u ** 4,
+                       -2 * j * (j - 1728) ** 2 * u ** 6).to_long()
+        assert M.j_invariant() == j
+        prints = subgroup_fingerprints(G.elements)
+        disc = int(M.discriminant())
+        for p in primes_up_to(400):
+            if p != l and disc % p:
+                assert (brute_force_ap(M, p) % l, p % l) in prints, (label, p)
 
 
 def test_cm_table_lookup():
