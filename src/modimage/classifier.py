@@ -322,15 +322,14 @@ def classify_cm(E, l: int, entry: CMEntry) -> ImageResult:
 def _checked_primes(primes):
     if primes is None:
         return DEFAULT_PRIMES
-    out = []
+    out = set()
     for l in primes:
         if int(l) != l:
             raise ValueError(f"{l} is not an integer")
         l = int(l)
         if l < 2 or not is_probable_prime(l):
             raise ValueError(f"{l} is not prime")
-        if l not in out:
-            out.append(l)
+        out.add(l)
     return tuple(sorted(out))
 
 

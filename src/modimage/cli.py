@@ -42,12 +42,14 @@ from .tables import emit_text, group_from_label, verify_all
 
 
 # limits on the size arguments: primes_up_to(N) allocates O(N) memory,
-# ap(M, p) and factor(n, N) take O(p) and O(N) steps, group --prime L
+# ap(M, p) and factor(n, N) take O(p) and O(N) steps, a primality test
+# of a prime with thousands of digits takes seconds, group --prime L
 # enumerates ~L^4 elements (37 is the largest prime a table names), and
 # the fiber tests of classify slow down sharply with the height of j; a
-# rational literal may have as many digits as int() reads from a string
+# rational literal may have as many digits as int() reads from a string.
+# Each limit is checked before any test of primality.
 _MAX_SCAN_BOUND = 10 ** 5
-_MAX_AP_PRIME = 10 ** 7
+_MAX_PRIME = 10 ** 7
 _MAX_FACTOR_BOUND = 10 ** 7
 _MAX_GROUP_PRIME = 37
 _MAX_J_DIGITS = 200
@@ -61,6 +63,12 @@ class InputError(Exception):
 def _bounded(flag: str, n: int, limit: int) -> int:
     if not 0 <= n <= limit:
         raise InputError(f"{flag} must be between 0 and {limit}")
+    return n
+
+
+def _at_most(flag: str, n: int, limit: int) -> int:
+    if n > limit:
+        raise InputError(f"{flag} must be at most {limit}")
     return n
 
 
@@ -200,6 +208,8 @@ def cmd_classify(ns) -> int:
     if model is not None and ns.j is not None:
         raise InputError("give either a curve model or --j, not both")
     primes = None if ns.primes is None else _int_list(ns.primes)
+    if primes is not None:
+        _at_most("--primes entries", max(primes), _MAX_PRIME)
     bound = _bounded("--frobenius-bound", ns.frobenius_bound,
                      _MAX_SCAN_BOUND)
     if model is not None:
@@ -238,11 +248,8 @@ def cmd_verify_tables(ns) -> int:
 
 
 def cmd_group(ns) -> int:
-    if not is_probable_prime(ns.prime):
-        raise InputError(f"l = {ns.prime} is not a prime")
-    if ns.prime > _MAX_GROUP_PRIME:
-        raise InputError(f"--prime must be at most {_MAX_GROUP_PRIME}")
-    g = group_from_label(ns.prime, ns.label)
+    l = _at_most("--prime", ns.prime, _MAX_GROUP_PRIME)
+    g = group_from_label(l, ns.label)
     inv = g.invariants()
     print(f"label: {g.label}")
     print(f"order: {inv.order}")
@@ -255,21 +262,21 @@ def cmd_group(ns) -> int:
 
 def cmd_ap(ns) -> int:
     E = _require_model(ns)
-    if ns.p > _MAX_AP_PRIME:
-        raise InputError(f"--p must be at most {_MAX_AP_PRIME}")
-    if not is_probable_prime(ns.p):
-        raise InputError(f"p = {ns.p} is not a prime")
+    p = _at_most("--p", ns.p, _MAX_PRIME)
+    if not is_probable_prime(p):
+        raise InputError(f"p = {p} is not a prime")
     M, _ = integral_model(E)
-    print(ap(M, ns.p))
+    print(ap(M, p))
     return 0
 
 
 def cmd_twist_set(ns) -> int:
     E = _require_model(ns)
+    l = _at_most("--prime", ns.prime, _MAX_PRIME)
     r = _bounded("--r", ns.r, _MAX_SCAN_BOUND)
     factor_bound = _bounded("--factor-bound", ns.factor_bound,
                             _MAX_FACTOR_BOUND)
-    ds = twist_set(E, ns.prime, r, factor_bound=factor_bound)
+    ds = twist_set(E, l, r, factor_bound=factor_bound)
     print(" ".join(str(d) for d in sorted(ds)))
     return 0
 

@@ -168,15 +168,17 @@ class Subgroup:
         return gl2_order(self.l) // self.order
 
     def invariants(self) -> Invariants:
+        """Order, index, determinants, -I and (trace, det) pairs, read in
+        one pass over the elements on their unpacked entries."""
         l = self.l
-        minus_i = Mat2(-1, 0, 0, -1, l)
-        dets = {m.det() for m in self.elements}
+        prints = frozenset(((a + d) % l, (a * d - b * c) % l)
+                           for a, b, c, d, _ in self.elements)
         return Invariants(
             order=self.order,
             index=self.index,
-            det_is_full=(len(dets) == l - 1),
-            has_minus_i=minus_i in self.elements,
-            fingerprints=frozenset((m.trace(), m.det()) for m in self.elements),
+            det_is_full=len({det for _, det in prints}) == l - 1,
+            has_minus_i=-Mat2.identity(l) in self.elements,
+            fingerprints=prints,
         )
 
     def __repr__(self):
@@ -189,15 +191,9 @@ def is_applicable(G: Subgroup) -> bool:
     yet accounted for: proper, containing -I, with surjective determinant,
     and containing a trace-zero element of determinant -1. At l = 2 the
     -I condition holds automatically since -I = I."""
-    l = G.l
-    if G.index <= 1 or -Mat2.identity(l) not in G.elements:
-        return False
-    dets, odd = set(), False
-    for a, b, c, d, _ in G.elements:
-        det = (a * d - b * c) % l
-        dets.add(det)
-        odd = odd or (det == l - 1 and (a + d) % l == 0)
-    return odd and len(dets) == l - 1
+    inv = G.invariants()
+    return (inv.index > 1 and inv.has_minus_i and inv.det_is_full
+            and (0, G.l - 1) in inv.fingerprints)
 
 
 def enumerate_gl2(l: int):

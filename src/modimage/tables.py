@@ -539,15 +539,14 @@ def _entry(l: int, name: str) -> Optional[TableEntry]:
     return None
 
 
-def _subgroup(l: int, gens, label: str) -> Subgroup:
-    """The subgroup generated by matrices given as (a, b, c, d) tuples."""
-    return Subgroup(l, [Mat2(a, b, c, d, l) for a, b, c, d in gens],
-                    label=label)
-
-
 # the families each named by one gl2 constructor, labelled l.name
 _NAMED = {"GL2": full_gl2, "Cs": cartan_split, "Cns": cartan_nonsplit,
           "Ns": normalizer_split, "Nns": normalizer_nonsplit, "B": borel}
+
+# the CM images at l = D: the power of a primitive root g that spans the
+# scalars, and the diagonal unit of determinant -1, beside [1, 1; 0, 1]
+_CM_GROUPS = {"CM.G": (1, (1, 0, 0, -1)), "CM.H1": (2, (1, 0, 0, -1)),
+              "CM.H2": (2, (-1, 0, 0, 1))}
 
 
 def group_from_label(l: int, name: str) -> Subgroup:
@@ -555,48 +554,39 @@ def group_from_label(l: int, name: str) -> Subgroup:
 
     Accepts either the bare name ("G1", "H4.2", "Ns", "B", "GL2",
     "Ns-index3", "CM.H1", ...) or the full label "l.name". Raises
-    ValueError unless l is prime and the label is known.
+    ValueError unless l is prime and the label is known. This is the one
+    way from a label to its group: verify_all checks what it returns.
     """
     if not is_probable_prime(l):
         raise ValueError(f"l = {l} is not a prime")
-    if name.startswith(f"{l}."):
-        name = name[len(f"{l}."):]
-    if name.startswith("CM.") and l == 2:
-        raise ValueError(f"2.{name} needs an odd l")
-    if name in _NAMED:
-        return _NAMED[name](l)
-    g = primitive_root(l) if l > 2 else 1
-    if name == "Ns-index3":
-        if (l - 1) % 3 != 0:
-            raise ValueError(f"{l}.Ns-index3 needs l = 1 mod 3")
-        gens = [Mat2(pow(g, 3, l), 0, 0, 1, l), Mat2(g, 0, 0, g, l),
-                Mat2(0, 1, 1, 0, l)]
-        return Subgroup(l, gens, label=f"{l}.Ns-index3")
-    if name == "Nns-index3":
-        if (l + 1) % 3 != 0:
-            raise ValueError(f"{l}.Nns-index3 needs l = 2 mod 3")
-        c = cartan_nonsplit(l).generators[0]
-        gens = [c * c * c, Mat2(1, 0, 0, l - 1, l)]
-        return Subgroup(l, gens, label=f"{l}.Nns-index3")
-    if name == "CM.G":
-        gens = [Mat2(g, 0, 0, g, l), Mat2(1, 0, 0, l - 1, l),
-                Mat2(1, 1, 0, 1, l)]
-        return Subgroup(l, gens, label=f"{l}.CM.G")
-    if name == "CM.H1":
-        gens = [Mat2(g * g % l, 0, 0, g * g % l, l),
-                Mat2(1, 0, 0, l - 1, l), Mat2(1, 1, 0, 1, l)]
-        return Subgroup(l, gens, label=f"{l}.CM.H1")
-    if name == "CM.H2":
-        gens = [Mat2(g * g % l, 0, 0, g * g % l, l),
-                Mat2(l - 1, 0, 0, 1, l), Mat2(1, 1, 0, 1, l)]
-        return Subgroup(l, gens, label=f"{l}.CM.H2")
+    name = name.removeprefix(f"{l}.")
     full = f"{l}.{name}"
-    if full in EXCEPTIONAL_GENERATORS:
-        return _subgroup(l, EXCEPTIONAL_GENERATORS[full], full)
-    e = _entry(l, name) if l in _BUILDERS else None
-    if e is not None:
-        return _subgroup(l, dict(e.subs).get(full, e.gens), full)
-    raise ValueError(f"unknown label {full}")
+    if name.startswith("CM.") and l == 2:
+        raise ValueError(f"{full} needs an odd l")
+    if name in _NAMED:
+        gens = _gens_of(_NAMED[name](l))
+    elif name == "Ns-index3":
+        if (l - 1) % 3 != 0:
+            raise ValueError(f"{full} needs l = 1 mod 3")
+        g = primitive_root(l)
+        gens = ((pow(g, 3, l), 0, 0, 1), (g, 0, 0, g), (0, 1, 1, 0))
+    elif name == "Nns-index3":
+        if (l + 1) % 3 != 0:
+            raise ValueError(f"{full} needs l = 2 mod 3")
+        c = cartan_nonsplit(l).generators[0]
+        gens = ((c * c * c).tuple(), (1, 0, 0, -1))
+    elif name in _CM_GROUPS:
+        power, unit = _CM_GROUPS[name]
+        s = pow(primitive_root(l), power, l)
+        gens = ((s, 0, 0, s), unit, (1, 1, 0, 1))
+    elif full in EXCEPTIONAL_GENERATORS:
+        gens = EXCEPTIONAL_GENERATORS[full]
+    else:
+        e = _entry(l, name) if l in _BUILDERS else None
+        if e is None:
+            raise ValueError(f"unknown label {full}")
+        gens = dict(e.subs).get(full, e.gens)
+    return Subgroup(l, [Mat2(*m, l) for m in gens], label=full)
 
 
 # --- self checks -------------------------------------------------------------
@@ -667,11 +657,14 @@ def _fiber_contains(cover: Cover, j: Fraction) -> bool:
 def verify_all():
     """Re-derive the consistency of all table data.
 
-    Returns a list of (check name, passed, detail) triples covering cover
-    composition identities, covers in lowest terms, family j-invariants,
-    anchor curves, group orders and applicability, twist-pair structure,
-    CM model j-invariants and normalizer fiber membership, and the
-    discriminant and evaluation identities of the nonsplit-11 criterion.
+    Returns a list of (check name, passed, detail) triples covering (a)
+    cover composition identities, (b) covers in lowest terms, family
+    j-invariants and fixed curves, (c) anchor curves, (d) group orders
+    and applicability and twist-pair structure, (e) CM model
+    j-invariants, (f) normalizer fiber membership of the CM j-invariants,
+    and (g) the discriminant and evaluation identities of the nonsplit-11
+    criterion. The groups in (d) are the ones group_from_label returns
+    for each label, so these checks cover what `modimage group` prints.
     """
     results = []
 
@@ -699,7 +692,7 @@ def verify_all():
                       e.jvals is not None
                       and e.curve.j_invariant() in e.jvals)
 
-    # anchor values
+    # (c) anchor values
     anchors = [(2, "G1", F(2), F(21952, 9))] + [
         (l, name, t0, curve.j_invariant())
         for l, name, t0, curve in _ANCHOR_CURVES]
@@ -708,31 +701,30 @@ def verify_all():
         check(f"anchor:{l}.{name}@{t0}",
               num.evaluate(t0) == j0 * den.evaluate(t0))
 
-    # (c) group structure of every entry
+    # (d) group structure of every entry and twist pair, on the groups
+    # group_from_label builds for their labels
     for l in supported_primes():
         for e in prime_table(l).entries:
-            G = _subgroup(l, e.gens, e.label)
+            G = group_from_label(l, e.label)
             ok = G.order * e.index == gl2_order(l) and is_applicable(G)
             detail = "" if ok else f"order {G.order}"
             check(f"group:{e.label}", ok, detail)
-            minus_i = Mat2(-1, 0, 0, -1, l)
-            for sub_label, sub_gens in e.subs:
-                H = _subgroup(l, sub_gens, sub_label)
-                plus_minus = set(H.elements) | {-m for m in H.elements}
+            for sub_label, _ in e.subs:
+                H = group_from_label(l, sub_label)
+                plus_minus = H.elements | {-m for m in H.elements}
                 check(f"twist-pair:{sub_label}",
-                      minus_i not in H.elements
+                      -Mat2.identity(l) not in H.elements
                       and 2 * H.order == G.order
-                      and plus_minus == set(G.elements))
-    for label, gens in EXCEPTIONAL_GENERATORS.items():
-        l = int(label.split(".")[0])
-        G = _subgroup(l, gens, label)
+                      and plus_minus == G.elements)
+    for label in EXCEPTIONAL_GENERATORS:
+        G = group_from_label(int(label.split(".")[0]), label)
         check(f"group:{label}", is_applicable(G))
 
-    # (f) CM models
+    # (e) CM models
     for e in CM_TABLE:
         check(f"cm-model:{e.j}", e.model.j_invariant() == e.j)
 
-    # (g) CM fiber membership in the normalizer covers
+    # (f) CM fiber membership in the normalizer covers
     for l, (split_name, inert_name) in _NORMALIZER_COVERS.items():
         for e in CM_TABLE:
             if e.field_disc == l:
@@ -741,7 +733,8 @@ def verify_all():
             cover = _entry(l, split_name if side == 1 else inert_name).cover
             check(f"cm-fiber:{l}:{e.j}", _fiber_contains(cover, e.j))
 
-    # (d, e, g) the nonsplit-11 criterion
+    # (g) the nonsplit-11 criterion: A, the discriminant identity, the
+    # points over j, the point at infinity and the inert CM j-invariants
     crit = nonsplit11()
     check("nonsplit11:A-power",
           crit.A == (T ** 5 - 9 * T ** 4 + 17 * T ** 3 + 20 * T ** 2

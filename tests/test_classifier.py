@@ -423,6 +423,17 @@ class TestInputValidation:
         rep = classify(WeierstrassCurve(0, 0, 1, -1, 0), [5, 5, 3])
         assert [r.prime for r in rep.results] == [3, 5]
 
+    @pytest.mark.parametrize("l, j, message", [
+        (2, 1728, "model required for j in {0, 1728}"),
+        (2, 0, "model required for j in {0, 1728}"),
+        (5, 0, "model required for j = 0"),
+    ])
+    def test_cm_verdict_needing_a_model_refuses_none(self, l, j, message):
+        entry = modimage.tables.cm_entry(j)
+        with pytest.raises(ValueError) as info:
+            modimage.classifier.classify_cm(None, l, entry)
+        assert str(info.value) == message
+
     def test_non_integer_prime_rejected(self):
         E = WeierstrassCurve(1, 1, 1, -305, 7888)
         for l in (F(23, 2), 11.7):

@@ -4,6 +4,7 @@ Most cases call run() in-process for speed; a few go through a real
 subprocess to check the console entry point end to end.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,9 +13,12 @@ import sys
 import pytest
 
 import modimage
+import modimage.classifier as classifier
 import modimage.cli as cli
+import modimage.tables as tables
 from modimage.classifier import FactorizationIncomplete
-from modimage.tables import prime_table, supported_primes
+from modimage.tables import (EXCEPTIONAL_GENERATORS, prime_table,
+                             supported_primes)
 
 
 def run_cli(*args, capsys=None):
@@ -189,7 +193,41 @@ class TestTwistSet:
         assert code == 1
 
 
+# group for every name the CLI knows at every table prime (and one it
+# does not), for every table label and sublabel as listed (repeats kept)
+# and for the exceptional groups at 17 and 37; then verify-tables
+PINNED_GROUP_NAMES = ("GL2", "Cs", "Cns", "Ns", "Nns", "B", "Ns-index3",
+                      "Nns-index3", "CM.G", "CM.H1", "CM.H2", "XX")
+PINNED_CALLS = [
+    ("group", "--prime", str(l), "--label", name)
+    for l in supported_primes() for name in PINNED_GROUP_NAMES
+] + [
+    ("group", "--prime", str(l), "--label", label)
+    for l in supported_primes() for e in prime_table(l).entries
+    for label in (e.label, *(sub for sub, _ in e.subs))
+] + [
+    ("group", "--prime", label.split(".")[0], "--label", label)
+    for label in EXCEPTIONAL_GENERATORS
+] + [("verify-tables",), ("verify-tables", "--emit")]
+
+# sha256 over (argv, exit code, stdout, stderr) of every pinned call
+PINNED_CALLS_SHA256 = \
+    "fb69f551da6b0bde1d7c525d360e600060d6a810ac85eda19a481fa819392fc9"
+
+
+def test_pinned_outputs(capsys):
+    digest = hashlib.sha256()
+    for argv in PINNED_CALLS:
+        code = cli.run(list(argv))
+        captured = capsys.readouterr()
+        digest.update(repr((argv, code, captured.out,
+                            captured.err)).encode())
+    assert len(PINNED_CALLS) == 139
+    assert digest.hexdigest() == PINNED_CALLS_SHA256
+
+
 HUGE = str(10 ** 12)
+MERSENNE_11213 = str(2 ** 11213 - 1)  # a prime of 3376 digits
 # exponent notation that would build a 5001-digit numerator, and plain
 # literals one digit past what int() reads from a string
 OVERSIZED_LITERALS = [
@@ -260,6 +298,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert str(exc) in err
+
+    @pytest.mark.parametrize("args, message", [
+        (("classify", "--curve", "0,0,1,-1"),
+         "--curve needs 5 comma-separated rationals, got 4"),
+        (("classify", "--curve", "0,0,1,-1,0", "--short=1,1"),
+         "give only one of --curve and --short"),
+    ], ids=["four-values", "curve-and-short"])
+    def test_model_argument_errors(self, args, message, capsys):
+        assert cli.run(list(args)) == 1
+        assert capsys.readouterr().err == f"modimage: error: {message}\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (("classify", "--short=1,1", "--primes", f"5,{MERSENNE_11213}"),
+         "--primes entries must be at most 10000000"),
+        (("classify", "--j", "5", "--primes", f"{MERSENNE_11213},5,7"),
+         "--primes entries must be at most 10000000"),
+        (("twist-set", "--short=1,1", "--prime", MERSENNE_11213,
+          "--r", "10"), "--prime must be at most 10000000"),
+        (("group", "--prime", MERSENNE_11213, "--label", "GL2"),
+         "--prime must be at most 37"),
+        (("group", "--prime", "39", "--label", "GL2"),
+         "--prime must be at most 37"),
+    ], ids=["classify", "classify-j", "twist-set", "group", "group-39"])
+    def test_large_prime_refused_before_a_primality_test(self, args, message,
+                                                         capsys, monkeypatch):
+        def forbidden(n):
+            raise AssertionError("primality test reached")
+
+        for module in (cli, classifier, tables):
+            monkeypatch.setattr(module, "is_probable_prime", forbidden)
+        assert cli.run(list(args)) == 1
+        assert capsys.readouterr().err == f"modimage: error: {message}\n"
 
     def test_help_exits_zero(self, capsys):
         code, _ = run_cli("--help", capsys=capsys)

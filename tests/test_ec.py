@@ -111,6 +111,29 @@ def test_twist_test_cases():
         twist_test(ShortCurve(0, 1), ShortCurve(-1, 0), 1)
 
 
+@pytest.mark.parametrize("E, Eprime, d", [
+    (ShortCurve(1, 0), ShortCurve(4, 0), 1),      # j = 1728
+    (ShortCurve(1, 0), ShortCurve(-1, 0), -1),
+    (ShortCurve(0, 1), ShortCurve(0, 8), -3),     # j = 0, d != 1
+])
+def test_twist_test_refuses_other_forms_at_0_and_1728(E, Eprime, d):
+    with pytest.raises(ValueError) as info:
+        twist_test(E, Eprime, d)
+    assert str(info.value) == ("twist test at j = 0 or 1728 only supports "
+                               "the same-orbit form (j = 0, d = 1)")
+
+
+def test_twist_guards():
+    E = ShortCurve(-42875, -3246250)
+    with pytest.raises(ValueError) as info:
+        quadratic_twist(E, 0)
+    assert str(info.value) == "twist by 0"
+    for args in (((-42875, -3246250), E, 1), (E, "y^2 = x^3 - 1", 1)):
+        with pytest.raises(TypeError) as info:
+            twist_test(*args)
+        assert str(info.value).startswith("not a curve: ")
+
+
 def test_integral_model():
     E = WeierstrassCurve(0, 0, 0, Fraction(-1, 4), Fraction(1, 8))
     Ei, u = integral_model(E)

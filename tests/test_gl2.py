@@ -139,6 +139,12 @@ def test_span_matches_naive_closure(case):
     assert all(isinstance(m, Mat2) for m in spanned)
 
 
+def test_generators_over_another_field_are_refused():
+    with pytest.raises(ValueError) as info:
+        Subgroup(5, [Mat2(1, 1, 0, 1, 5), Mat2(2, 0, 0, 1, 7)])
+    assert str(info.value) == "generator over the wrong field"
+
+
 def test_subgroups_span_only_when_elements_are_read(monkeypatch):
     calls = []
 

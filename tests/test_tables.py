@@ -72,6 +72,25 @@ def test_every_cover_is_checked_coprime(monkeypatch):
     assert failed == ["coprime:2.G2"]
 
 
+def test_prime_table_only_at_table_primes():
+    with pytest.raises(ValueError) as info:
+        prime_table(17)
+    assert str(info.value) == "no table for l = 17"
+
+
+def test_each_table_label_names_one_generator_set():
+    # group_from_label resolves a label to the first entry that lists it,
+    # so a label listed twice must carry the same generators each time
+    gens = {}
+    for l in supported_primes():
+        for e in prime_table(l).entries:
+            for label, g in ((e.label, e.gens), *e.subs):
+                gens.setdefault(label, set()).add(g)
+    assert len(gens) == 59
+    assert all(len(g) == 1 for g in gens.values())
+    assert not set(gens) & set(tables.EXCEPTIONAL_GENERATORS)
+
+
 def test_tables_listed_by_decreasing_index():
     for l in supported_primes():
         entries = prime_table(l).entries
