@@ -7,7 +7,7 @@ conjugacy in GL_2(F_l), using exact rational arithmetic throughout.
 Layout:
 
     exactmath   integer and rational helpers (primality, factoring, powers)
-    polyq       dense polynomials and rational functions over Q
+    polyq       dense polynomials over Q and their rational roots
     gl2         subgroups of GL_2(F_l), invariants, conjugacy
     ec          Weierstrass curves, twists, point counts, division polys
     tables      the classification data: covers, families, group generators

@@ -24,8 +24,8 @@ ImageResult once.
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
-from .exactmath import (Incomplete, factor, is_cube, is_probable_prime,
-                        is_square, legendre, primes_up_to)
+from .exactmath import (factor, is_cube, is_probable_prime, is_square,
+                        legendre, primes_up_to)
 from .ec import (ShortCurve, WeierstrassCurve, ap, integral_model,
                  short_model, twist_test)
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
@@ -36,6 +36,9 @@ from .tables import (CMEntry, EXCEPTIONAL_LOOKUP, cm_entry,
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 37)
 DEFAULT_FROBENIUS_BOUND = 1000
+# the largest prime the entry points take; a larger one is refused before
+# its primality test, which takes seconds at a few thousand digits
+MAX_PRIME = 10 ** 7
 
 STATUS_PROVEN = "proven"
 STATUS_CONDITIONAL = "conditional(BPR-conjecture)"
@@ -48,10 +51,6 @@ MAXIMAL_KINDS = (
     ("NonsplitNormalizer", fingerprint_in_nonsplit_normalizer),
     ("Exceptional", fingerprint_in_octahedral),
 )
-
-
-class FactorizationIncomplete(ArithmeticError):
-    """The discriminant would not factor under the trial bound."""
 
 
 class Certificate(NamedTuple):
@@ -149,6 +148,7 @@ def frobenius_noncontainment(E, l: int, bound: int) -> dict:
 
     Returns {kind: Certificate} for the types ruled out.
     """
+    l = _checked_prime(l)
     if l < 5:
         raise ValueError("certificates are defined for l >= 5")
     M, _ = integral_model(E)
@@ -228,6 +228,7 @@ def classify_prime_noncm(E, j, l: int,
                          (("13.Ns", "SplitNormalizer"),
                           ("13.Nns", "NonsplitNormalizer")))
         return ImageResult(l, "GL2", STATUS_PROVEN)
+    l = _checked_prime(l)
     label = EXCEPTIONAL_LOOKUP.get((l, j))
     if label is not None:
         return ImageResult(l, label, STATUS_PROVEN)
@@ -294,6 +295,7 @@ def classify_cm(E, l: int, entry: CMEntry) -> ImageResult:
     elsewhere the model decides among twists.
     """
     E = _as_long(E)
+    l = _checked_prime(l)
     j = entry.j
     note = ""
     if l == 2:
@@ -319,18 +321,25 @@ def classify_cm(E, l: int, entry: CMEntry) -> ImageResult:
 
 # --- entry points ------------------------------------------------------------
 
+def _checked_prime(l) -> int:
+    """l as an int; ValueError unless it is an integer of absolute value
+    at most MAX_PRIME that passes a primality test. The size is checked
+    first, and no message prints an l of unchecked size, whose str() may
+    itself raise."""
+    if int(l) != l:
+        raise ValueError("l is not an integer")
+    if abs(l) > MAX_PRIME:
+        raise ValueError(f"l must be a prime at most {MAX_PRIME}")
+    l = int(l)
+    if l < 2 or not is_probable_prime(l):
+        raise ValueError(f"{l} is not prime")
+    return l
+
+
 def _checked_primes(primes):
     if primes is None:
         return DEFAULT_PRIMES
-    out = set()
-    for l in primes:
-        if int(l) != l:
-            raise ValueError(f"{l} is not an integer")
-        l = int(l)
-        if l < 2 or not is_probable_prime(l):
-            raise ValueError(f"{l} is not prime")
-        out.add(l)
-    return tuple(sorted(out))
+    return tuple(sorted({_checked_prime(l) for l in primes}))
 
 
 def _report(E, j, primes, frobenius_bound: int) -> Report:
@@ -376,16 +385,12 @@ def twist_set(E, l: int, r: int, factor_bound: int = 10 ** 6) -> set:
     excluded by a good prime p = 1 mod l with a_p = -2 (d|p) mod l; the
     returned set shrinks toward the true twist set as r grows.
     """
-    if l == 2 or not is_probable_prime(l):
+    l = _checked_prime(l)
+    if l == 2:
         raise ValueError("twist sets are defined for odd primes")
     M, _ = integral_model(_as_long(E))
     disc = int(M.discriminant())
-    fac = factor(abs(l * disc), factor_bound)
-    if isinstance(fac, Incomplete):
-        raise FactorizationIncomplete(
-            f"cofactor {fac.cofactor} of the discriminant resists trial "
-            f"division up to {factor_bound}")
-    support = sorted(set(fac) | {l})
+    support = sorted(factor(l * disc, factor_bound))
     candidates = [1]
     for q in support:
         candidates += [d * q for d in candidates]

@@ -12,9 +12,10 @@ Subcommands:
   given bound cannot eliminate.
 
 Exit codes: 0 on success, 1 on bad input, 2 on verification failure.
-Subcommands raise; ``run`` is the one place that turns an ``InputError``,
-a library ``ValueError`` or a ``FactorizationIncomplete`` into a single
-``modimage: error:`` line on stderr and exit 1.
+Subcommands raise; ``run`` is the one place that turns an ``InputError``
+or a library ``ValueError`` into a single ``modimage: error:`` line on
+stderr and exit 1. Every library failure is a ``ValueError`` worded
+where it is raised, so ``run`` prints it as it stands.
 """
 
 import argparse
@@ -24,18 +25,12 @@ from fractions import Fraction
 
 from .classifier import (
     DEFAULT_FROBENIUS_BOUND,
-    FactorizationIncomplete,
+    MAX_PRIME,
     classify,
     classify_from_j,
     twist_set,
 )
-from .ec import (
-    ShortCurve,
-    SingularCurveError,
-    WeierstrassCurve,
-    ap,
-    integral_model,
-)
+from .ec import ShortCurve, WeierstrassCurve, ap, integral_model
 from .exactmath import is_probable_prime
 from .polyq import INFINITY
 from .tables import emit_text, group_from_label, verify_all
@@ -47,9 +42,9 @@ from .tables import emit_text, group_from_label, verify_all
 # enumerates ~L^4 elements (37 is the largest prime a table names), and
 # the fiber tests of classify slow down sharply with the height of j; a
 # rational literal may have as many digits as int() reads from a string.
-# Each limit is checked before any test of primality.
+# Each limit is checked before any test of primality; the prime limit is
+# the library's own MAX_PRIME, checked here to name the flag.
 _MAX_SCAN_BOUND = 10 ** 5
-_MAX_PRIME = 10 ** 7
 _MAX_FACTOR_BOUND = 10 ** 7
 _MAX_GROUP_PRIME = 37
 _MAX_J_DIGITS = 200
@@ -117,15 +112,10 @@ def _parse_model(ns):
     """Build the curve model from --curve or --short, or None."""
     if ns.curve is not None and ns.short is not None:
         raise InputError("give only one of --curve and --short")
-    try:
-        if ns.curve is not None:
-            a = _rational_list(ns.curve, 5, "--curve")
-            return WeierstrassCurve(*a)
-        if ns.short is not None:
-            A, B = _rational_list(ns.short, 2, "--short")
-            return ShortCurve(A, B).to_long()
-    except SingularCurveError:
-        raise InputError("singular curve: the discriminant vanishes")
+    if ns.curve is not None:
+        return WeierstrassCurve(*_rational_list(ns.curve, 5, "--curve"))
+    if ns.short is not None:
+        return ShortCurve(*_rational_list(ns.short, 2, "--short")).to_long()
     return None
 
 
@@ -209,7 +199,7 @@ def cmd_classify(ns) -> int:
         raise InputError("give either a curve model or --j, not both")
     primes = None if ns.primes is None else _int_list(ns.primes)
     if primes is not None:
-        _at_most("--primes entries", max(primes), _MAX_PRIME)
+        _at_most("--primes entries", max(primes), MAX_PRIME)
     bound = _bounded("--frobenius-bound", ns.frobenius_bound,
                      _MAX_SCAN_BOUND)
     if model is not None:
@@ -262,7 +252,7 @@ def cmd_group(ns) -> int:
 
 def cmd_ap(ns) -> int:
     E = _require_model(ns)
-    p = _at_most("--p", ns.p, _MAX_PRIME)
+    p = _at_most("--p", ns.p, MAX_PRIME)
     if not is_probable_prime(p):
         raise InputError(f"p = {p} is not a prime")
     M, _ = integral_model(E)
@@ -272,7 +262,7 @@ def cmd_ap(ns) -> int:
 
 def cmd_twist_set(ns) -> int:
     E = _require_model(ns)
-    l = _at_most("--prime", ns.prime, _MAX_PRIME)
+    l = _at_most("--prime", ns.prime, MAX_PRIME)
     r = _bounded("--r", ns.r, _MAX_SCAN_BOUND)
     factor_bound = _bounded("--factor-bound", ns.factor_bound,
                             _MAX_FACTOR_BOUND)
@@ -353,7 +343,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return ns.func(ns)
-    except (InputError, ValueError, FactorizationIncomplete) as exc:
+    except (InputError, ValueError) as exc:
         print(f"modimage: error: {exc}", file=sys.stderr)
         return 1
 

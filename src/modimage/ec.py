@@ -23,6 +23,9 @@ class SingularCurveError(ValueError):
     """Raised when the requested Weierstrass equation has discriminant 0."""
 
 
+_SINGULAR = "singular curve: the discriminant vanishes"
+
+
 class BadReduction(ValueError):
     """Raised when point counting is requested at a prime of bad reduction."""
 
@@ -59,7 +62,7 @@ class WeierstrassCurve(tuple):
     def __new__(cls, a1: Rat, a2: Rat, a3: Rat, a4: Rat, a6: Rat):
         self = tuple.__new__(cls, map(_fr, (a1, a2, a3, a4, a6)))
         if self.discriminant() == 0:
-            raise SingularCurveError("discriminant is zero")
+            raise SingularCurveError(_SINGULAR)
         return self
 
     __add__ = __radd__ = __mul__ = __rmul__ = _not_a_sequence
@@ -110,7 +113,7 @@ class ShortCurve(tuple):
     def __new__(cls, A: Rat, B: Rat):
         A, B = _fr(A), _fr(B)
         if 4 * A ** 3 + 27 * B ** 2 == 0:
-            raise SingularCurveError("discriminant is zero")
+            raise SingularCurveError(_SINGULAR)
         return tuple.__new__(cls, (A, B))
 
     __add__ = __radd__ = __mul__ = __rmul__ = _not_a_sequence

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 Rat = Union[int, Fraction]
 
@@ -104,22 +104,17 @@ def legendre(a: Rat, p: int) -> int:
     return 1 if s == 1 else -1
 
 
-class Incomplete(NamedTuple):
-    """Partial factorization: trial division plus a primality check on the
-    cofactor did not finish. `factors` holds what was found, `cofactor` the
-    remaining composite (or unproven) part."""
-
-    factors: dict
-    cofactor: int
+class FactorizationIncomplete(ValueError):
+    """Trial division up to the bound left a cofactor that is neither 1
+    nor a probable prime."""
 
 
-def factor(n: int, trial_bound: int = 10 ** 6):
+def factor(n: int, trial_bound: int = 10 ** 6) -> dict:
     """Factor |n| into primes by trial division up to trial_bound.
 
-    Returns {prime: exponent} when the factorization completes, where the
-    cofactor left after trial division is either 1 or passes a primality
-    test. Otherwise returns Incomplete carrying the partial factorization
-    and the unfactored cofactor.
+    Returns {prime: exponent} when the cofactor left after trial division
+    is 1 or passes a primality test; otherwise raises
+    FactorizationIncomplete naming that cofactor.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -136,7 +131,8 @@ def factor(n: int, trial_bound: int = 10 ** 6):
     if m <= trial_bound or is_probable_prime(m):
         factors[m] = factors.get(m, 0) + 1
         return factors
-    return Incomplete(factors, m)
+    raise FactorizationIncomplete(
+        f"cofactor {m} resists trial division up to {trial_bound}")
 
 
 def _trial_primes(bound: int):

@@ -88,10 +88,11 @@ def epsilon(l: int) -> int:
 
 
 def primitive_root(l: int) -> int:
-    """Smallest generator of the cyclic group F_l^*."""
+    """Smallest generator of the cyclic group F_l^*. Raises
+    FactorizationIncomplete when l - 1 does not factor by trial division."""
     if l == 2:
         return 1
-    fac = list(factor(l - 1))
+    fac = factor(l - 1)
     g = 2
     while True:
         if all(pow(g, (l - 1) // q, l) != 1 for q in fac):

@@ -709,7 +709,7 @@ def verify_all():
             ok = G.order * e.index == gl2_order(l) and is_applicable(G)
             detail = "" if ok else f"order {G.order}"
             check(f"group:{e.label}", ok, detail)
-            for sub_label, _ in e.subs:
+            for sub_label in dict(e.subs):  # 3.H1.1, 7.H1.1 are listed twice
                 H = group_from_label(l, sub_label)
                 plus_minus = H.elements | {-m for m in H.elements}
                 check(f"twist-pair:{sub_label}",

@@ -18,8 +18,8 @@ import modimage.classifier
 import modimage.ec
 from modimage.classifier import (
     Certificate,
-    FactorizationIncomplete,
     classify,
+    classify_cm,
     classify_from_j,
     classify_prime_noncm,
     frobenius_noncontainment,
@@ -36,7 +36,7 @@ from modimage.ec import (
     short_model,
     twist_test,
 )
-from modimage.exactmath import primes_up_to
+from modimage.exactmath import FactorizationIncomplete, primes_up_to
 from modimage.polyq import Poly, rational_roots
 from modimage.gl2 import (
     borel,
@@ -433,6 +433,47 @@ class TestInputValidation:
         with pytest.raises(ValueError) as info:
             modimage.classifier.classify_cm(None, l, entry)
         assert str(info.value) == message
+
+    MERSENNE_3217 = 2 ** 3217 - 1  # a prime of 969 digits
+    PRIME_TAKERS = ["classify", "classify_from_j", "classify_prime_noncm",
+                    "classify_cm", "frobenius_noncontainment", "twist_set"]
+
+    def prime_taking_calls(self, l):
+        """Every library entry point that takes a prime l, called at l."""
+        E = WeierstrassCurve(1, 1, 1, -305, 7888)
+        j0 = modimage.tables.cm_entry(0)
+        return {
+            "classify": lambda: classify(E, [l, 5]),
+            "classify_from_j": lambda: classify_from_j(F(-121), [l]),
+            "classify_prime_noncm":
+                lambda: classify_prime_noncm(E, E.j_invariant(), l),
+            "classify_cm": lambda: classify_cm(ShortCurve(0, 5), l, j0),
+            "frobenius_noncontainment":
+                lambda: frobenius_noncontainment(E, l, 50),
+            "twist_set": lambda: twist_set(E, l, 10),
+        }
+
+    @pytest.mark.parametrize("name", PRIME_TAKERS)
+    @pytest.mark.parametrize("l", [MERSENNE_3217, -MERSENNE_3217, 10 ** 7 + 1],
+                             ids=["2^3217-1", "-(2^3217-1)", "10^7+1"])
+    def test_large_prime_refused_before_a_primality_test(self, name, l,
+                                                         monkeypatch):
+        def forbidden(n):
+            raise AssertionError("primality test reached")
+
+        monkeypatch.setattr(modimage.classifier, "is_probable_prime",
+                            forbidden)
+        with pytest.raises(ValueError) as info:
+            self.prime_taking_calls(l)[name]()
+        assert str(info.value) == "l must be a prime at most 10000000"
+
+    @pytest.mark.parametrize("name", PRIME_TAKERS)
+    @pytest.mark.parametrize("l", [9, 1, -7])
+    def test_composite_or_small_prime_refused(self, name, l):
+        # classify_prime_noncm and classify_cm used to answer at l = 9
+        with pytest.raises(ValueError) as info:
+            self.prime_taking_calls(l)[name]()
+        assert str(info.value) == f"{l} is not prime"
 
     def test_non_integer_prime_rejected(self):
         E = WeierstrassCurve(1, 1, 1, -305, 7888)

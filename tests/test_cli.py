@@ -4,19 +4,22 @@ Most cases call run() in-process for speed; a few go through a real
 subprocess to check the console entry point end to end.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modimage
 import modimage.classifier as classifier
 import modimage.cli as cli
 import modimage.tables as tables
-from modimage.classifier import FactorizationIncomplete
+from modimage.exactmath import FactorizationIncomplete
 from modimage.tables import (EXCEPTIONAL_GENERATORS, prime_table,
                              supported_primes)
 
@@ -212,7 +215,7 @@ PINNED_CALLS = [
 
 # sha256 over (argv, exit code, stdout, stderr) of every pinned call
 PINNED_CALLS_SHA256 = \
-    "fb69f551da6b0bde1d7c525d360e600060d6a810ac85eda19a481fa819392fc9"
+    "8da3d9f297c684974383472a3cb671a79346e9af0932a84688439f7eebe26ec2"
 
 
 def test_pinned_outputs(capsys):
@@ -406,6 +409,79 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "must be" in err or "is not a prime" in err
+
+
+# Argument lists for the fuzz below: every flag of every subcommand, each
+# given or left out (a required one seldom left out), with values from
+# small pools of edge integers, junk and literals one digit past what
+# int() reads. No pool value is slow to run: none is a group prime in
+# 17..37, an --r or --frobenius-bound in 2001..10^5, or an ap --p in
+# 10^4..10^7; plain verify-tables (0.3 s, pinned above) is left out.
+_FUZZ_INTS = st.sampled_from(
+    ["-1", "0", "1", "2", "9", "13", "39", str(10 ** 12)])
+_FUZZ_VALUES = _FUZZ_INTS | st.sampled_from(
+    ["", "x", " 7 ", "1/0", "1e5000", "-2/3", "3" * 4301, "2/" + "3" * 4301])
+_FUZZ_INT_FLAG = _FUZZ_INTS | _FUZZ_VALUES  # mostly integers, some junk
+
+
+def _fuzz_model(n):
+    """Values for a flag that takes n comma-separated rationals: a curve
+    the tests use, integers, any pool values, or one pool value."""
+    curves = {5: ["0,0,1,-1,0", "1,1,1,-305,7888", "0,-1,1,-10,-20"],
+              2: ["1,1", "-42875,-3246250", "0,16", "-3,2"]}[n]
+    return st.sampled_from(curves) \
+        | st.lists(_FUZZ_INTS, min_size=n, max_size=n).map(",".join) \
+        | st.lists(_FUZZ_VALUES, min_size=n, max_size=n).map(",".join) \
+        | _FUZZ_VALUES
+
+
+_FUZZ_FLAGS = {  # flag: (values or None for a switch, required)
+    "classify": {"--curve": (_fuzz_model(5), False),
+                 "--short": (_fuzz_model(2), False),
+                 "--j": (_FUZZ_VALUES, False),
+                 "--primes": (st.lists(_FUZZ_INT_FLAG, min_size=1,
+                                       max_size=3).map(",".join), False),
+                 "--frobenius-bound": (_FUZZ_INT_FLAG, False),
+                 "--format": (st.sampled_from(["text", "json", "x"]), False)},
+    "verify-tables": {"--emit": (None, True)},
+    "group": {"--prime": (_FUZZ_INT_FLAG, True),
+              "--label": (st.sampled_from(["GL2", "B", "Cs", "Nns-index3",
+                                           "CM.H1", "G1", "13.G7", "XX", ""]),
+                          True)},
+    "ap": {"--curve": (_fuzz_model(5), False),
+           "--short": (_fuzz_model(2), False),
+           "--p": (_FUZZ_INT_FLAG, True)},
+    "twist-set": {"--curve": (_fuzz_model(5), False),
+                  "--short": (_fuzz_model(2), False),
+                  "--prime": (_FUZZ_INT_FLAG, True),
+                  "--r": (_FUZZ_INT_FLAG, True),
+                  "--factor-bound": (_FUZZ_INT_FLAG, False)},
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [command]
+    for flag, (values, required) in _FUZZ_FLAGS[command].items():
+        if draw(st.integers(0, 7)) >= (1 if required else 4):
+            argv.append(flag if values is None else f"{flag}={draw(values)}")
+    if argv == ["verify-tables"]:
+        argv.append("--emit")
+    return argv
+
+
+@given(_fuzz_argv())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_fuzzed_arguments_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        text = err.getvalue()
+        assert text.startswith("modimage") and ": error: " in text, text
+        assert text.count("\n") == 1 and text.endswith("\n"), text
 
 
 def run_python(*args):

@@ -32,9 +32,11 @@ RANK1_11 = WeierstrassCurve(0, -1, 1, -7, 10)
 
 
 def test_rejects_singular():
-    with pytest.raises(SingularCurveError):
+    # the message is the one the CLI prints as it stands
+    message = "^singular curve: the discriminant vanishes$"
+    with pytest.raises(SingularCurveError, match=message):
         WeierstrassCurve(0, 0, 0, 0, 0)
-    with pytest.raises(SingularCurveError):
+    with pytest.raises(SingularCurveError, match=message):
         ShortCurve(-3, 2)  # y^2 = (x-1)^2 (x+2)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from modimage import cli, exactmath
 from modimage.exactmath import (
-    Incomplete,
+    FactorizationIncomplete,
     factor,
     is_cube,
     is_probable_prime,
@@ -55,15 +55,16 @@ def test_factor_basic():
 
 def test_factor_incomplete():
     # 2^80 + 1 has no prime factor below 1000, so with that trial bound
-    # the cofactor must come back unfactored.
-    got = factor(2 ** 80 + 1, trial_bound=1000)
-    assert isinstance(got, Incomplete)
-    assert got.cofactor > 1
-    assert not is_probable_prime(got.cofactor)
-    rebuilt = got.cofactor
-    for p, e in got.factors.items():
-        rebuilt *= p ** e
-    assert rebuilt == 2 ** 80 + 1
+    # factor raises, naming the composite cofactor it could not split
+    n = 2 ** 80 + 1
+    with pytest.raises(FactorizationIncomplete) as info:
+        factor(n, trial_bound=1000)
+    words = str(info.value).split()
+    assert words[0] == "cofactor"
+    assert words[2:] == "resists trial division up to 1000".split()
+    cofactor = int(words[1])
+    assert cofactor > 1 and n % cofactor == 0
+    assert not is_probable_prime(cofactor)
 
 
 @given(st.integers(min_value=2, max_value=10 ** 6))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from modimage import gl2, tables
+from modimage.exactmath import FactorizationIncomplete, is_probable_prime
 from modimage.gl2 import (
     Mat2,
     Subgroup,
@@ -60,6 +61,18 @@ def test_primitive_root():
             x = x * g % l
             seen.add(x)
         assert len(seen) == l - 1
+
+
+def test_primitive_root_needs_a_factored_group_order():
+    # l - 1 = 2 * 1000003 * 1000121, both odd factors past the default
+    # trial bound of 10^6, so no generator of F_l^* can be certified
+    l = 2000248000727
+    assert is_probable_prime(l) and l - 1 == 2 * 1000003 * 1000121
+    message = "cofactor 1000124000363 resists trial division up to 1000000"
+    with pytest.raises(FactorizationIncomplete, match=message):
+        primitive_root(l)
+    with pytest.raises(FactorizationIncomplete, match=message):
+        tables.group_from_label(l, "Cs")
 
 
 def test_mat2_basics():

@@ -13,7 +13,6 @@ import pytest
 
 from modimage.classifier import Certificate, ImageResult, classify
 from modimage.ec import PointQ, ShortCurve, WeierstrassCurve, short_model
-from modimage.exactmath import Incomplete
 from modimage.gl2 import borel
 from modimage.tables import (CM_TABLE, CMEntry, nonsplit11, prime_table,
                              supported_primes)
@@ -28,7 +27,6 @@ def values():
         (E, "a1"),
         (ShortCurve(-15, 22), "A"),
         (PointQ(RANK1_11, 4, 5), "x"),
-        (Incomplete({2: 1}, 15), "cofactor"),
         (borel(3).invariants(), "order"),
         (prime_table(2), "l"),
         (prime_table(2).entries[1], "label"),
