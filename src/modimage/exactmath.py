@@ -114,7 +114,8 @@ def factor(n: int, trial_bound: int = 10 ** 6) -> dict:
 
     Returns {prime: exponent} when the cofactor left after trial division
     is 1 or passes a primality test; otherwise raises
-    FactorizationIncomplete naming that cofactor.
+    FactorizationIncomplete naming that cofactor, or its bit length when
+    it has too many digits for str().
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -131,8 +132,12 @@ def factor(n: int, trial_bound: int = 10 ** 6) -> dict:
     if m <= trial_bound or is_probable_prime(m):
         factors[m] = factors.get(m, 0) + 1
         return factors
+    try:
+        name = str(m)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        name = f"of {m.bit_length()} bits"
     raise FactorizationIncomplete(
-        f"cofactor {m} resists trial division up to {trial_bound}")
+        f"cofactor {name} resists trial division up to {trial_bound}")
 
 
 def _trial_primes(bound: int):

@@ -10,12 +10,15 @@ integer pseudo-division, _pseudo_divmod, serves that sequence and exact
 division. compose substitutes one map of the projective line, given as a
 (num, den) pair, into another.
 
-rational_roots finds all rational roots of a polynomial by reducing to a
-squarefree integer polynomial, picking the smallest prime at which the
-roots of that polynomial are simple, Newton lifting those roots to a
-large prime power, and applying rational reconstruction; every candidate
-is verified by exact substitution, and completeness follows from the root
-bounds used to size the lift.
+rational_roots finds all rational roots of a polynomial. A polynomial
+with no root modulo some small prime not dividing its leading
+coefficient has none over Q, and the search ends there, before the
+squarefree gcd. Otherwise it reduces to a squarefree integer polynomial,
+picks the smallest prime at which the roots of that polynomial are
+simple, Newton lifts those roots to a large prime power, and applies
+rational reconstruction; every candidate is verified by exact
+substitution, and completeness follows from the root bounds used to
+size the lift.
 """
 
 from __future__ import annotations
@@ -373,24 +376,42 @@ def compose(outer: tuple, inner: tuple) -> tuple:
 
 # --- rational root finding -------------------------------------------------
 
+# The primes at which rational_roots looks for a root-free reduction; a
+# prime p costs up to p evaluations, and on the classify path the first
+# few already rule out nearly every cover fibre.
+_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
 def rational_roots(f: Poly) -> set:
     """All rational roots of f, found by Hensel lifting.
 
-    f is reduced to its squarefree part f / gcd(f, f') over coprime ints.
-    The lifting prime is the smallest prime p, not dividing the leading
-    coefficient, at which every root of that part mod p is simple. Those
-    roots are Newton lifted, doubling the precision until the modulus
-    exceeds twice the product of the numerator and denominator bounds;
-    rational reconstruction proposes candidates and each is verified by
-    exact substitution into f. No rational root is missed: its
-    denominator divides the leading coefficient, so it reduces to one of
-    the simple roots mod p, and Newton's iteration from there converges
-    to it.
+    First a sieve: if f has no root modulo some prime of _SIEVE_PRIMES
+    that does not divide its leading coefficient, there is none over Q,
+    and the search ends before the squarefree gcd. Sound because a root
+    u/v in lowest terms has v | a_n, so for p not dividing a_n, u/v mod p
+    is a root of f mod p.
+
+    Otherwise f is reduced to its squarefree part f / gcd(f, f') over
+    coprime ints. The lifting prime is the smallest prime p, not
+    dividing the leading coefficient, at which every root of that part
+    mod p is simple. Those roots are Newton lifted, doubling the
+    precision until the modulus exceeds twice the product of the
+    numerator and denominator bounds; rational reconstruction proposes
+    candidates and each is verified by exact substitution into f. No
+    rational root is missed: its denominator divides the leading
+    coefficient, so it reduces to one of the simple roots mod p, and
+    Newton's iteration from there converges to it.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has every root")
     if f.degree < 1:
         return set()
+    prim = f.primitive()
+    for p in _SIEVE_PRIMES:
+        if prim[-1] % p:
+            red = [c % p for c in prim]
+            if all(_eval_mod(red, r, p) for r in range(p)):
+                return set()
     ints = _squarefree_part(f)
     dints = [i * c for i, c in enumerate(ints)][1:]
     an = abs(ints[-1])

@@ -16,6 +16,7 @@ import pytest
 
 import modimage.classifier
 import modimage.ec
+import modimage.polyq
 from modimage.classifier import (
     Certificate,
     classify,
@@ -161,6 +162,17 @@ class TestCoverWalk:
     def test_witness_is_smallest_parameter(self):
         r = one(WeierstrassCurve(0, -1, 1, -10, -20), 5)
         assert r.witness_t == F(-1)
+
+    def test_generic_curve_walk_needs_no_squarefree_gcd(self, monkeypatch):
+        # every cover fibre of 37a1 has no root modulo some small prime,
+        # so the walk answers without the squarefree gcd of any fibre
+        def forbidden(*args):
+            raise AssertionError("poly_gcd reached")
+
+        monkeypatch.setattr(modimage.polyq, "poly_gcd", forbidden)
+        report = classify(WeierstrassCurve(0, 0, 1, -1, 0))
+        assert [(r.prime, r.label) for r in report.results] == [
+            (l, "GL2") for l in (2, 3, 5, 7, 11, 13, 17, 37)]
 
     def test_nonsplit11_point_at_infinity(self):
         # j = 54000 lies under the criterion curve's point at infinity,

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import modimage
 import modimage.classifier as classifier
 import modimage.cli as cli
+import modimage.exactmath as exactmath
 import modimage.tables as tables
 from modimage.exactmath import FactorizationIncomplete
 from modimage.tables import (EXCEPTIONAL_GENERATORS, prime_table,
@@ -285,6 +286,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert message in err
+
+    # the twist-set model of 1 + 10^1500, 1 has a 4501-digit discriminant
+    TALL_TWIST_SET = ("twist-set", "--short=1" + "0" * 1499 + "1,1",
+                      "--prime", "7", "--r", "10", "--factor-bound", "40")
+
+    def test_tall_twist_set_model_refused_before_factoring(self, capsys,
+                                                          monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("factoring started")
+
+        monkeypatch.setattr(cli, "twist_set", forbidden)
+        assert cli.run(list(self.TALL_TWIST_SET)) == 1
+        assert capsys.readouterr().err == (
+            "modimage: error: the discriminant of the integral model must "
+            "be at most 200 digits long\n")
+
+    def test_unprintable_cofactor_named_by_bit_length(self, capsys,
+                                                      monkeypatch):
+        # past the height limit, factor() leaves a cofactor of more than
+        # 4300 digits; the stubbed primality test (composite) keeps the
+        # test from running Miller-Rabin on it
+        monkeypatch.setattr(cli, "_MAX_HEIGHT_DIGITS", 5000)
+        monkeypatch.setattr(exactmath, "is_probable_prime", lambda n: False)
+        assert cli.run(list(self.TALL_TWIST_SET)) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "bits resists trial division up to 40" in err
+        assert len(err) < 100
 
     @pytest.mark.parametrize("name, args, exc", [
         ("verify_all", ["verify-tables"], ValueError("bad table")),

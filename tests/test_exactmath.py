@@ -67,6 +67,19 @@ def test_factor_incomplete():
     assert not is_probable_prime(cofactor)
 
 
+def test_factor_incomplete_names_a_long_cofactor_by_bit_length(monkeypatch):
+    # a cofactor past int()'s 4300-digit str limit is named by its bit
+    # length; the primality test is stubbed so that no test of a
+    # 5000-digit number runs
+    monkeypatch.setattr(exactmath, "is_probable_prime", lambda n: False)
+    n = 10 ** 5000 + 1  # 17 is its only prime factor below 40, once
+    with pytest.raises(FactorizationIncomplete) as info:
+        factor(n, trial_bound=40)
+    bits = (n // 17).bit_length()
+    assert str(info.value) == \
+        f"cofactor of {bits} bits resists trial division up to 40"
+
+
 @given(st.integers(min_value=2, max_value=10 ** 6))
 def test_factor_multiplies_back(n):
     fac = factor(n)

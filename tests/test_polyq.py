@@ -296,6 +296,31 @@ def test_rational_roots_anchor():
     assert rational_roots(5 * T) == {0}
 
 
+def test_rational_roots_sieve_skips_primes_dividing_the_leading_coefficient():
+    # 2T - 1 has no root mod 2, and 6469693230 = 2*3*5*...*29 is divisible
+    # by every sieve prime, so only the guard p !| a_n keeps these roots
+    assert math.prod(polyq._SIEVE_PRIMES) == 6469693230
+    assert rational_roots(2 * T - 1) == {Fraction(1, 2)}
+    assert rational_roots(6469693230 * T - 1) == {Fraction(1, 6469693230)}
+
+
+def test_rational_roots_root_free_only_over_q_reaches_the_exact_path(
+        monkeypatch):
+    # every p has 2, 3 or 6 a square mod p, so f has a root mod every prime
+    # and the sieve cannot rule it out; the squarefree gcd must run
+    f = (T ** 2 - 2) * (T ** 2 - 3) * (T ** 2 - 6)
+    calls = []
+    gcd = polyq.poly_gcd
+
+    def counted(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(polyq, "poly_gcd", counted)
+    assert rational_roots(f) == set()
+    assert len(calls) == 1
+
+
 def test_rational_roots_repeated_and_big():
     f = (3 * T - 2) ** 3 * (T + 1) ** 2 * (T ** 2 + T + 1)
     assert rational_roots(f) == {Fraction(2, 3), Fraction(-1)}
