@@ -7,7 +7,8 @@ mod-l representation up to conjugacy in GL_2(F_l):
   table in order of decreasing index; the first hit (a cover parameter,
   a j-value, or at l = 11 the nonsplit normalizer's plane quadratic
   criterion) is refined to a twist sublabel with the curve parametrized
-  by the matched value;
+  by the matched value; a cover is tried first against its image on
+  P^1(F_p) at a few small primes, which rules out nearly every miss;
 * at l = 13 and l >= 17 the remaining open containments (nonsplit or
   split normalizer images with no known rational points) give verdicts
   conditional on the surjectivity conjecture, upgraded to proven when
@@ -22,15 +23,16 @@ ImageResult once.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
 from .exactmath import (factor, is_cube, is_probable_prime, is_square,
                         legendre, primes_up_to)
-from .ec import (ShortCurve, WeierstrassCurve, ap, integral_model,
-                 short_model, twist_test)
+from .ec import (ShortCurve, WeierstrassCurve, ap, integral_invariants,
+                 integral_model, short_model, twist_test)
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
                   fingerprint_in_octahedral, fingerprint_in_split_normalizer)
-from .polyq import INFINITY, rational_roots
+from .polyq import INFINITY, SIEVE_PRIMES, cover_image_mod, rational_roots
 from .tables import (CMEntry, EXCEPTIONAL_LOOKUP, cm_entry,
                      nonsplit11_contains, prime_table, supported_primes)
 
@@ -91,11 +93,40 @@ class Report(NamedTuple):
 
 # --- the genus-zero walk ----------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _cover_images(key) -> dict:
+    """The images on P^1(F_p) of the cover whose (num.ints, num.den,
+    den.ints, den.den) is key, as {p: cover_image_mod(num, den, p)}, filled
+    in by _cover_parameters as it first needs each prime. Keyed on the
+    cover's value, so a cover built anew never meets another's images;
+    64 covers hold the 28 of the tables."""
+    return {}
+
+
 def _cover_parameters(entry, j):
     """Rational t with cover value j, excluded values removed, sorted by
     (denominator, numerator); INFINITY appended when the cover takes the
-    value j there, that is when num - j*den drops below the cover's degree."""
+    value j there, that is when num - j*den drops below the cover's degree.
+
+    First a local test: with j = a/b in lowest terms, the result is []
+    when at some p of SIEVE_PRIMES the point (a : b) mod p lies outside
+    the cover's image on P^1(F_p). Sound because a t = u/v in lowest
+    terms over j (t = infinity being (1 : 0)) has b N^h(u, v) = a D^h(u, v)
+    for the homogenized N and D of cover_image_mod; at a prime where they
+    share no zero on P^1(F_p), both sides' vectors are nonzero mod p, so
+    (a : b) is the image of (u : v) mod p. A prime with no such image is
+    passed over. Only a j that every image admits reaches num - j*den.
+    """
     num, den = entry.cover
+    images = _cover_images((num.ints, num.den, den.ints, den.den))
+    a, b = j.numerator, j.denominator
+    for p in SIEVE_PRIMES:
+        if p not in images:
+            images[p] = cover_image_mod(num, den, p)
+        image = images[p]
+        if image is not None and \
+                (a * pow(b, -1, p) % p if b % p else p) not in image:
+            return []
     f = num - j * den
     roots = {t for t in rational_roots(f) if t not in entry.bad_t}
     out = sorted(roots, key=lambda t: (t.denominator, t.numerator))
@@ -138,6 +169,12 @@ def _refine(entry, t, E, twist: int):
     return _twist_label(model, E, twist, labels), ""
 
 
+@lru_cache(maxsize=4)
+def _primes_to(bound: int) -> tuple:
+    """The primes up to bound, sieved once per bound."""
+    return tuple(primes_up_to(bound))
+
+
 def frobenius_noncontainment(E, l: int, bound: int) -> dict:
     """Trace certificates against the maximal subgroup types.
 
@@ -152,9 +189,9 @@ def frobenius_noncontainment(E, l: int, bound: int) -> dict:
     if l < 5:
         raise ValueError("certificates are defined for l >= 5")
     M, _ = integral_model(E)
-    disc = int(M.discriminant())
+    _, _, disc = integral_invariants(M)
     found = {}
-    for p in primes_up_to(bound):
+    for p in _primes_to(bound):
         if (l * disc) % p == 0:
             continue
         t = ap(M, p) % l
@@ -389,7 +426,7 @@ def twist_set(E, l: int, r: int, factor_bound: int = 10 ** 6) -> set:
     if l == 2:
         raise ValueError("twist sets are defined for odd primes")
     M, _ = integral_model(_as_long(E))
-    disc = int(M.discriminant())
+    _, _, disc = integral_invariants(M)
     support = sorted(factor(l * disc, factor_bound))
     candidates = [1]
     for q in support:

@@ -30,7 +30,8 @@ from .classifier import (
     classify_from_j,
     twist_set,
 )
-from .ec import ShortCurve, WeierstrassCurve, ap, integral_model
+from .ec import (ShortCurve, WeierstrassCurve, ap, integral_invariants,
+                 integral_model)
 from .exactmath import is_probable_prime
 from .polyq import INFINITY
 from .tables import emit_text, group_from_label, verify_all
@@ -268,8 +269,8 @@ def cmd_twist_set(ns) -> int:
     r = _bounded("--r", ns.r, _MAX_SCAN_BOUND)
     factor_bound = _bounded("--factor-bound", ns.factor_bound,
                             _MAX_FACTOR_BOUND)
-    M, _ = integral_model(E)
-    if abs(M.discriminant()) >= 10 ** _MAX_HEIGHT_DIGITS:
+    _, _, disc = integral_invariants(integral_model(E)[0])
+    if abs(disc) >= 10 ** _MAX_HEIGHT_DIGITS:
         raise InputError(f"the discriminant of the integral model must be "
                          f"at most {_MAX_HEIGHT_DIGITS} digits long")
     ds = twist_set(E, l, r, factor_bound=factor_bound)

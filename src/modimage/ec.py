@@ -191,6 +191,18 @@ def integral_model(E: WeierstrassCurve) -> Tuple[WeierstrassCurve, int]:
                                             a4 * u ** 4, a6 * u ** 6)), u
 
 
+def integral_invariants(M: WeierstrassCurve) -> tuple:
+    """(a, b, disc) of the integral model M (see integral_model): its
+    a-invariants and b-invariants as tuples of ints and its discriminant,
+    all in integer arithmetic. Raises ValueError when M has a
+    non-integral coefficient."""
+    if any(a.denominator != 1 for a in M):
+        raise ValueError(f"ap needs an integral model, got {M!r}")
+    a = tuple(a.numerator for a in M)
+    b = _b_invariants(*a)
+    return a, b, _discriminant(*b)
+
+
 def ap(M: WeierstrassCurve, p: int) -> int:
     """Trace of Frobenius a_p = p + 1 - #M(F_p) by direct counting on the
     integral model M (see integral_model). Raises ValueError when M has a
@@ -201,11 +213,8 @@ def ap(M: WeierstrassCurve, p: int) -> int:
     of 4x^3 + b2 x^2 + 2 b4 x + b6 (complete the square in y); p = 2 is a
     four-point brute force.
     """
-    if any(a.denominator != 1 for a in M):
-        raise ValueError(f"ap needs an integral model, got {M!r}")
-    a1, a2, a3, a4, a6 = (a.numerator for a in M)
-    b2, b4, b6, b8 = _b_invariants(a1, a2, a3, a4, a6)
-    if _discriminant(b2, b4, b6, b8) % p == 0:
+    (a1, a2, a3, a4, a6), (b2, b4, b6, _), disc = integral_invariants(M)
+    if disc % p == 0:
         raise BadReduction(f"p = {p} divides the discriminant")
     if p == 2:
         count = 1

@@ -3,7 +3,7 @@
 A polynomial is stored as integer numerators over one denominator, so
 its arithmetic runs on ints; _poly, which builds every one, brings it to
 that form. A product is one big-int product of the numerators (Kronecker
-substitution). poly_gcd first asks whether the gcd is 1 by Euclid on
+substitution), or a scaling when one factor is a constant. poly_gcd first asks whether the gcd is 1 by Euclid on
 the primitive parts reduced modulo one word-sized prime, and only when
 that is inconclusive runs the exact primitive remainder sequence; one
 integer pseudo-division, _pseudo_divmod, serves that sequence and exact
@@ -18,7 +18,9 @@ picks the smallest prime at which the roots of that polynomial are
 simple, Newton lifts those roots to a large prime power, and applies
 rational reconstruction; every candidate is verified by exact
 substitution, and completeness follows from the root bounds used to
-size the lift.
+size the lift. cover_image_mod gives the image of P^1(F_p) under a
+cover at one of the same small primes, against which the classifier
+tests a j before it builds a fibre.
 """
 
 from __future__ import annotations
@@ -130,13 +132,18 @@ class Poly:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        """Product by Kronecker substitution. A coefficient of the product
-        of the numerators is at most min(len) * max|a| * max|b| < 2^(k-1)
-        in absolute value, so each fits one signed k-bit digit."""
+        """Product by scaling when one factor is a constant, else by
+        Kronecker substitution. A coefficient of the product of the
+        numerators is at most min(len) * max|a| * max|b| < 2^(k-1) in
+        absolute value, so each fits one signed k-bit digit."""
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.ints, other.ints
+        if len(a) == 1 or len(b) == 1:
+            # a scalar multiple: scale the other factor's ints directly
+            s, rest = (a[0], b) if len(a) == 1 else (b[0], a)
+            return _poly([s * c for c in rest], self.den * other.den)
         k = (min(len(a), len(b)) * max(map(abs, a), default=0)
              * max(map(abs, b), default=0)).bit_length() + 1
         prod = 1
@@ -376,16 +383,17 @@ def compose(outer: tuple, inner: tuple) -> tuple:
 
 # --- rational root finding -------------------------------------------------
 
-# The primes at which rational_roots looks for a root-free reduction; a
-# prime p costs up to p evaluations, and on the classify path the first
-# few already rule out nearly every cover fibre.
-_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+# The primes at which rational_roots looks for a root-free reduction, and
+# at which the classifier compares j with the image of a cover
+# (cover_image_mod); a prime p costs up to p evaluations, and on the
+# classify path the first few already rule out nearly every cover fibre.
+SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
 def rational_roots(f: Poly) -> set:
     """All rational roots of f, found by Hensel lifting.
 
-    First a sieve: if f has no root modulo some prime of _SIEVE_PRIMES
+    First a sieve: if f has no root modulo some prime of SIEVE_PRIMES
     that does not divide its leading coefficient, there is none over Q,
     and the search ends before the squarefree gcd. Sound because a root
     u/v in lowest terms has v | a_n, so for p not dividing a_n, u/v mod p
@@ -407,7 +415,7 @@ def rational_roots(f: Poly) -> set:
     if f.degree < 1:
         return set()
     prim = f.primitive()
-    for p in _SIEVE_PRIMES:
+    for p in SIEVE_PRIMES:
         if prim[-1] % p:
             red = [c % p for c in prim]
             if all(_eval_mod(red, r, p) for r in range(p)):
@@ -477,6 +485,36 @@ def _eval_mod(ints: list, x: int, m: int) -> int:
     for c in reversed(ints):
         acc = (acc * x + c) % m
     return acc
+
+
+def cover_image_mod(num: Poly, den: Poly, p: int) -> Optional[frozenset]:
+    """The image of P^1(F_p) under the cover num/den, or None where it
+    says nothing.
+
+    With N and D the integer multiples of num and den by one scalar, with
+    no common content, homogenized at degree n = max(deg N, deg D), the
+    image is the set of points (N^h(x) : D^h(x)) for x in P^1(F_p), each
+    written as its affine coordinate in range(p), and infinity as p. At
+    x = infinity N^h and D^h are the degree-n coefficients. None when N^h
+    and D^h share a zero on P^1(F_p), where (0 : 0) is no point.
+    """
+    N = [c * den.den for c in num.ints]
+    D = [c * num.den for c in den.ints]
+    g = math.gcd(*N, *D)
+    n = max(len(N), len(D))
+    N = [c // g % p for c in N] + [0] * (n - len(N))
+    D = [c // g % p for c in D] + [0] * (n - len(D))
+    points = [(_eval_mod(N, x, p), _eval_mod(D, x, p)) for x in range(p)]
+    points.append((N[-1], D[-1]))
+    image = set()
+    for y, z in points:
+        if z:
+            image.add(y * pow(z, -1, p) % p)
+        elif y:
+            image.add(p)
+        else:
+            return None
+    return frozenset(image)
 
 
 def _rational_reconstruct(x: int, m: int, bound_u: int, bound_v: int):

@@ -359,6 +359,22 @@ class TestFrobeniusTail:
         classify(WeierstrassCurve(0, 0, 1, -1, 0), [13, 17, 37])
         assert len(calls) == 3
 
+    def test_one_sieve_per_frobenius_bound(self, monkeypatch):
+        # the scans at 13, 17 and 37 of every curve share one sieve
+        calls = []
+
+        def counted(bound):
+            calls.append(bound)
+            return primes_up_to(bound)
+
+        monkeypatch.setattr(modimage.classifier, "primes_up_to", counted)
+        modimage.classifier._primes_to.cache_clear()
+        for E in (WeierstrassCurve(0, 0, 1, -1, 0),
+                  WeierstrassCurve(1, 0, 1, 4, -6)):
+            classify(E, [13, 17, 37])
+            classify(E, [17], frobenius_bound=500)
+        assert calls == [1000, 500]
+
 
 class TestExceptionalLookup:
     CASES = (

@@ -13,6 +13,7 @@ from modimage.ec import (
     WeierstrassCurve,
     ap,
     division_polynomial,
+    integral_invariants,
     integral_model,
     quadratic_twist,
     scalar_mul,
@@ -155,9 +156,28 @@ def test_ap_anchors():
     assert ap(E7, 337) == -5
 
 
+@settings(max_examples=100)
+@given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                min_size=5, max_size=5),
+       st.integers(min_value=1, max_value=30))
+def test_integral_invariants_match_the_rational_ones(coeffs, scale):
+    try:
+        E = WeierstrassCurve(*(Fraction(c, scale) for c in coeffs))
+    except SingularCurveError:
+        return
+    M, _ = integral_model(E)
+    a, b, disc = integral_invariants(M)
+    assert a == M.a_invariants()
+    assert b == M.b_invariants()
+    assert disc == M.discriminant()
+    assert all(type(x) is int for x in a + b + (disc,))
+
+
 def test_ap_needs_an_integral_model():
     with pytest.raises(ValueError, match="ap needs an integral model"):
         ap(WeierstrassCurve(0, 0, 0, Fraction(-1, 4), Fraction(1, 8)), 7)
+    with pytest.raises(ValueError, match="ap needs an integral model"):
+        integral_invariants(WeierstrassCurve(0, 0, 0, Fraction(1, 2), 1))
 
 
 def test_ap_against_brute_force():

@@ -299,9 +299,50 @@ def test_rational_roots_anchor():
 def test_rational_roots_sieve_skips_primes_dividing_the_leading_coefficient():
     # 2T - 1 has no root mod 2, and 6469693230 = 2*3*5*...*29 is divisible
     # by every sieve prime, so only the guard p !| a_n keeps these roots
-    assert math.prod(polyq._SIEVE_PRIMES) == 6469693230
+    assert math.prod(polyq.SIEVE_PRIMES) == 6469693230
     assert rational_roots(2 * T - 1) == {Fraction(1, 2)}
     assert rational_roots(6469693230 * T - 1) == {Fraction(1, 6469693230)}
+
+
+def brute_image_mod(num, den, p):
+    """The points (N(x) : D(x)) of P^1(F_p), x in F_p or infinity, for the
+    coprime integer coefficient lists N, D proportional to num, den: the
+    values over Z at x, and the top coefficients at infinity, reduced mod
+    p. None at a shared zero."""
+    n = max(num.degree, den.degree)
+    coeffs = [num[i] for i in range(n + 1)] + [den[i] for i in range(n + 1)]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    g = math.gcd(*ints)
+    N, D = [c // g for c in ints[:n + 1]], [c // g for c in ints[n + 1:]]
+    pairs = [(sum(c * x ** i for i, c in enumerate(N)),
+              sum(c * x ** i for i, c in enumerate(D))) for x in range(p)]
+    pairs.append((N[n], D[n]))
+    image = set()
+    for y, z in pairs:
+        y, z = y % p, z % p
+        if (y, z) == (0, 0):
+            return None
+        image.add(y * pow(z, -1, p) % p if z else p)
+    return image
+
+
+def test_cover_image_mod():
+    one = Poly.const(1)
+    assert polyq.cover_image_mod(T ** 2, one, 5) == {0, 1, 4, 5}
+    # T / (T + 1)^2 mod 2: a pole at 1 and a zero at infinity
+    assert polyq.cover_image_mod(T, T ** 2 + 1, 2) == {0, 2}
+    # a content shared by num and den is no common zero
+    assert polyq.cover_image_mod(2 * T, Poly.const(2), 2) == {0, 1, 2}
+    assert polyq.cover_image_mod(T ** 2 + 1, T + 3, 2) is None
+    # T^2 + 1 has no root mod 3, so 0 is missed
+    assert polyq.cover_image_mod(T ** 2 + 1, T + 3, 3) == {1, 2, 3}
+    for l in (5, 13):
+        for entry in prime_table(l).entries:
+            if entry.cover is not None:
+                for p in polyq.SIEVE_PRIMES[:4]:
+                    assert polyq.cover_image_mod(*entry.cover, p) == \
+                        brute_image_mod(*entry.cover, p), (entry.label, p)
 
 
 def test_rational_roots_root_free_only_over_q_reaches_the_exact_path(

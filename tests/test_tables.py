@@ -11,8 +11,9 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import modimage.classifier as classifier
 import modimage.tables as tables
 from modimage.classifier import _cover_parameters
 from modimage.ec import PointQ, ShortCurve, scalar_mul
@@ -176,6 +177,81 @@ def test_infinity_lies_over_j_exactly_at_the_value_there(cover, j, at_limit):
         + [INFINITY] * at_infinity
     assert tables._fiber_contains(entry.cover, j) == (at_infinity
                                                      or bool(roots))
+
+
+# coefficients past the small sieve primes, so that num and den often
+# share a zero modulo one of them and the image there says nothing
+wide_polys = st.lists(st.integers(min_value=-40, max_value=40), min_size=1,
+                      max_size=5).map(Poly)
+wide_covers = st.tuples(wide_polys, wide_polys).filter(
+    lambda c: min(c[0].degree, c[1].degree) >= 0
+    and max(c[0].degree, c[1].degree) >= 1
+    and poly_gcd(*c).degree == 0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(wide_covers, st.one_of(small_fracs, st.none()))
+@example((T ** 2 + 1, T + 3), F(1))         # both vanish at 1 mod 2
+@example((T ** 2 + 1, T + 3), F(0))         # j = 1/3
+@example((T ** 2 + T + 1, T - 1), F(4))     # both vanish at 1 mod 3
+@example((2 * T + 1, 3 * T + 3), None)      # j = 2/3 at infinity
+@example((T ** 3, T + 1), F(29))            # j = 29^3 / (2 * 3 * 5)
+@example((T, T ** 2 + 1), F(1, 13))         # j = 13 / (2 * 5 * 17)
+@example((T, T ** 2 + 1), F(667))           # 23 * 29 divides num(j)
+def test_cover_parameters_find_each_parameter_over_its_value(cover, t):
+    # t = None stands for t = infinity
+    j = value_at_infinity(cover) if t is None else cover_value(cover, t)
+    if j is None:
+        return
+    entry = TableEntry("test", 1, (), cover=Cover(*cover))
+    params = _cover_parameters(entry, j)
+    assert (INFINITY if t is None else t) in params
+    roots = divisor_root_search(cover[0] - j * cover[1])
+    assert params == sorted(roots, key=lambda r: (r.denominator, r.numerator)) \
+        + [INFINITY] * (j == value_at_infinity(cover))
+
+
+def test_every_table_cover_finds_its_parameters_on_a_grid():
+    # 2580 (cover, t) pairs with t = n/d, |n| <= 12, 1 <= d <= 6
+    grid = sorted({F(n, d) for n in range(-12, 13) for d in range(1, 7)})
+    pairs = 0
+    for l in supported_primes():
+        for entry in prime_table(l).entries:
+            if entry.cover is None:
+                continue
+            for t in grid:
+                j = cover_value(entry.cover, t)
+                if t in entry.bad_t or j is None:
+                    continue
+                assert t in _cover_parameters(entry, j), (entry.label, t)
+                pairs += 1
+    assert pairs == 2580
+
+
+def test_covers_under_one_label_keep_their_own_images():
+    # T^2 has no point over j = 2 modulo 3, where 2 is no square; T + 5
+    # has t = -3 over it. Each entry is freed before the next is built,
+    # so an image kept by id() would be served to the next cover.
+    def params(num):
+        entry = TableEntry("same", 1, (), cover=Cover(num))
+        return _cover_parameters(entry, F(2))
+
+    square, shift = T ** 2, T + 5
+    for _ in range(2):
+        assert params(square) == []
+        assert params(shift) == [F(-3)]
+
+
+def test_cover_image_cache_is_bounded():
+    for k in range(1, 200):
+        entry = TableEntry("test", 1, (), cover=Cover(T ** 2 + k))
+        assert _cover_parameters(entry, F(k + 1)) == [F(-1), F(1)]
+    info = classifier._cover_images.cache_info()
+    table_covers = sum(e.cover is not None for l in supported_primes()
+                       for e in prime_table(l).entries)
+    # the table's own covers fit, so the classify walk never evicts
+    assert table_covers <= info.maxsize
+    assert info.currsize <= info.maxsize
 
 
 def test_criterion_curve_points_map_to_cm_j():
