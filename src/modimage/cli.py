@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .classifier import (
     DEFAULT_FROBENIUS_BOUND,
@@ -341,11 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of run(), built on its first call and not at import, so
+    that importing the module stays cheap; parse_args keeps no state in
+    it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
     """Parse argv and execute; returns the process exit code."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

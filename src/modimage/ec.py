@@ -2,8 +2,11 @@
 
 Provides the standard invariants, quadratic twists and the exact twist
 test, naive point counting mod p, odd division polynomials, and
-chord-and-tangent arithmetic on rational points. All computations are in
-exact rational arithmetic.
+chord-and-tangent arithmetic on rational points. All computations are
+exact. The invariants of a model (b, c, the discriminant and j) come from
+one helper, in plain ints when every coefficient is an integer and in
+Fractions of the coefficients as given otherwise; the public methods
+return them as Fractions.
 """
 
 from __future__ import annotations
@@ -34,17 +37,42 @@ def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+# The formulas of Silverman III.1, nested so that few sums are taken at the
+# top weight (a_i has weight i, b_k and c_k weight k, the discriminant 12):
+# on Fractions each sum or product of two Fractions runs gcds on numbers
+# that grow with the weight, while a power runs none.
+
 def _b_invariants(a1, a2, a3, a4, a6):
     """(b2, b4, b6, b8) of the a-invariants, over Z or Q alike."""
-    b2 = a1 * a1 + 4 * a2
+    b2 = a1 ** 2 + 4 * a2
     b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    b6 = a3 ** 2 + 4 * a6
+    b8 = b2 * a6 + a3 * (a2 * a3 - a1 * a4) - a4 ** 2
     return b2, b4, b6, b8
 
 
 def _discriminant(b2, b4, b6, b8):
-    return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2 * (9 * b4 * b6 - b2 * b8) - (8 * b4 ** 3 + 27 * b6 ** 2)
+
+
+def _invariants(a) -> tuple:
+    """(a, b, c, disc) of the model a = (a1, a2, a3, a4, a6): its
+    a-invariants, (b2, b4, b6, b8), (c4, c6) and discriminant. These are
+    ints when every coefficient has denominator 1, else Fractions of the
+    coefficients as given: rescaling to an integral model first would only
+    lengthen the gcd of j = c4^3 / disc."""
+    if all(x.denominator == 1 for x in a):
+        a = tuple(x.numerator for x in a)
+    b = b2, b4, b6, _ = _b_invariants(*a)
+    c4 = b2 ** 2 - 24 * b4
+    c6 = -b2 * (c4 - 12 * b4) - 216 * b6  # -b2^3 + 36 b2 b4 - 216 b6
+    return a, b, (c4, c6), _discriminant(*b)
+
+
+def _j_invariant(a) -> Fraction:
+    """j = c4^3 / disc of the model a (see _invariants)."""
+    _, _, (c4, _), disc = _invariants(a)
+    return _fr(c4) ** 3 / disc
 
 
 def _not_a_sequence(self, other):
@@ -71,20 +99,16 @@ class WeierstrassCurve(tuple):
         return tuple(self)
 
     def b_invariants(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        return _b_invariants(*self)
+        return tuple(map(_fr, _invariants(self)[1]))
 
     def c_invariants(self) -> Tuple[Fraction, Fraction]:
-        b2, b4, b6, _ = self.b_invariants()
-        c4 = b2 * b2 - 24 * b4
-        c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
-        return c4, c6
+        return tuple(map(_fr, _invariants(self)[2]))
 
     def discriminant(self) -> Fraction:
-        return _discriminant(*_b_invariants(*self))
+        return _fr(_invariants(self)[3])
 
     def j_invariant(self) -> Fraction:
-        c4, _ = self.c_invariants()
-        return c4 ** 3 / self.discriminant()
+        return _j_invariant(self)
 
     def a_invariants(self) -> Tuple[Fraction, Fraction, Fraction, Fraction,
                                     Fraction]:
@@ -125,7 +149,7 @@ class ShortCurve(tuple):
         return WeierstrassCurve(0, 0, 0, self.A, self.B)
 
     def j_invariant(self) -> Fraction:
-        return self.to_long().j_invariant()
+        return _j_invariant((0, 0, 0, *self))
 
     def __repr__(self):
         return "ShortCurve({}, {})".format(*self)
@@ -166,9 +190,9 @@ def twist_test(E, Eprime, d: Rat) -> bool:
     a = _as_short(E)
     b = _as_short(Eprime)
     d = _fr(d)
-    if a.j_invariant() != b.j_invariant():
-        raise ValueError("twist test requires equal j-invariants")
     j = a.j_invariant()
+    if j != b.j_invariant():
+        raise ValueError("twist test requires equal j-invariants")
     if j != 0 and j != 1728:
         c = (b.B * a.A) / (a.B * b.A)
         return is_square(c * d)
@@ -186,6 +210,8 @@ def integral_model(E: WeierstrassCurve) -> Tuple[WeierstrassCurve, int]:
     a1, a2, a3, a4, a6 = E
     u = math.lcm(a1.denominator, a2.denominator, a3.denominator,
                  a4.denominator, a6.denominator)
+    if u == 1:
+        return E, 1
     # the discriminant scales by u^12, so it stays nonzero: no re-check
     return tuple.__new__(WeierstrassCurve, (a1 * u, a2 * u ** 2, a3 * u ** 3,
                                             a4 * u ** 4, a6 * u ** 6)), u
@@ -196,11 +222,10 @@ def integral_invariants(M: WeierstrassCurve) -> tuple:
     a-invariants and b-invariants as tuples of ints and its discriminant,
     all in integer arithmetic. Raises ValueError when M has a
     non-integral coefficient."""
-    if any(a.denominator != 1 for a in M):
+    a, b, _, disc = _invariants(M)
+    if type(disc) is not int:
         raise ValueError(f"ap needs an integral model, got {M!r}")
-    a = tuple(a.numerator for a in M)
-    b = _b_invariants(*a)
-    return a, b, _discriminant(*b)
+    return a, b, disc
 
 
 def ap(M: WeierstrassCurve, p: int) -> int:

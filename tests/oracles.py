@@ -23,6 +23,11 @@ evidence and not a shared bug:
   * cover_value and value_at_infinity evaluate a (num, den) cover at a
     point and read its limit from the leading terms, while the package
     asks whether num - j*den has a root or drops degree.
+  * silverman_invariants writes out the formulas of Silverman III.1 for
+    b2..b8, c4, c6, the discriminant and j on Fractions, while ec
+    computes them once in one helper, in plain ints for an integral
+    model; the test also holds the oracle to the identities
+    4 b8 = b2 b6 - b4^2 and 1728 disc = c4^3 - c6^2.
   * mod2_label reads the mod-2 image of y^2 = x^3 + Ax + B off the
     rational roots and discriminant of the 2-division cubic, while the
     classifier walks the l = 2 cover table.
@@ -195,3 +200,19 @@ def mod2_label(A, B):
     if len(roots) == 1:
         return "2.G2"
     return "2.G3" if naive_is_square(-4 * A ** 3 - 27 * B ** 2) else "GL2"
+
+
+def silverman_invariants(a1, a2, a3, a4, a6):
+    """{name: Fraction} of b2, b4, b6, b8, c4, c6, disc and j of the long
+    Weierstrass model with coefficients a1..a6, by the formulas of
+    Silverman III.1; j is None when disc = 0."""
+    a1, a2, a3, a4, a6 = map(Fraction, (a1, a2, a3, a4, a6))
+    b2 = a1 * a1 + 4 * a2
+    b4 = a1 * a3 + 2 * a4
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return {"b2": b2, "b4": b4, "b6": b6, "b8": b8, "c4": c4, "c6": c6,
+            "disc": disc, "j": c4 * c4 * c4 / disc if disc else None}

@@ -520,6 +520,30 @@ def run_python(*args):
                           text=True, env=dict(os.environ, PYTHONPATH=src))
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    argv = ["classify", "--curve=1,1,1,-305,7888", "--format", "json"]
+    assert cli.run(argv) == 0
+    first = capsys.readouterr()
+    for args in (["classify", "--bogus"],                    # usage error
+                 ["classify", "--curve=0,0,1,-1,0", "--frobenius-bound=x"],
+                 ["ap", "--curve=0,-1,1,-10,-20", "--p", "11"],  # ValueError
+                 ["classify", "--j", "0"]):
+        assert cli.run(args) == 1
+        err = capsys.readouterr().err
+        assert ": error: " in err and err.count("\n") == 1, err
+    assert cli.run(argv) == 0
+    assert capsys.readouterr() == first
+    assert builds == [1]
+    fresh = run_python("-m", "modimage.cli", *argv)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == \
+        (0, first.out, first.err)
+
+
 class TestConsoleEntryPoint:
     def test_installed_script_or_module(self):
         out = run_python("-m", "modimage.cli", "ap",

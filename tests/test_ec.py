@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modimage.ec import (
     BadReduction,
@@ -21,7 +21,7 @@ from modimage.ec import (
     twist_test,
 )
 from modimage.polyq import Poly, exact_divide
-from oracles import brute_force_ap
+from oracles import brute_force_ap, silverman_invariants
 
 T = Poly.var()
 
@@ -32,13 +32,26 @@ FIXED7 = ShortCurve(-42875, -3246250)
 RANK1_11 = WeierstrassCurve(0, -1, 1, -7, 10)
 
 
+SINGULAR_MODELS = [
+    (0, 0, 0, 0, 0),                  # cusp
+    (0, 0, 0, -3, 2),                 # y^2 = (x-1)^2 (x+2)
+    (1, 0, 0, 0, 0),                  # y^2 + xy = x^3
+    (0, Fraction(1, 4), 0, 0, 0),     # y^2 = x^2 (x + 1/4)
+    (Fraction(2, 3), Fraction(-1, 9), 0, 0, 0),
+    (0, 0, 0, Fraction(-3, 4), Fraction(1, 4)),
+]
+
+
 def test_rejects_singular():
     # the message is the one the CLI prints as it stands
     message = "^singular curve: the discriminant vanishes$"
-    with pytest.raises(SingularCurveError, match=message):
-        WeierstrassCurve(0, 0, 0, 0, 0)
-    with pytest.raises(SingularCurveError, match=message):
-        ShortCurve(-3, 2)  # y^2 = (x-1)^2 (x+2)
+    for coeffs in SINGULAR_MODELS:
+        assert silverman_invariants(*coeffs)["disc"] == 0
+        with pytest.raises(SingularCurveError, match=message):
+            WeierstrassCurve(*coeffs)
+        if coeffs[:3] == (0, 0, 0):
+            with pytest.raises(SingularCurveError, match=message):
+                ShortCurve(*coeffs[3:])
 
 
 def test_invariants_and_j():
@@ -126,6 +139,19 @@ def test_twist_test_refuses_other_forms_at_0_and_1728(E, Eprime, d):
                                "the same-orbit form (j = 0, d = 1)")
 
 
+@pytest.mark.parametrize("E, Eprime", [
+    (ShortCurve(-1, 1), ShortCurve(1, 1)),
+    (CURVE_J121, CURVE_J131),
+    (WeierstrassCurve(0, 0, 0, Fraction(-1, 4), Fraction(1, 8)),
+     ShortCurve(-1, 2)),
+])
+def test_twist_test_requires_equal_j(E, Eprime):
+    for d in (1, -7):
+        with pytest.raises(ValueError) as info:
+            twist_test(E, Eprime, d)
+        assert str(info.value) == "twist test requires equal j-invariants"
+
+
 def test_twist_guards():
     E = ShortCurve(-42875, -3246250)
     with pytest.raises(ValueError) as info:
@@ -156,6 +182,40 @@ def test_ap_anchors():
     assert ap(E7, 337) == -5
 
 
+# a coefficient: 0, an integer, or a fraction with a denominator up to 30
+COEFF = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6),
+                  st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                            st.integers(2, 30)))
+SILVERMAN_ORDER = ("b2", "b4", "b6", "b8", "c4", "c6", "disc", "j")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.tuples(COEFF, COEFF, COEFF, COEFF, COEFF))
+@example((0, 0, 0, -1, 0))
+@example((0, 0, 1, 0, 0))
+@example((1, 1, 1, -305, 7888))
+@example((Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5), Fraction(2, 7),
+          Fraction(-3, 11)))
+@example((0, 0, 0, Fraction(-1, 4), Fraction(1, 8)))
+def test_invariants_match_the_silverman_formulas(coeffs):
+    want = silverman_invariants(*coeffs)
+    b2, b4, b6, b8, c4, c6, disc, j = map(want.get, SILVERMAN_ORDER)
+    # the oracle itself satisfies the two classical identities
+    assert 4 * b8 == b2 * b6 - b4 * b4
+    assert 1728 * disc == c4 ** 3 - c6 ** 2
+    if disc == 0:
+        with pytest.raises(SingularCurveError):
+            WeierstrassCurve(*coeffs)
+        return
+    E = WeierstrassCurve(*coeffs)
+    got = E.b_invariants() + E.c_invariants() + (E.discriminant(),
+                                                 E.j_invariant())
+    assert got == (b2, b4, b6, b8, c4, c6, disc, j)
+    assert all(type(x) is Fraction for x in got)
+    if coeffs[:3] == (0, 0, 0):
+        assert ShortCurve(*coeffs[3:]).j_invariant() == j
+
+
 @settings(max_examples=100)
 @given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
                 min_size=5, max_size=5),
@@ -165,12 +225,15 @@ def test_integral_invariants_match_the_rational_ones(coeffs, scale):
         E = WeierstrassCurve(*(Fraction(c, scale) for c in coeffs))
     except SingularCurveError:
         return
-    M, _ = integral_model(E)
+    M, u = integral_model(E)
     a, b, disc = integral_invariants(M)
-    assert a == M.a_invariants()
-    assert b == M.b_invariants()
-    assert disc == M.discriminant()
+    want = silverman_invariants(*M)
+    assert a == tuple(int(x) for x in M.a_invariants())
+    assert b == tuple(map(want.get, SILVERMAN_ORDER[:4]))
+    assert disc == want["disc"] == silverman_invariants(*E)["disc"] * u ** 12
     assert all(type(x) is int for x in a + b + (disc,))
+    if u == 1:
+        assert M is E
 
 
 def test_ap_needs_an_integral_model():
