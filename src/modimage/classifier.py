@@ -28,8 +28,8 @@ from typing import NamedTuple, Optional, Tuple
 
 from .exactmath import (factor, is_cube, is_probable_prime, is_square,
                         legendre, primes_up_to)
-from .ec import (ShortCurve, WeierstrassCurve, ap, integral_invariants,
-                 integral_model, short_model, twist_test)
+from .ec import (ShortCurve, WeierstrassCurve, ap, integral_model,
+                 short_model, twist_test)
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
                   fingerprint_in_octahedral, fingerprint_in_split_normalizer)
 from .polyq import INFINITY, SIEVE_PRIMES, cover_image_mod, rational_roots
@@ -41,6 +41,10 @@ DEFAULT_FROBENIUS_BOUND = 1000
 # the largest prime the entry points take; a larger one is refused before
 # its primality test, which takes seconds at a few thousand digits
 MAX_PRIME = 10 ** 7
+# the most digits the numerator and denominator of j, and the discriminant
+# of twist_set's integral model, may have: the walk slows down sharply with
+# the height of j, and twist_set factors the discriminant
+MAX_HEIGHT_DIGITS = 200
 
 STATUS_PROVEN = "proven"
 STATUS_CONDITIONAL = "conditional(BPR-conjecture)"
@@ -137,7 +141,9 @@ def _cover_parameters(entry, j):
 
 def _twist_label(model, E, d: int, labels) -> str:
     """labels = (h1, h2, g): h1 when E is isomorphic to model, h2 when E
-    is the quadratic twist of model by d, else g."""
+    is the quadratic twist of model by d, else g. Both tests read the one
+    short model of E."""
+    E = short_model(_as_long(E))
     if twist_test(model, E, 1):
         return labels[0]
     if twist_test(model, E, d):
@@ -175,6 +181,13 @@ def _primes_to(bound: int) -> tuple:
     return tuple(primes_up_to(bound))
 
 
+def _good_primes(l: int, disc: int, bound: int):
+    """The primes p <= bound not dividing l * disc, in increasing order:
+    the good primes other than l that both Frobenius scans read."""
+    ld = l * disc
+    return (p for p in _primes_to(bound) if ld % p)
+
+
 def frobenius_noncontainment(E, l: int, bound: int) -> dict:
     """Trace certificates against the maximal subgroup types.
 
@@ -189,11 +202,8 @@ def frobenius_noncontainment(E, l: int, bound: int) -> dict:
     if l < 5:
         raise ValueError("certificates are defined for l >= 5")
     M, _ = integral_model(E)
-    _, _, disc = integral_invariants(M)
     found = {}
-    for p in _primes_to(bound):
-        if (l * disc) % p == 0:
-            continue
+    for p in _good_primes(l, M.discriminant().numerator, bound):
         t = ap(M, p) % l
         d = p % l
         for kind, contains in MAXIMAL_KINDS:
@@ -373,13 +383,18 @@ def _checked_prime(l) -> int:
     return l
 
 
-def _checked_primes(primes):
-    if primes is None:
-        return DEFAULT_PRIMES
-    return tuple(sorted({_checked_prime(l) for l in primes}))
-
-
 def _report(E, j, primes, frobenius_bound: int) -> Report:
+    """The report of classify or classify_from_j (E None), after checking
+    the height of j, then the primes, then that a j of 0 or 1728 comes
+    with a model."""
+    if max(abs(j.numerator), j.denominator) >= 10 ** MAX_HEIGHT_DIGITS:
+        raise ValueError(f"the numerator and denominator of j must be at "
+                         f"most {MAX_HEIGHT_DIGITS} digits long")
+    primes = DEFAULT_PRIMES if primes is None else \
+        tuple(sorted({_checked_prime(l) for l in primes}))
+    if E is None and j in (0, 1728):
+        raise ValueError(f"j = {j} needs a curve model; twists with this "
+                         "j-invariant have different images")
     entry = cm_entry(j)
     results = tuple(
         classify_cm(E, l, entry) if entry is not None
@@ -392,7 +407,6 @@ def classify(E: WeierstrassCurve, primes=None,
              frobenius_bound: int = DEFAULT_FROBENIUS_BOUND) -> Report:
     """Classify the mod-l image of E at every requested prime."""
     E = _as_long(E)
-    primes = _checked_primes(primes)
     return _report(E, E.j_invariant(), primes, frobenius_bound)
 
 
@@ -404,12 +418,7 @@ def classify_from_j(j, primes=None,
     level with an explanatory note. j = 0 and j = 1728 are rejected:
     every rule for them reads the model.
     """
-    j = Fraction(j)
-    primes = _checked_primes(primes)
-    if j in (0, 1728):
-        raise ValueError(f"j = {j} needs a curve model; twists with this "
-                         "j-invariant have different images")
-    return _report(None, j, primes, frobenius_bound)
+    return _report(None, Fraction(j), primes, frobenius_bound)
 
 
 # --- twist sets --------------------------------------------------------------
@@ -420,21 +429,25 @@ def twist_set(E, l: int, r: int, factor_bound: int = 10 ** 6) -> set:
     Candidates are the signed squarefree integers supported on l and the
     primes of the integral model's discriminant. A discriminant d is
     excluded by a good prime p = 1 mod l with a_p = -2 (d|p) mod l; the
-    returned set shrinks toward the true twist set as r grows.
+    returned set shrinks toward the true twist set as r grows. A
+    discriminant of more than MAX_HEIGHT_DIGITS digits is refused before
+    any other check.
     """
+    M, _ = integral_model(_as_long(E))
+    disc = M.discriminant().numerator
+    if abs(disc) >= 10 ** MAX_HEIGHT_DIGITS:
+        raise ValueError(f"the discriminant of the integral model must be "
+                         f"at most {MAX_HEIGHT_DIGITS} digits long")
     l = _checked_prime(l)
     if l == 2:
         raise ValueError("twist sets are defined for odd primes")
-    M, _ = integral_model(_as_long(E))
-    _, _, disc = integral_invariants(M)
     support = sorted(factor(l * disc, factor_bound))
     candidates = [1]
     for q in support:
         candidates += [d * q for d in candidates]
     candidates += [-d for d in candidates]
     survivors = set()
-    tests = [p for p in primes_up_to(r)
-             if p % l == 1 and (l * disc) % p != 0]
+    tests = [p for p in _good_primes(l, disc, r) if p % l == 1]
     traces = {p: ap(M, p) for p in tests}
     for d in candidates:
         if all((traces[p] + 2 * legendre(d, p)) % l != 0 for p in tests):

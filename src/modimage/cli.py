@@ -31,8 +31,7 @@ from .classifier import (
     classify_from_j,
     twist_set,
 )
-from .ec import (ShortCurve, WeierstrassCurve, ap, integral_invariants,
-                 integral_model)
+from .ec import ShortCurve, WeierstrassCurve, ap, integral_model
 from .exactmath import is_probable_prime
 from .polyq import INFINITY
 from .tables import emit_text, group_from_label, verify_all
@@ -41,17 +40,15 @@ from .tables import emit_text, group_from_label, verify_all
 # limits on the size arguments: primes_up_to(N) allocates O(N) memory,
 # ap(M, p) and factor(n, N) take O(p) and O(N) steps, a primality test
 # of a prime with thousands of digits takes seconds, group --prime L
-# enumerates ~L^4 elements (37 is the largest prime a table names), the
-# fiber tests of classify slow down sharply with the height of j, and
-# twist-set factors the discriminant of the integral model, so one limit
-# bounds both; a rational literal may have as many digits as int() reads
-# from a string.
+# enumerates ~L^4 elements (37 is the largest prime a table names), and a
+# rational literal may have as many digits as int() reads from a string.
 # Each limit is checked before any test of primality; the prime limit is
-# the library's own MAX_PRIME, checked here to name the flag.
+# the library's own MAX_PRIME, checked here to name the flag. The height
+# limit on j and on twist-set's discriminant is the library's own
+# MAX_HEIGHT_DIGITS, checked by the library alone.
 _MAX_SCAN_BOUND = 10 ** 5
 _MAX_FACTOR_BOUND = 10 ** 7
 _MAX_GROUP_PRIME = 37
-_MAX_HEIGHT_DIGITS = 200
 _MAX_LITERAL_DIGITS = 4300
 
 
@@ -207,18 +204,12 @@ def cmd_classify(ns) -> int:
     bound = _bounded("--frobenius-bound", ns.frobenius_bound,
                      _MAX_SCAN_BOUND)
     if model is not None:
-        j = model.j_invariant()
+        report = classify(model, primes, frobenius_bound=bound)
     elif ns.j is not None:
-        j = _rational(ns.j)
+        report = classify_from_j(_rational(ns.j), primes,
+                                 frobenius_bound=bound)
     else:
         raise InputError("give a curve (--curve or --short) or --j")
-    if max(abs(j.numerator), j.denominator) >= 10 ** _MAX_HEIGHT_DIGITS:
-        raise InputError(f"the numerator and denominator of j must be at "
-                         f"most {_MAX_HEIGHT_DIGITS} digits long")
-    if model is not None:
-        report = classify(model, primes, frobenius_bound=bound)
-    else:
-        report = classify_from_j(j, primes, frobenius_bound=bound)
     if ns.format == "json":
         print(json.dumps(report_to_dict(report, model), indent=2))
     else:
@@ -270,10 +261,6 @@ def cmd_twist_set(ns) -> int:
     r = _bounded("--r", ns.r, _MAX_SCAN_BOUND)
     factor_bound = _bounded("--factor-bound", ns.factor_bound,
                             _MAX_FACTOR_BOUND)
-    _, _, disc = integral_invariants(integral_model(E)[0])
-    if abs(disc) >= 10 ** _MAX_HEIGHT_DIGITS:
-        raise InputError(f"the discriminant of the integral model must be "
-                         f"at most {_MAX_HEIGHT_DIGITS} digits long")
     ds = twist_set(E, l, r, factor_bound=factor_bound)
     print(" ".join(str(d) for d in sorted(ds)))
     return 0

@@ -181,23 +181,23 @@ def _as_short(E) -> ShortCurve:
 def twist_test(E, Eprime, d: Rat) -> bool:
     """Whether Eprime is isomorphic over Q to the quadratic twist of E by d.
 
-    Requires j(E) = j(Eprime). Away from j = 0 and j = 1728 the twisting
-    scalar between the short models is c = (B' A)/(B A'), and the answer is
-    whether c*d is a square. For j = 0 only d = 1 is supported (same
-    quadratic-twist orbit, decided by whether B'/B is a cube); other
-    combinations raise ValueError.
+    Requires j(E) = j(Eprime). On the short models y^2 = x^3 + Ax + B,
+    j = 6912 A^3 / (4A^3 + 27B^2), so the j agree exactly when
+    A^3 B'^2 = A'^3 B^2, and j = 0 and j = 1728 are A = 0 and B = 0. Away
+    from them the twisting scalar between the short models is
+    c = (B' A)/(B A'), and the answer is whether c*d is a square. For j = 0
+    only d = 1 is supported (same quadratic-twist orbit, decided by whether
+    B'/B is a cube); other combinations raise ValueError.
     """
-    a = _as_short(E)
-    b = _as_short(Eprime)
+    A, B = _as_short(E)
+    A2, B2 = _as_short(Eprime)
     d = _fr(d)
-    j = a.j_invariant()
-    if j != b.j_invariant():
+    if A ** 3 * B2 ** 2 != A2 ** 3 * B ** 2:
         raise ValueError("twist test requires equal j-invariants")
-    if j != 0 and j != 1728:
-        c = (b.B * a.A) / (a.B * b.A)
-        return is_square(c * d)
-    if j == 0 and d == 1:
-        return is_cube(b.B / a.B)
+    if A and B:
+        return is_square((B2 * A) / (B * A2) * d)
+    if not A and d == 1:
+        return is_cube(B2 / B)
     raise ValueError("twist test at j = 0 or 1728 only supports the "
                      "same-orbit form (j = 0, d = 1)")
 
@@ -217,17 +217,6 @@ def integral_model(E: WeierstrassCurve) -> Tuple[WeierstrassCurve, int]:
                                             a4 * u ** 4, a6 * u ** 6)), u
 
 
-def integral_invariants(M: WeierstrassCurve) -> tuple:
-    """(a, b, disc) of the integral model M (see integral_model): its
-    a-invariants and b-invariants as tuples of ints and its discriminant,
-    all in integer arithmetic. Raises ValueError when M has a
-    non-integral coefficient."""
-    a, b, _, disc = _invariants(M)
-    if type(disc) is not int:
-        raise ValueError(f"ap needs an integral model, got {M!r}")
-    return a, b, disc
-
-
 def ap(M: WeierstrassCurve, p: int) -> int:
     """Trace of Frobenius a_p = p + 1 - #M(F_p) by direct counting on the
     integral model M (see integral_model). Raises ValueError when M has a
@@ -238,7 +227,9 @@ def ap(M: WeierstrassCurve, p: int) -> int:
     of 4x^3 + b2 x^2 + 2 b4 x + b6 (complete the square in y); p = 2 is a
     four-point brute force.
     """
-    (a1, a2, a3, a4, a6), (b2, b4, b6, _), disc = integral_invariants(M)
+    (a1, a2, a3, a4, a6), (b2, b4, b6, _), _, disc = _invariants(M)
+    if type(disc) is not int:
+        raise ValueError(f"ap needs an integral model, got {M!r}")
     if disc % p == 0:
         raise BadReduction(f"p = {p} divides the discriminant")
     if p == 2:

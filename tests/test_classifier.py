@@ -373,6 +373,8 @@ class TestFrobeniusTail:
                   WeierstrassCurve(1, 0, 1, 4, -6)):
             classify(E, [13, 17, 37])
             classify(E, [17], frobenius_bound=500)
+            # twist_set scans the same sieve as the certificate scans
+            twist_set(E, 7, 1000)
         assert calls == [1000, 500]
 
 
@@ -502,6 +504,49 @@ class TestInputValidation:
         with pytest.raises(ValueError) as info:
             self.prime_taking_calls(l)[name]()
         assert str(info.value) == f"{l} is not prime"
+
+    J_TOO_TALL = ("the numerator and denominator of j must be at most 200 "
+                  "digits long")
+    DISC_TOO_TALL = ("the discriminant of the integral model must be at "
+                     "most 200 digits long")
+
+    @staticmethod
+    def forbid(monkeypatch, *names):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("computation started")
+
+        for name in names:
+            monkeypatch.setattr(modimage.classifier, name, forbidden)
+
+    # each call also breaks the prime limit where it names primes: the
+    # height is checked first
+    @pytest.mark.parametrize("call", [
+        lambda: classify(WeierstrassCurve(0, 0, 0, 10 ** 70, 1)),
+        lambda: classify(ShortCurve(10 ** 70, 1), [4]),
+        lambda: classify_from_j(10 ** 200),
+        lambda: classify_from_j(F(1, 10 ** 200), [9]),
+        lambda: classify_from_j(F(-10 ** 250, 7), [0]),
+    ], ids=["model", "short-model-composite-l", "j", "j-denominator",
+            "negative-j-zero-l"])
+    def test_tall_j_refused_before_the_walk(self, call, monkeypatch):
+        self.forbid(monkeypatch, "is_probable_prime", "cm_entry",
+                    "classify_cm", "classify_prime_noncm")
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == self.J_TOO_TALL
+
+    def test_j_at_the_height_limit_is_classified(self):
+        for j in (10 ** 200 - 1, F(-1, 10 ** 200 - 1)):
+            assert classify_from_j(j, [2]).results[0].label == "GL2"
+
+    @pytest.mark.parametrize("l", [7, 2, 9, 10 ** 7 + 1])
+    def test_tall_twist_set_model_refused_before_factoring(self, l,
+                                                          monkeypatch):
+        # 4 (10^1500 + 1)^3 + 27 has 4501 digits
+        self.forbid(monkeypatch, "is_probable_prime", "factor")
+        with pytest.raises(ValueError) as info:
+            twist_set(ShortCurve(10 ** 1500 + 1, 1), l, 10)
+        assert str(info.value) == self.DISC_TOO_TALL
 
     def test_non_integer_prime_rejected(self):
         E = WeierstrassCurve(1, 1, 1, -305, 7888)

@@ -296,7 +296,9 @@ class TestExitCodes:
         def forbidden(*args, **kwargs):
             raise AssertionError("factoring started")
 
-        monkeypatch.setattr(cli, "twist_set", forbidden)
+        # the library refuses the model before its prime test and factoring
+        monkeypatch.setattr(classifier, "is_probable_prime", forbidden)
+        monkeypatch.setattr(classifier, "factor", forbidden)
         assert cli.run(list(self.TALL_TWIST_SET)) == 1
         assert capsys.readouterr().err == (
             "modimage: error: the discriminant of the integral model must "
@@ -307,7 +309,7 @@ class TestExitCodes:
         # past the height limit, factor() leaves a cofactor of more than
         # 4300 digits; the stubbed primality test (composite) keeps the
         # test from running Miller-Rabin on it
-        monkeypatch.setattr(cli, "_MAX_HEIGHT_DIGITS", 5000)
+        monkeypatch.setattr(classifier, "MAX_HEIGHT_DIGITS", 5000)
         monkeypatch.setattr(exactmath, "is_probable_prime", lambda n: False)
         assert cli.run(list(self.TALL_TWIST_SET)) == 1
         err = capsys.readouterr().err
@@ -420,8 +422,6 @@ class TestExitCodes:
          "--r", "10", "--factor-bound", "-1"),
         ("group", "--prime", "41", "--label", "GL2"),
         ("group", "--prime", "1000000007", "--label", "B"),
-        ("classify", "--j", "1" + "0" * 250),
-        ("classify", "--short", f"{10 ** 70},1"),
     ] + OVERSIZED_LITERALS)
     def test_size_arguments_rejected_before_computing(self, args, capsys,
                                                       monkeypatch):
@@ -438,6 +438,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert_one_error_line(err)
         assert "must be" in err or "is not a prime" in err
+
+    @pytest.mark.parametrize("args", [
+        ("classify", "--j", "1" + "0" * 250),
+        ("classify", "--short", f"{10 ** 70},1"),
+        ("classify", "--j", "1" + "0" * 250, "--primes", "4"),
+    ], ids=["j", "model", "j-composite-prime"])
+    def test_tall_j_refused_before_computing(self, args, capsys,
+                                             monkeypatch):
+        # the library checks the height of j before the primes and the walk
+        def forbidden(*args, **kwargs):
+            raise AssertionError("computation started")
+
+        for name in ("is_probable_prime", "cm_entry", "classify_cm",
+                     "classify_prime_noncm"):
+            monkeypatch.setattr(classifier, name, forbidden)
+        assert cli.run(list(args)) == 1
+        assert capsys.readouterr().err == (
+            "modimage: error: the numerator and denominator of j must be at "
+            "most 200 digits long\n")
 
 
 # Argument lists for the fuzz below: every flag of every subcommand, each

@@ -13,13 +13,13 @@ from modimage.ec import (
     WeierstrassCurve,
     ap,
     division_polynomial,
-    integral_invariants,
     integral_model,
     quadratic_twist,
     scalar_mul,
     short_model,
     twist_test,
 )
+from modimage.exactmath import is_cube, is_square
 from modimage.polyq import Poly, exact_divide
 from oracles import brute_force_ap, silverman_invariants
 
@@ -96,12 +96,39 @@ def test_quadratic_twist():
     assert Ed.j_invariant() == E.j_invariant()
 
 
-@given(
-    st.integers(min_value=-8, max_value=8),
-    st.integers(min_value=-8, max_value=8),
-    st.sampled_from([-7, -3, -1, 2, 3, 5, 6]),
-)
-def test_twist_preserves_j_and_twist_test(A, B, d):
+def twist_oracle(E, Eprime, d):
+    """twist_test by its definition through j: the answer, or the text of
+    the ValueError it must raise."""
+    a, b = (S if isinstance(S, ShortCurve) else short_model(S)
+            for S in (E, Eprime))
+    j = a.j_invariant()
+    if j != b.j_invariant():
+        return "twist test requires equal j-invariants"
+    if j not in (0, 1728):
+        return is_square((b.B * a.A) / (a.B * b.A) * d)
+    if j == 0 and d == 1:
+        return is_cube(b.B / a.B)
+    return ("twist test at j = 0 or 1728 only supports the same-orbit "
+            "form (j = 0, d = 1)")
+
+
+def twist_outcome(E, Eprime, d):
+    """twist_test(E, Eprime, d), or the text of the ValueError it raised."""
+    try:
+        return twist_test(E, Eprime, d)
+    except ValueError as exc:
+        return str(exc)
+
+
+SMALL = st.integers(min_value=-8, max_value=8)
+
+
+@given(SMALL, SMALL, st.sampled_from([-7, -3, -1, 1, 2, 3, 5, 6, 13]),
+       SMALL, SMALL)
+@example(0, 1, -7, 0, 2)      # j = 0
+@example(1, 0, 13, -1, 0)     # j = 1728
+@example(0, 1, 1, 1, 0)       # j = 0 against j = 1728
+def test_twist_preserves_j_and_twist_test(A, B, d, A2, B2):
     if 4 * A ** 3 + 27 * B ** 2 == 0:
         return
     E = ShortCurve(A, B)
@@ -111,6 +138,12 @@ def test_twist_preserves_j_and_twist_test(A, B, d):
         assert twist_test(E, Ed, d)
         assert twist_test(Ed, E, d)
         assert twist_test(E, E, 1)
+    pairs = [(E, Ed), (Ed, E), (E, E)]
+    if 4 * A2 ** 3 + 27 * B2 ** 2 != 0:
+        pairs += [(E, ShortCurve(A2, B2)), (ShortCurve(A2, B2), Ed)]
+    for X, Y in pairs:
+        for e in (1, -7, 13, d):
+            assert twist_outcome(X, Y, e) == twist_oracle(X, Y, e), (X, Y, e)
 
 
 def test_twist_test_cases():
@@ -144,12 +177,17 @@ def test_twist_test_refuses_other_forms_at_0_and_1728(E, Eprime, d):
     (CURVE_J121, CURVE_J131),
     (WeierstrassCurve(0, 0, 0, Fraction(-1, 4), Fraction(1, 8)),
      ShortCurve(-1, 2)),
+    (ShortCurve(0, 1), ShortCurve(1, 0)),     # j = 0 against j = 1728
+    (ShortCurve(0, 1), ShortCurve(-1, 1)),    # j = 0 against j != 0, 1728
+    (ShortCurve(-1, 0), CURVE_J121),          # j = 1728 against j = -121
 ])
 def test_twist_test_requires_equal_j(E, Eprime):
-    for d in (1, -7):
-        with pytest.raises(ValueError) as info:
-            twist_test(E, Eprime, d)
-        assert str(info.value) == "twist test requires equal j-invariants"
+    for X, Y in ((E, Eprime), (Eprime, E)):
+        for d in (1, -7, 13):
+            with pytest.raises(ValueError) as info:
+                twist_test(X, Y, d)
+            assert str(info.value) == twist_oracle(X, Y, d) == \
+                "twist test requires equal j-invariants"
 
 
 def test_twist_guards():
@@ -220,27 +258,36 @@ def test_invariants_match_the_silverman_formulas(coeffs):
 @given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
                 min_size=5, max_size=5),
        st.integers(min_value=1, max_value=30))
-def test_integral_invariants_match_the_rational_ones(coeffs, scale):
+def test_integral_model_invariants_match_the_rational_ones(coeffs, scale):
     try:
         E = WeierstrassCurve(*(Fraction(c, scale) for c in coeffs))
     except SingularCurveError:
         return
     M, u = integral_model(E)
-    a, b, disc = integral_invariants(M)
     want = silverman_invariants(*M)
-    assert a == tuple(int(x) for x in M.a_invariants())
-    assert b == tuple(map(want.get, SILVERMAN_ORDER[:4]))
+    assert all(a.denominator == 1 for a in M.a_invariants())
+    assert M.b_invariants() == tuple(map(want.get, SILVERMAN_ORDER[:4]))
+    disc = M.discriminant()
     assert disc == want["disc"] == silverman_invariants(*E)["disc"] * u ** 12
-    assert all(type(x) is int for x in a + b + (disc,))
+    assert all(x.denominator == 1 for x in M.b_invariants() + (disc,))
+    # ap counts on M itself: at the least good prime it matches brute force
+    p = next((p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+              if disc % p), None)
+    if p is not None:
+        assert ap(M, p) == brute_force_ap(M, p)
     if u == 1:
         assert M is E
 
 
-def test_ap_needs_an_integral_model():
+@pytest.mark.parametrize("E", [
+    WeierstrassCurve(0, 0, 0, Fraction(-1, 4), Fraction(1, 8)),
+    WeierstrassCurve(0, 0, 0, Fraction(1, 2), 1),
+])
+def test_ap_needs_an_integral_model(E):
     with pytest.raises(ValueError, match="ap needs an integral model"):
-        ap(WeierstrassCurve(0, 0, 0, Fraction(-1, 4), Fraction(1, 8)), 7)
-    with pytest.raises(ValueError, match="ap needs an integral model"):
-        integral_invariants(WeierstrassCurve(0, 0, 0, Fraction(1, 2), 1))
+        ap(E, 7)
+    M, _ = integral_model(E)
+    assert ap(M, 7) == brute_force_ap(M, 7)
 
 
 def test_ap_against_brute_force():
