@@ -7,12 +7,15 @@ mod-l representation up to conjugacy in GL_2(F_l):
   table in order of decreasing index; the first hit (a cover parameter,
   a j-value, or at l = 11 the nonsplit normalizer's plane quadratic
   criterion) is refined to a twist sublabel with the curve parametrized
-  by the matched value; a cover is tried first against its image on
-  P^1(F_p) at a few small primes, which rules out nearly every miss;
+  by the matched value; a cover, and the criterion, is tried first
+  against its image on P^1(F_p) at a few small primes, which rules out
+  nearly every miss;
 * at l = 13 and l >= 17 the remaining open containments (nonsplit or
   split normalizer images with no known rational points) give verdicts
   conditional on the surjectivity conjecture, upgraded to proven when
   Frobenius traces certify non-containment in every open possibility;
+  the trace scans of one classify call read one Frobenius pass, which
+  builds the integral model once and counts each a_p once;
 * CM curves are classified by the discriminant table rules, including
   the mod-9 refinements for j = 0 and the twist tests at l = D; at l = 2
   away from j in {0, 1728} the l = 2 table decides, since a quadratic
@@ -32,7 +35,8 @@ from .ec import (ShortCurve, WeierstrassCurve, ap, integral_model,
                  short_model, twist_test)
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
                   fingerprint_in_octahedral, fingerprint_in_split_normalizer)
-from .polyq import INFINITY, SIEVE_PRIMES, cover_image_mod, rational_roots
+from .polyq import (INFINITY, cover_image_mod, outside_image_mod,
+                    rational_roots)
 from .tables import (CMEntry, EXCEPTIONAL_LOOKUP, cm_entry,
                      nonsplit11_contains, prime_table, supported_primes)
 
@@ -101,9 +105,9 @@ class Report(NamedTuple):
 def _cover_images(key) -> dict:
     """The images on P^1(F_p) of the cover whose (num.ints, num.den,
     den.ints, den.den) is key, as {p: cover_image_mod(num, den, p)}, filled
-    in by _cover_parameters as it first needs each prime. Keyed on the
-    cover's value, so a cover built anew never meets another's images;
-    64 covers hold the 28 of the tables."""
+    in by outside_image_mod as _cover_parameters first needs each prime.
+    Keyed on the cover's value, so a cover built anew never meets
+    another's images; 64 covers hold the 28 of the tables."""
     return {}
 
 
@@ -123,14 +127,8 @@ def _cover_parameters(entry, j):
     """
     num, den = entry.cover
     images = _cover_images((num.ints, num.den, den.ints, den.den))
-    a, b = j.numerator, j.denominator
-    for p in SIEVE_PRIMES:
-        if p not in images:
-            images[p] = cover_image_mod(num, den, p)
-        image = images[p]
-        if image is not None and \
-                (a * pow(b, -1, p) % p if b % p else p) not in image:
-            return []
+    if outside_image_mod(j, images, lambda p: cover_image_mod(num, den, p)):
+        return []
     f = num - j * den
     roots = {t for t in rational_roots(f) if t not in entry.bad_t}
     out = sorted(roots, key=lambda t: (t.denominator, t.numerator))
@@ -181,30 +179,65 @@ def _primes_to(bound: int) -> tuple:
     return tuple(primes_up_to(bound))
 
 
-def _good_primes(l: int, disc: int, bound: int):
-    """The primes p <= bound not dividing l * disc, in increasing order:
-    the good primes other than l that both Frobenius scans read."""
-    ld = l * disc
-    return (p for p in _primes_to(bound) if ld % p)
+def _good_primes(disc: int, bound: int):
+    """The primes p <= bound not dividing disc, in increasing order."""
+    return (p for p in _primes_to(bound) if disc % p)
 
 
-def frobenius_noncontainment(E, l: int, bound: int) -> dict:
+class FrobeniusPass:
+    """The pairs (p, a_p) of a curve E at its good primes p <= bound, in
+    increasing order: the one Frobenius pass that the trace scans of a
+    classify call read in turn.
+
+    The integral model and its discriminant are built when a scan first
+    reads the pass, and each a_p when a scan first reaches p; a later
+    scan rereads the pairs already computed. A pass lives for one call.
+    """
+
+    def __init__(self, E, bound: int):
+        self._pairs = []
+        self._rest = self._scan(E, bound)
+
+    @staticmethod
+    def _scan(E, bound: int):
+        M, _ = integral_model(_as_long(E))
+        for p in _good_primes(M.discriminant().numerator, bound):
+            yield p, ap(M, p)
+
+    def __iter__(self):
+        pairs, i = self._pairs, 0
+        while True:
+            if i == len(pairs):
+                pair = next(self._rest, None)
+                if pair is None:
+                    return
+                pairs.append(pair)
+            yield pairs[i]
+            i += 1
+
+
+def frobenius_noncontainment(E, l: int, bound: int, *,
+                             traces: Optional[FrobeniusPass] = None) -> dict:
     """Trace certificates against the maximal subgroup types.
 
-    For each good prime p <= bound compute (t, d) = (a_p, p) mod l. A
-    type is ruled out by the first pair that no element of its subgroup
-    has, as decided by the type's test in MAXIMAL_KINDS (the exceptional
-    type is the projectively octahedral normalizer).
+    For each good prime p <= bound other than l compute
+    (t, d) = (a_p, p) mod l. A type is ruled out by the first pair that
+    no element of its subgroup has, as decided by the type's test in
+    MAXIMAL_KINDS (the exceptional type is the projectively octahedral
+    normalizer). The pairs are read from traces, the Frobenius pass of E
+    up to bound that a classify call shares among its scans, or from a
+    pass of its own when traces is None.
 
     Returns {kind: Certificate} for the types ruled out.
     """
     l = _checked_prime(l)
     if l < 5:
         raise ValueError("certificates are defined for l >= 5")
-    M, _ = integral_model(E)
     found = {}
-    for p in _good_primes(l, M.discriminant().numerator, bound):
-        t = ap(M, p) % l
+    for p, a in FrobeniusPass(E, bound) if traces is None else traces:
+        if p == l:
+            continue
+        t = a % l
         d = p % l
         for kind, contains in MAXIMAL_KINDS:
             if kind not in found and not contains(t, d, l):
@@ -214,7 +247,7 @@ def frobenius_noncontainment(E, l: int, bound: int) -> dict:
     return found
 
 
-def _tail(E, l: int, bound: int, candidates) -> ImageResult:
+def _tail(E, l: int, bound: int, candidates, traces) -> ImageResult:
     """No table entry or isolated j-invariant settled l: the image is full
     unless it lies in one of the candidate groups, which conjecturally
     never happens for non-CM curves.
@@ -227,7 +260,8 @@ def _tail(E, l: int, bound: int, candidates) -> ImageResult:
     if E is None:
         found, note = {}, "model required for Frobenius certificates"
     else:
-        found, note = frobenius_noncontainment(E, l, bound), ""
+        found = frobenius_noncontainment(E, l, bound, traces=traces)
+        note = ""
     certs = tuple(found[k] for k, _ in MAXIMAL_KINDS if k in found)
     possible = tuple(lab for lab, kind in candidates if kind not in found)
     status = STATUS_CONDITIONAL if possible else STATUS_PROVEN
@@ -255,13 +289,16 @@ def _first_hit(j, l: int):
 
 
 def classify_prime_noncm(E, j, l: int,
-                         frobenius_bound: int = DEFAULT_FROBENIUS_BOUND
+                         frobenius_bound: int = DEFAULT_FROBENIUS_BOUND, *,
+                         traces: Optional[FrobeniusPass] = None
                          ) -> ImageResult:
     """Image of the mod-l representation for a non-CM j-invariant.
 
     E may be None (classification from j alone); twist refinement and
     Frobenius certification then degrade with a note. The walk takes the
-    first matching entry in the table's decreasing-index order.
+    first matching entry in the table's decreasing-index order. traces
+    is the Frobenius pass of E that the call's scans share, as in
+    frobenius_noncontainment.
     """
     j = Fraction(j)
     if l in supported_primes():
@@ -273,7 +310,7 @@ def classify_prime_noncm(E, j, l: int,
         if l == 13:
             return _tail(E, 13, frobenius_bound,
                          (("13.Ns", "SplitNormalizer"),
-                          ("13.Nns", "NonsplitNormalizer")))
+                          ("13.Nns", "NonsplitNormalizer")), traces)
         return ImageResult(l, "GL2", STATUS_PROVEN)
     l = _checked_prime(l)
     label = EXCEPTIONAL_LOOKUP.get((l, j))
@@ -283,7 +320,7 @@ def classify_prime_noncm(E, j, l: int,
     candidates = ((f"{l}.Nns", "NonsplitNormalizer"),)
     if l % 3 == 2:
         candidates += ((f"{l}.Nns-index3", "NonsplitNormalizer"),)
-    return _tail(E, l, frobenius_bound, candidates)
+    return _tail(E, l, frobenius_bound, candidates, traces)
 
 
 # --- CM curves ---------------------------------------------------------------
@@ -396,9 +433,12 @@ def _report(E, j, primes, frobenius_bound: int) -> Report:
         raise ValueError(f"j = {j} needs a curve model; twists with this "
                          "j-invariant have different images")
     entry = cm_entry(j)
+    # one Frobenius pass, read in turn by every trace scan of this call;
+    # it computes nothing until a scan reads it
+    traces = None if E is None else FrobeniusPass(E, frobenius_bound)
     results = tuple(
         classify_cm(E, l, entry) if entry is not None
-        else classify_prime_noncm(E, j, l, frobenius_bound)
+        else classify_prime_noncm(E, j, l, frobenius_bound, traces=traces)
         for l in primes)
     return Report(E, j, entry, results)
 
@@ -447,7 +487,7 @@ def twist_set(E, l: int, r: int, factor_bound: int = 10 ** 6) -> set:
         candidates += [d * q for d in candidates]
     candidates += [-d for d in candidates]
     survivors = set()
-    tests = [p for p in _good_primes(l, disc, r) if p % l == 1]
+    tests = [p for p in _good_primes(disc, r) if p % l == 1]
     traces = {p: ap(M, p) for p in tests}
     for d in candidates:
         if all((traces[p] + 2 * legendre(d, p)) % l != 0 for p in tests):

@@ -19,8 +19,9 @@ simple, Newton lifts those roots to a large prime power, and applies
 rational reconstruction; every candidate is verified by exact
 substitution, and completeness follows from the root bounds used to
 size the lift. cover_image_mod gives the image of P^1(F_p) under a
-cover at one of the same small primes, against which the classifier
-tests a j before it builds a fibre.
+cover at one of the same small primes, and quadratic_image_mod that of
+the nonsplit-11 criterion; outside_image_mod is the one lookup of a j
+against such images, made before any fibre is built.
 """
 
 from __future__ import annotations
@@ -384,9 +385,9 @@ def compose(outer: tuple, inner: tuple) -> tuple:
 # --- rational root finding -------------------------------------------------
 
 # The primes at which rational_roots looks for a root-free reduction, and
-# at which the classifier compares j with the image of a cover
-# (cover_image_mod); a prime p costs up to p evaluations, and on the
-# classify path the first few already rule out nearly every cover fibre.
+# at which outside_image_mod compares j with the image of a cover or of
+# the nonsplit-11 criterion; a prime p costs up to p evaluations, and on
+# the classify path the first few already rule out nearly every fibre.
 SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
@@ -487,27 +488,34 @@ def _eval_mod(ints: list, x: int, m: int) -> int:
     return acc
 
 
+def _projective_values(polys: tuple, p: int):
+    """The values mod p of the polys at each x of P^1(F_p), infinity last.
+
+    The polys are scaled by one rational to integers with no common
+    content and homogenized at their largest degree n, so at x = infinity
+    their values are the degree-n coefficients."""
+    d = math.lcm(*[f.den for f in polys])
+    ints = [[c * (d // f.den) for c in f.ints] for f in polys]
+    g = math.gcd(*[c for f in ints for c in f])
+    n = max(map(len, ints))
+    forms = [[c // g % p for c in f] + [0] * (n - len(f)) for f in ints]
+    for x in range(p):
+        yield tuple(_eval_mod(f, x, p) for f in forms)
+    yield tuple(f[-1] for f in forms)
+
+
 def cover_image_mod(num: Poly, den: Poly, p: int) -> Optional[frozenset]:
     """The image of P^1(F_p) under the cover num/den, or None where it
     says nothing.
 
-    With N and D the integer multiples of num and den by one scalar, with
-    no common content, homogenized at degree n = max(deg N, deg D), the
-    image is the set of points (N^h(x) : D^h(x)) for x in P^1(F_p), each
-    written as its affine coordinate in range(p), and infinity as p. At
-    x = infinity N^h and D^h are the degree-n coefficients. None when N^h
-    and D^h share a zero on P^1(F_p), where (0 : 0) is no point.
+    With N and D the forms of num and den made integral and homogenized
+    as in _projective_values, the image is the set of points
+    (N^h(x) : D^h(x)) for x in P^1(F_p), each written as its affine
+    coordinate in range(p), and infinity as p. None when N^h and D^h
+    share a zero on P^1(F_p), where (0 : 0) is no point.
     """
-    N = [c * den.den for c in num.ints]
-    D = [c * num.den for c in den.ints]
-    g = math.gcd(*N, *D)
-    n = max(len(N), len(D))
-    N = [c // g % p for c in N] + [0] * (n - len(N))
-    D = [c // g % p for c in D] + [0] * (n - len(D))
-    points = [(_eval_mod(N, x, p), _eval_mod(D, x, p)) for x in range(p)]
-    points.append((N[-1], D[-1]))
     image = set()
-    for y, z in points:
+    for y, z in _projective_values((num, den), p):
         if z:
             image.add(y * pow(z, -1, p) % p)
         elif y:
@@ -515,6 +523,48 @@ def cover_image_mod(num: Poly, den: Poly, p: int) -> Optional[frozenset]:
         else:
             return None
     return frozenset(image)
+
+
+def quadratic_image_mod(A: Poly, B: Poly, C: Poly, p: int
+                        ) -> Optional[frozenset]:
+    """The points (a : b) of P^1(F_p) over which the curve
+    A(x) j^2 + B(x) j + C(x) = 0 has a point with x in P^1(F_p), or None
+    where it says nothing.
+
+    With A, B and C made integral and homogenized as in
+    _projective_values, these are the (a : b) where
+    A^h(x) a^2 + B^h(x) ab + C^h(x) b^2 vanishes for some x, written as
+    in cover_image_mod. None when A^h, B^h and C^h share a zero on
+    P^1(F_p), over which every (a : b) lies.
+    """
+    image = set()
+    for alpha, beta, gamma in _projective_values((A, B, C), p):
+        if not (alpha or beta or gamma):
+            return None
+        image.update(a for a in range(p)
+                     if ((alpha * a + beta) * a + gamma) % p == 0)
+        if not alpha:
+            image.add(p)
+    return frozenset(image)
+
+
+def outside_image_mod(j: Fraction, images: dict, image_mod) -> bool:
+    """Whether j = a/b in lowest terms, as the point (a : b), reduces
+    outside the image on P^1(F_p) at some p of SIEVE_PRIMES.
+
+    images maps each prime looked up so far to image_mod(p), an image as
+    cover_image_mod writes it; a prime is filled in the first time a
+    lookup reaches it, and an image of None is passed over.
+    """
+    a, b = j.numerator, j.denominator
+    for p in SIEVE_PRIMES:
+        if p not in images:
+            images[p] = image_mod(p)
+        image = images[p]
+        if image is not None and \
+                (a * pow(b, -1, p) % p if b % p else p) not in image:
+            return True
+    return False
 
 
 def _rational_reconstruct(x: int, m: int, bound_u: int, bound_v: int):

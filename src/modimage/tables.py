@@ -17,7 +17,10 @@ carries some of:
 
 The nonsplit Cartan normalizer at l = 11 has a genus-one fiber handled
 by its own criterion (a rank-one curve and a quadratic in j); its data
-lives in NonsplitCriterion11.
+lives in NonsplitCriterion11. nonsplit11_contains first looks j up in
+the criterion's image on P^1(F_p) at the small sieve primes, built the
+first time a lookup needs it, and only a j that every image admits
+reaches the polynomial in x.
 
 Everything is exact: Fractions and Poly over Q, each cover a coprime
 (num, den) pair as transcribed. verify_all() re-derives the internal
@@ -48,7 +51,8 @@ from .gl2 import (
     primitive_root,
 )
 from .polyq import INFINITY, Poly, compose, exact_divide, format_poly, \
-    poly_gcd, poly_sqrt, rational_roots
+    outside_image_mod, poly_gcd, poly_sqrt, quadratic_image_mod, \
+    rational_roots
 
 T = Poly.var()
 F = Fraction
@@ -512,15 +516,33 @@ def nonsplit11_j(x, y):
     return (f1 * f2 * f3 * f4) ** 3 / den
 
 
+# the images on P^1(F_p) of the criterion, {p: quadratic_image_mod(A, B,
+# C, p)}, filled in by outside_image_mod as nonsplit11_contains first
+# needs each prime (at p = 11 the image is None: A, B and C share a zero)
+_NONSPLIT11_IMAGES = {}
+
+
 def nonsplit11_contains(j) -> bool:
     """Whether a rational point of the criterion curve sits over j.
 
     Affine points appear as rational roots in x of A*j^2 + B*j + C. The
     curve's single point at infinity sits over j = 54000, where the
     leading coefficients cancel and the degree of that polynomial drops.
+
+    First a local test: the answer is False when j = a/b reduces outside
+    the criterion's image on P^1(F_p) at some sieve prime p. Sound
+    because a root x = u/v in lowest terms gives
+    A^h(u, v) a^2 + B^h(u, v) ab + C^h(u, v) b^2 = 0 with the forms of
+    quadratic_image_mod, and the drop at j = 54000 is that identity at
+    (u : v) = (1 : 0); both reduce mod p to a point of the image. Only a
+    j that every image admits reaches A*j^2 + B*j + C.
     """
     crit = nonsplit11()
     j = Fraction(j)
+    if outside_image_mod(j, _NONSPLIT11_IMAGES,
+                         lambda p: quadratic_image_mod(crit.A, crit.B,
+                                                       crit.C, p)):
+        return False
     f = crit.A * j ** 2 + crit.B * j + crit.C
     if f.degree < crit.A.degree:
         return True

@@ -346,8 +346,9 @@ class TestFrobeniusTail:
             frobenius_noncontainment(WeierstrassCurve(0, 0, 1, -1, 0), 3, 100)
 
     def test_one_integral_model_per_certificate_scan(self, monkeypatch):
-        # ap counts on the model it is given, so each Frobenius scan
-        # builds the integral model once, not once per prime
+        # ap counts on the model it is given, and the scans at 13, 17 and
+        # 37 read one Frobenius pass, so a classify call builds the
+        # integral model once, not once per scan or per prime
         calls = []
 
         def counted(E):
@@ -357,7 +358,44 @@ class TestFrobeniusTail:
         monkeypatch.setattr(modimage.ec, "integral_model", counted)
         monkeypatch.setattr(modimage.classifier, "integral_model", counted)
         classify(WeierstrassCurve(0, 0, 1, -1, 0), [13, 17, 37])
-        assert len(calls) == 3
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("E", [
+        WeierstrassCurve(0, 0, 1, -1, 0),
+        WeierstrassCurve(1, 0, 1, 4, -6),
+        short(F(-3, 4), F(5, 8)),
+    ])
+    def test_one_trace_per_prime_per_classify(self, monkeypatch, E):
+        # the scans at 13, 17 and 37 share one pass: a_p is counted once
+        # for each p that some scan reaches, and no model is built twice
+        calls = []
+
+        def counted(M, p):
+            calls.append((M, p))
+            return ap(M, p)
+
+        monkeypatch.setattr(modimage.classifier, "ap", counted)
+        report = classify(E, [13, 17, 37])
+        assert calls
+        assert len(calls) == len({p for _, p in calls})
+        assert len({M for M, _ in calls}) == 1
+        # and the pass reaches as far as the furthest certificate scan
+        last = max(c.p for r in report.results for c in r.certificates)
+        assert max(p for _, p in calls) == last
+        # each scan finds on the shared pass what a pass of its own finds
+        monkeypatch.undo()
+        for r in report.results:
+            found = frobenius_noncontainment(E, r.prime, 1000)
+            assert set(r.certificates) == set(found.values())
+
+    def test_trace_scans_accept_a_short_curve(self):
+        E = ShortCurve(-1, 1)
+        assert frobenius_noncontainment(E, 13, 100) == \
+            frobenius_noncontainment(E.to_long(), 13, 100)
+        j = E.j_invariant()
+        for l in (13, 17, 37):
+            assert classify_prime_noncm(E, j, l) == \
+                classify_prime_noncm(E.to_long(), j, l)
 
     def test_one_sieve_per_frobenius_bound(self, monkeypatch):
         # the scans at 13, 17 and 37 of every curve share one sieve

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from modimage import cli, exactmath
 from modimage.exactmath import (
@@ -80,6 +80,7 @@ def test_factor_incomplete_names_a_long_cofactor_by_bit_length(monkeypatch):
         f"cofactor of {bits} bits resists trial division up to 40"
 
 
+@settings(derandomize=True, deadline=None)
 @given(st.integers(min_value=2, max_value=10 ** 6))
 def test_factor_multiplies_back(n):
     fac = factor(n)
@@ -90,11 +91,13 @@ def test_factor_multiplies_back(n):
     assert prod == n
 
 
+@settings(derandomize=True, deadline=None)
 @given(st.integers(min_value=-1000, max_value=1000))
 def test_is_square_matches_naive(n):
     assert is_square(n) == naive_is_square(n)
 
 
+@settings(derandomize=True, deadline=None)
 @given(st.integers(min_value=-50, max_value=50))
 def test_recognises_perfect_powers(n):
     assert is_square(n * n)
@@ -131,6 +134,7 @@ def test_legendre_rational_arguments():
         legendre(1, 4)
 
 
+@settings(derandomize=True, deadline=None)
 @given(
     st.integers(min_value=-200, max_value=200),
     st.integers(min_value=-200, max_value=200),

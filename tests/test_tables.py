@@ -21,7 +21,8 @@ from modimage.exactmath import primes_up_to
 from modimage.gl2 import (Mat2, Subgroup, gl2_order, is_applicable,
                           is_conjugate, normalizer_nonsplit,
                           octahedral_normalizer)
-from modimage.polyq import INFINITY, Poly, poly_gcd
+from modimage.polyq import (INFINITY, SIEVE_PRIMES, Poly, poly_gcd,
+                            quadratic_image_mod, rational_roots)
 from modimage.tables import (CM_TABLE, EXCEPTIONAL_LOOKUP, Cover, TableEntry,
                              cm_entry, emit_text, group_from_label,
                              nonsplit11, nonsplit11_contains, nonsplit11_j,
@@ -144,6 +145,7 @@ small_fracs = st.builds(F, st.integers(min_value=-9, max_value=9),
 small_polys = st.lists(small_fracs, min_size=1, max_size=5).map(Poly)
 
 
+@settings(derandomize=True, deadline=None)
 @given(small_polys, small_polys, small_polys)
 def test_same_map_ignores_a_common_factor(f, g, h):
     if g.degree < 0 or h.degree < 0:
@@ -158,6 +160,7 @@ covers = st.tuples(small_polys, small_polys).filter(
     and poly_gcd(*c).degree == 0)
 
 
+@settings(derandomize=True, deadline=None)
 @given(covers, small_fracs, st.booleans())
 @example((T + 1, T - 1), F(3), True)        # equal degrees: the lead ratio
 @example((T + 1, T - 1), F(3), False)
@@ -277,6 +280,70 @@ def test_criterion_contains_inert_cm_j():
     assert nonsplit11_contains(-147197952000)
     assert not nonsplit11_contains(F(1))
     assert not nonsplit11_contains(8000)       # split at 11, not inert
+
+
+def _criterion_j():
+    """The inert CM j-invariants and the j of +-k P for k = 1..6, P the
+    generator of the criterion curve, poles left out."""
+    crit = nonsplit11()
+    gen = PointQ(crit.curve, *crit.generator)
+    out = [F(54000), F(0), F(1728), F(-12288000), F(-147197952000)]
+    for k in range(-6, 7):
+        if k:
+            q = scalar_mul(gen, k)
+            j = nonsplit11_j(q.x, q.y)
+            if j is not INFINITY:
+                out.append(j)
+    return out
+
+
+CRITERION_J = _criterion_j()
+
+
+def test_criterion_j_lies_in_every_image():
+    crit = nonsplit11()
+    images = {p: quadratic_image_mod(crit.A, crit.B, crit.C, p)
+              for p in SIEVE_PRIMES}
+    # A, B and C share a zero mod 11 only
+    assert [p for p, image in images.items() if image is None] == [11]
+    assert len(CRITERION_J) == 15
+    for j in CRITERION_J:
+        a, b = j.numerator, j.denominator
+        for p, image in images.items():
+            if image is not None:
+                assert (a * pow(b, -1, p) % p if b % p else p) in image, \
+                    (j, p)
+        assert nonsplit11_contains(j)
+
+
+def _unsieved_nonsplit11_contains(j):
+    crit = nonsplit11()
+    f = crit.A * j ** 2 + crit.B * j + crit.C
+    return f.degree < crit.A.degree or bool(rational_roots(f))
+
+
+tall = st.integers(min_value=-10 ** 40, max_value=10 ** 40)
+criterion_inputs = st.one_of(
+    st.sampled_from(CRITERION_J),
+    st.builds(F, tall, st.integers(min_value=1, max_value=10 ** 6)),
+    # a denominator divisible by a sieve prime: (a : b) = (1 : 0) there
+    st.builds(lambda a, b, q: F(a, b * q), tall,
+              st.integers(min_value=1, max_value=1000),
+              st.sampled_from(SIEVE_PRIMES)),
+    # a point over the criterion moved by a multiple of p^3
+    st.builds(lambda j, q, m: j + q ** 3 * m, st.sampled_from(CRITERION_J),
+              st.sampled_from(SIEVE_PRIMES),
+              st.integers(min_value=-10 ** 6, max_value=10 ** 6)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(criterion_inputs)
+@example(F(54000 + 2 * 3 * 5 * 7 * 13 * 17 * 19 * 23 * 29))
+@example(F(1, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29))
+@example(F(8000))
+def test_criterion_sieve_matches_the_unsieved_test(j):
+    assert nonsplit11_contains(j) == _unsieved_nonsplit11_contains(j)
 
 
 def test_listed_generators_match_constructors():
