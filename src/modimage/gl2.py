@@ -1,9 +1,12 @@
-"""Subgroups of GL2 over a prime field, by explicit enumeration.
+"""Subgroups of GL2 over a prime field, given by generators.
 
 Matrices are immutable tuples (a, b, c, d, l) of entries reduced mod l,
-with nonzero determinant. Subgroups are given by generators and
-enumerated on first use (intended for l <= 13 plus a few named groups at
-larger l, where the orders stay in the tens of thousands).
+with nonzero determinant. A subgroup whose generators are upper
+triangular, one of them [1, b; 0, 1] with b != 0 (the Borel group and
+the exceptional images at 17 and 37 among them), has its order and
+invariants counted in closed form from the diagonals of its generators.
+Every other subgroup, and the elements of any subgroup, are enumerated
+on first use: ~l^4 matrices for GL2(F_l), so intended for l <= 37.
 """
 
 from __future__ import annotations
@@ -136,9 +139,12 @@ class Invariants(NamedTuple):
 
 class Subgroup:
     """A subgroup of GL2(F_l) given by generators. Its elements are
-    enumerated the first time they are read, and kept."""
+    enumerated the first time they are read, and kept. Its order and
+    invariants come from the elements too, unless the generators qualify
+    for the closed form of _borel_diagonals; then they come from the
+    diagonal pairs, counted the first time they are read."""
 
-    __slots__ = ("l", "generators", "label", "_elements")
+    __slots__ = ("l", "generators", "label", "_elements", "_diagonals")
 
     def __init__(self, l: int, generators: Iterable[Mat2], label: str = ""):
         gens = tuple(generators)
@@ -149,6 +155,7 @@ class Subgroup:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_elements", None)
+        object.__setattr__(self, "_diagonals", _UNREAD)
 
     def __setattr__(self, *args):
         raise AttributeError("Subgroup is immutable")
@@ -160,9 +167,20 @@ class Subgroup:
             object.__setattr__(self, "_elements", span(self.generators, self.l))
         return self._elements
 
+    def _diagonal_pairs(self) -> Optional[frozenset]:
+        """The diagonal pairs of the elements when the closed form holds
+        (see _borel_diagonals), otherwise None."""
+        if self._diagonals is _UNREAD:
+            object.__setattr__(self, "_diagonals",
+                               _borel_diagonals(self.generators, self.l))
+        return self._diagonals
+
     @property
     def order(self) -> int:
-        return len(self.elements)
+        diagonals = self._diagonal_pairs()
+        if diagonals is None:
+            return len(self.elements)
+        return self.l * len(diagonals)
 
     @property
     def index(self) -> int:
@@ -170,21 +188,60 @@ class Subgroup:
 
     def invariants(self) -> Invariants:
         """Order, index, determinants, -I and (trace, det) pairs, read in
-        one pass over the elements on their unpacked entries."""
+        one pass over the diagonal pairs or over the elements on their
+        unpacked entries."""
         l = self.l
-        prints = frozenset(((a + d) % l, (a * d - b * c) % l)
-                           for a, b, c, d, _ in self.elements)
+        diagonals = self._diagonal_pairs()
+        if diagonals is None:
+            prints = frozenset(((a + d) % l, (a * d - b * c) % l)
+                               for a, b, c, d, _ in self.elements)
+            has_minus_i = -Mat2.identity(l) in self.elements
+        else:
+            prints = frozenset(((a + d) % l, a * d % l)
+                               for a, d in diagonals)
+            has_minus_i = (l - 1, l - 1) in diagonals
         return Invariants(
             order=self.order,
             index=self.index,
             det_is_full=len({det for _, det in prints}) == l - 1,
-            has_minus_i=-Mat2.identity(l) in self.elements,
+            has_minus_i=has_minus_i,
             fingerprints=prints,
         )
 
     def __repr__(self):
         name = self.label or "subgroup"
         return f"<{name} of GL2(F_{self.l}), order {self.order}>"
+
+
+_UNREAD = object()  # a Subgroup's diagonal pairs, not yet counted
+
+
+def _borel_diagonals(generators, l: int) -> Optional[frozenset]:
+    """The diagonal pairs (a, d) of the group G the generators span, when
+    every generator is upper triangular and one is [1, b; 0, 1] with
+    b != 0; None otherwise.
+
+    Such a G lies in the Borel group and holds all of U = {[1, x; 0, 1]},
+    which has prime order l. The map g -> (a, d) is a homomorphism onto
+    the subgroup D of (F_l^*)^2 that the generators' diagonal pairs span,
+    with kernel U, so G = {[a, x; 0, d] : (a, d) in D} and |G| = l |D|.
+    D is their closure, of at most (l - 1)^2 pairs."""
+    if not (all(c == 0 for _, _, c, _, _ in generators)
+            and any(a == d == 1 and b for a, b, _, d, _ in generators)):
+        return None
+    gens = {(a, d) for a, _, _, d, _ in generators}
+    pairs = {(1, 1)}
+    frontier = [(1, 1)]
+    while frontier:
+        grown = []
+        for x, y in frontier:
+            for a, d in gens:
+                pair = (x * a % l, y * d % l)
+                if pair not in pairs:
+                    pairs.add(pair)
+                    grown.append(pair)
+        frontier = grown
+    return frozenset(pairs)
 
 
 def is_applicable(G: Subgroup) -> bool:

@@ -576,12 +576,16 @@ def group_from_label(l: int, name: str) -> Subgroup:
 
     Accepts either the bare name ("G1", "H4.2", "Ns", "B", "GL2",
     "Ns-index3", "CM.H1", ...) or the full label "l.name". Raises
-    ValueError unless l is prime and the label is known. This is the one
-    way from a label to its group: verify_all checks what it returns.
+    ValueError unless l is prime and the label is known and names no
+    other prime. This is the one way from a label to its group:
+    verify_all checks what it returns.
     """
     if not is_probable_prime(l):
         raise ValueError(f"l = {l} is not a prime")
     name = name.removeprefix(f"{l}.")
+    prefix, dot, _ = name.partition(".")
+    if dot and prefix.isdecimal():
+        raise ValueError(f"label {name} is at l = {prefix}, not {l}")
     full = f"{l}.{name}"
     if name.startswith("CM.") and l == 2:
         raise ValueError(f"{full} needs an odd l")

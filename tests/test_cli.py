@@ -19,6 +19,7 @@ import modimage
 import modimage.classifier as classifier
 import modimage.cli as cli
 import modimage.exactmath as exactmath
+import modimage.gl2 as gl2
 import modimage.tables as tables
 from modimage.exactmath import FactorizationIncomplete
 from modimage.tables import (EXCEPTIONAL_GENERATORS, prime_table,
@@ -47,6 +48,16 @@ def plus_minus_level(label: str) -> str:
         if e.subs and label in [name for name, _ in e.subs]:
             return e.label
     return label
+
+
+@pytest.fixture
+def span_calls(monkeypatch):
+    """The l of every gl2.span call the test makes."""
+    calls = []
+    span = gl2.span
+    monkeypatch.setattr(gl2, "span",
+                        lambda gens, l: calls.append(l) or span(gens, l))
+    return calls
 
 
 class TestClassify:
@@ -171,6 +182,21 @@ class TestGroup:
         assert "unknown" not in err
 
 
+    @pytest.mark.parametrize("label, order, index", [
+        ("37.G3", 15984, 114), ("B", 47952, 38)])
+    def test_borel_groups_at_37_are_counted(self, label, order, index,
+                                            capsys, span_calls):
+        assert cli.run(["group", "--prime", "37", "--label", label]) == 0
+        out = capsys.readouterr().out
+        assert f"order: {order}\nindex: {index}\n" in out
+        assert "det surjective: yes\ncontains -I: yes\n" in out
+        assert span_calls == []
+
+    def test_verify_tables_enumerates_nothing_at_37(self, span_calls):
+        assert all(ok for _, ok, _ in tables.verify_all())
+        assert span_calls and 37 not in span_calls
+
+
 class TestAp:
     def test_quoted_trace(self, capsys):
         code, out = run_cli("ap", "--curve", "0,0,0,-338,2392", "--p", "3",
@@ -278,9 +304,11 @@ class TestExitCodes:
         (("twist-set", "--short=0,1000000016000000063", "--prime", "7",
           "--r", "10", "--factor-bound", "0"), "resists trial division"),
         (("group", "--prime", "11", "--label", "XX"), "unknown label 11.XX"),
+        (("group", "--prime", "37", "--label", "17.G1"),
+         "label 17.G1 is at l = 17, not 37"),
         (("classify", "--j", "0"), "j = 0 needs a curve model"),
     ], ids=["BadReduction", "FactorizationIncomplete", "unknown-label",
-            "j-zero"])
+            "label-at-another-prime", "j-zero"])
     def test_library_errors_exit_one(self, args, message, capsys):
         assert cli.run(list(args)) == 1
         err = capsys.readouterr().err

@@ -159,7 +159,8 @@ def test_generators_over_another_field_are_refused():
     assert str(info.value) == "generator over the wrong field"
 
 
-def test_subgroups_span_only_when_elements_are_read(monkeypatch):
+def _counting_span(monkeypatch):
+    """Record the l of every span call made through the gl2 module."""
     calls = []
 
     def counting_span(generators, l):
@@ -167,6 +168,11 @@ def test_subgroups_span_only_when_elements_are_read(monkeypatch):
         return span(generators, l)
 
     monkeypatch.setattr(gl2, "span", counting_span)
+    return calls
+
+
+def test_subgroups_span_only_when_elements_are_read(monkeypatch):
+    calls = _counting_span(monkeypatch)
     tables._gens_of(borel(13))
     G = normalizer_split(7)
     assert calls == []
@@ -205,6 +211,108 @@ def test_invariants_against_enumeration():
     assert inv.det_is_full
     assert inv.has_minus_i
     assert inv.fingerprints == subgroup_fingerprints(G.elements)
+
+
+def _enumerated_invariants(elements, l):
+    """Invariants of an explicit set of (a, b, c, d) tuples, read as an
+    oracle independent of Subgroup."""
+    prints = subgroup_fingerprints(Mat2(*m, l) for m in elements)
+    return gl2.Invariants(
+        order=len(elements),
+        index=gl2_order(l) // len(elements),
+        det_is_full=len({det for _, det in prints}) == l - 1,
+        has_minus_i=(l - 1, 0, 0, l - 1) in elements,
+        fingerprints=prints,
+    )
+
+
+def _qualifies(gens):
+    """Upper-triangular generators, one of them [1, b; 0, 1] with b != 0."""
+    return (all(m.c == 0 for m in gens)
+            and any(m.a == m.d == 1 and m.b for m in gens))
+
+
+def _labels_group_from_label_accepts():
+    """{(l, full label): group} for every label group_from_label accepts
+    at the table primes, 17 and 37."""
+    names = ("GL2", "Cs", "Cns", "Ns", "Nns", "B", "Ns-index3",
+             "Nns-index3", "CM.G", "CM.H1", "CM.H2")
+    labels = [(l, name) for l in tables.supported_primes() + (17, 37)
+              for name in names]
+    labels += [(l, label) for l in tables.supported_primes()
+               for e in tables.prime_table(l).entries
+               for label in (e.label, *(sub for sub, _ in e.subs))]
+    labels += [(int(label.split(".")[0]), label)
+               for label in tables.EXCEPTIONAL_GENERATORS]
+    accepted = {}
+    for l, name in labels:
+        try:
+            G = tables.group_from_label(l, name)
+        except ValueError:  # the index-3 groups at half the primes,
+            continue        # Cns, Nns and CM.* at l = 2
+        accepted[(l, G.label)] = G
+    return accepted
+
+
+def test_closed_form_matches_enumeration(monkeypatch):
+    calls = _counting_span(monkeypatch)
+    qualified = []
+    for (l, label), G in _labels_group_from_label_accepts().items():
+        if not _qualifies(G.generators):
+            continue
+        qualified.append(label)
+        inv = G.invariants()
+        assert (G.order, G.index) == (inv.order, inv.index)
+        assert calls == [], label  # counted, not enumerated
+        gens = [m.tuple() for m in G.generators]
+        elements = (naive_span(gens, l) if l <= 13 else
+                    {m.tuple() for m in span(G.generators, l)})
+        assert inv == _enumerated_invariants(elements, l), label
+    assert {"37.G3", "37.G4", "17.G1", "17.G2", "37.B", "37.CM.H2",
+            "13.G6", "13.H5.2", "2.B", "2.G2"} <= set(qualified)
+    assert len(qualified) == 72
+
+
+@st.composite
+def _unipotent_borel_generators(draw):
+    """A prime l and upper-triangular (a, b, 0, d) tuples, one of them
+    [1, b; 0, 1] with b != 0, in a drawn position."""
+    l = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    unit = st.integers(min_value=1, max_value=l - 1)
+    entry = st.integers(min_value=0, max_value=l - 1)
+    gens = draw(st.lists(st.tuples(unit, entry, st.just(0), unit),
+                         max_size=3))
+    at = draw(st.integers(min_value=0, max_value=len(gens)))
+    gens.insert(at, (1, draw(unit), 0, 1))
+    return l, gens
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_unipotent_borel_generators())
+def test_closed_form_matches_span_on_random_borel_generators(case):
+    l, gens = case
+    G = Subgroup(l, [Mat2(*g, l) for g in gens])
+    expected = _enumerated_invariants({m.tuple() for m in span(
+        G.generators, l)}, l)
+    assert G.invariants() == expected
+    assert G._elements is None  # the closed form read no element
+
+
+@pytest.mark.parametrize("l, gens", [
+    (5, tables.prime_table(5).entries[0].gens),  # 5.G1: no unipotent
+    (5, tables._gens_of(cartan_split(5))),
+    (5, [(1, 0, 0, 1), (2, 0, 0, 1)]),  # the identity is no unipotent
+    (5, [(1, 0, 1, 1), (2, 0, 0, 1)]),  # a lower unipotent
+    (5, tables._gens_of(full_gl2(5))),  # a unipotent beside [0, 1; 1, 0]
+], ids=["5.G1", "Cs", "identity", "lower", "GL2"])
+def test_other_generators_still_enumerate(monkeypatch, l, gens):
+    calls = _counting_span(monkeypatch)
+    G = Subgroup(l, [Mat2(*g, l) for g in gens])
+    assert not _qualifies(G.generators)
+    inv = G.invariants()
+    assert calls == [l]
+    assert inv == _enumerated_invariants(
+        naive_span([m.tuple() for m in G.generators], l), l)
 
 
 def test_applicability():
