@@ -7,9 +7,10 @@ mod-l representation up to conjugacy in GL_2(F_l):
   table in order of decreasing index; the first hit (a cover parameter,
   a j-value, or at l = 11 the nonsplit normalizer's plane quadratic
   criterion) is refined to a twist sublabel with the curve parametrized
-  by the matched value; a cover, and the criterion, is tried first
-  against its image on P^1(F_p) at a few small primes, which rules out
-  nearly every miss;
+  by the matched value; j is reduced once per call at a few small
+  primes, and one sieve per l, a bit per entry, keeps only the entries
+  whose image on P^1(F_p) holds j at every one of them, which rules out
+  nearly every miss before an exact test runs;
 * at l = 13 and l >= 17 the remaining open containments (nonsplit or
   split normalizer images with no known rational points) give verdicts
   conditional on the surjectivity conjecture, upgraded to proven when
@@ -35,9 +36,9 @@ from .ec import (ShortCurve, WeierstrassCurve, ap, integral_model,
                  short_model, twist_test)
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
                   fingerprint_in_octahedral, fingerprint_in_split_normalizer)
-from .polyq import (INFINITY, cover_image_mod, outside_image_mod,
-                    rational_roots)
-from .tables import (CMEntry, EXCEPTIONAL_LOOKUP, cm_entry,
+from .polyq import (INFINITY, SIEVE_PRIMES, cover_image_mod,
+                    quadratic_image_mod, rational_roots)
+from .tables import (CMEntry, EXCEPTIONAL_LOOKUP, cm_entry, nonsplit11,
                      nonsplit11_contains, prime_table, supported_primes)
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 37)
@@ -101,34 +102,15 @@ class Report(NamedTuple):
 
 # --- the genus-zero walk ----------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _cover_images(key) -> dict:
-    """The images on P^1(F_p) of the cover whose (num.ints, num.den,
-    den.ints, den.den) is key, as {p: cover_image_mod(num, den, p)}, filled
-    in by outside_image_mod as _cover_parameters first needs each prime.
-    Keyed on the cover's value, so a cover built anew never meets
-    another's images; 64 covers hold the 28 of the tables."""
-    return {}
-
-
 def _cover_parameters(entry, j):
     """Rational t with cover value j, excluded values removed, sorted by
     (denominator, numerator); INFINITY appended when the cover takes the
     value j there, that is when num - j*den drops below the cover's degree.
 
-    First a local test: with j = a/b in lowest terms, the result is []
-    when at some p of SIEVE_PRIMES the point (a : b) mod p lies outside
-    the cover's image on P^1(F_p). Sound because a t = u/v in lowest
-    terms over j (t = infinity being (1 : 0)) has b N^h(u, v) = a D^h(u, v)
-    for the homogenized N and D of cover_image_mod; at a prime where they
-    share no zero on P^1(F_p), both sides' vectors are nonzero mod p, so
-    (a : b) is the image of (u : v) mod p. A prime with no such image is
-    passed over. Only a j that every image admits reaches num - j*den.
+    The exact test: the walk reaches it only for an entry that its sieve
+    admits (see _WalkSieve).
     """
     num, den = entry.cover
-    images = _cover_images((num.ints, num.den, den.ints, den.den))
-    if outside_image_mod(j, images, lambda p: cover_image_mod(num, den, p)):
-        return []
     f = num - j * den
     roots = {t for t in rational_roots(f) if t not in entry.bad_t}
     out = sorted(roots, key=lambda t: (t.denominator, t.numerator))
@@ -269,12 +251,107 @@ def _tail(E, l: int, bound: int, candidates, traces) -> ImageResult:
                        possible=possible, note=note)
 
 
-def _first_hit(j, l: int):
+def _sieve_points(j) -> tuple:
+    """j = a/b in lowest terms as the point (a : b) of P^1(F_p) at each p
+    of SIEVE_PRIMES, written as cover_image_mod writes a point: its affine
+    coordinate in range(p), and infinity as p."""
+    a, b = j.numerator, j.denominator
+    return tuple(a * pow(b, -1, p) % p if b % p else p for p in SIEVE_PRIMES)
+
+
+def _entry_image(entry, p: int) -> Optional[frozenset]:
+    """The image on P^1(F_p) of an entry's cover or of the nonsplit-11
+    criterion, as polyq writes it; None for a j-value entry, whose set
+    lookup is cheaper than any sieve."""
+    if entry.criterion == "nonsplit-fiber":
+        crit = nonsplit11()
+        return quadratic_image_mod(crit.A, crit.B, crit.C, p)
+    if entry.jvals is not None:
+        return None
+    return cover_image_mod(*entry.cover, p)
+
+
+class _WalkSieve:
+    """The entries of one table that j may lie under, read off j's
+    points at the sieve primes.
+
+    For each p of SIEVE_PRIMES, masks[p][r] has bit i set when entry i
+    (in walk order) may lie over the point r of P^1(F_p): r is in the
+    entry's image there, or the entry has no image there (None). An entry
+    whose bit is clear at some p of j's points has no parameter over j.
+    Sound because a cover parameter t = u/v in lowest terms over
+    j = a/b (t = infinity being (1 : 0)) has b N^h(u, v) = a D^h(u, v)
+    for the homogenized N and D of cover_image_mod; at a prime where they
+    share no zero on P^1(F_p), both sides' vectors are nonzero mod p, so
+    (a : b) is the image of (u : v) mod p. Likewise a root x = u/v of the
+    nonsplit-11 polynomial A*j^2 + B*j + C gives
+    A^h(u, v) a^2 + B^h(u, v) ab + C^h(u, v) b^2 = 0 with the forms of
+    quadratic_image_mod, and the degree drop at j = 54000 is that
+    identity at (u : v) = (1 : 0); both reduce mod p to a point of the
+    image.
+
+    The masks fill lazily: entry i's image at p is built the first time
+    a j that every earlier prime left entry i reaches p, and never again.
+    A sieve holds its table's entries, and serves no other table.
+    """
+
+    __slots__ = ("entries", "masks", "filled")
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.masks = {p: [0] * (p + 1) for p in SIEVE_PRIMES}
+        self.filled = dict.fromkeys(SIEVE_PRIMES, 0)
+
+    def admitted(self, points) -> int:
+        """The bits of the entries whose image holds j's point at every
+        sieve prime; the scan stops once none is left."""
+        alive = (1 << len(self.entries)) - 1
+        for p, r in zip(SIEVE_PRIMES, points):
+            todo = alive & ~self.filled[p]
+            if todo:
+                self._fill(p, todo)
+            alive &= self.masks[p][r]
+            if not alive:
+                break
+        return alive
+
+    def _fill(self, p: int, todo: int):
+        masks = self.masks[p]
+        self.filled[p] |= todo
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            image = _entry_image(self.entries[bit.bit_length() - 1], p)
+            for r in range(p + 1) if image is None else image:
+                masks[r] |= bit
+
+
+# the walk sieve of each table prime, built the first time a walk needs
+# it; like prime_table's cache, it holds what the table alone decides,
+# so every classify call in the process reads the masks filled so far
+_SIEVES = {}
+
+
+def _first_hit(j, l: int, points: Optional[tuple] = None):
     """The first entry of the table for l whose image j lies under, in
     the table's decreasing-index order, as (entry, t): t is the smallest
     cover parameter over j, or None for a j-value or nonsplit-11 criterion
-    hit. None when j lies under no entry."""
-    for entry in prime_table(l).entries:
+    hit. None when j lies under no entry.
+
+    points is j reduced by _sieve_points, which a classify call shares
+    among its walks. Only the entries that the sieve of l admits meet
+    their exact test: the cover's parameters, the j-values, or the
+    criterion.
+    """
+    entries = prime_table(l).entries
+    sieve = _SIEVES.get(l)
+    if sieve is None or sieve.entries is not entries:
+        sieve = _SIEVES[l] = _WalkSieve(entries)
+    alive = sieve.admitted(_sieve_points(j) if points is None else points)
+    while alive:
+        bit = alive & -alive
+        alive ^= bit
+        entry = entries[bit.bit_length() - 1]
         if entry.criterion == "nonsplit-fiber":
             if nonsplit11_contains(j):
                 return entry, None
@@ -290,19 +367,20 @@ def _first_hit(j, l: int):
 
 def classify_prime_noncm(E, j, l: int,
                          frobenius_bound: int = DEFAULT_FROBENIUS_BOUND, *,
-                         traces: Optional[FrobeniusPass] = None
-                         ) -> ImageResult:
+                         traces: Optional[FrobeniusPass] = None,
+                         points: Optional[tuple] = None) -> ImageResult:
     """Image of the mod-l representation for a non-CM j-invariant.
 
     E may be None (classification from j alone); twist refinement and
     Frobenius certification then degrade with a note. The walk takes the
     first matching entry in the table's decreasing-index order. traces
     is the Frobenius pass of E that the call's scans share, as in
-    frobenius_noncontainment.
+    frobenius_noncontainment, and points is j reduced at the sieve
+    primes, which the call's walks share, as in _first_hit.
     """
     j = Fraction(j)
     if l in supported_primes():
-        hit = _first_hit(j, l)
+        hit = _first_hit(j, l, points)
         if hit is not None:
             entry, t = hit
             label, note = _refine(entry, t, E, prime_table(l).twist)
@@ -436,9 +514,12 @@ def _report(E, j, primes, frobenius_bound: int) -> Report:
     # one Frobenius pass, read in turn by every trace scan of this call;
     # it computes nothing until a scan reads it
     traces = None if E is None else FrobeniusPass(E, frobenius_bound)
+    # j reduced once at the sieve primes, read by every walk of this call
+    points = None if entry is not None else _sieve_points(j)
     results = tuple(
         classify_cm(E, l, entry) if entry is not None
-        else classify_prime_noncm(E, j, l, frobenius_bound, traces=traces)
+        else classify_prime_noncm(E, j, l, frobenius_bound, traces=traces,
+                                  points=points)
         for l in primes)
     return Report(E, j, entry, results)
 

@@ -15,13 +15,13 @@ with no root modulo some small prime not dividing its leading
 coefficient has none over Q, and the search ends there, before the
 squarefree gcd. Otherwise it reduces to a squarefree integer polynomial,
 picks the smallest prime at which the roots of that polynomial are
-simple, Newton lifts those roots to a large prime power, and applies
-rational reconstruction; every candidate is verified by exact
-substitution, and completeness follows from the root bounds used to
-size the lift. cover_image_mod gives the image of P^1(F_p) under a
-cover at one of the same small primes, and quadratic_image_mod that of
-the nonsplit-11 criterion; outside_image_mod is the one lookup of a j
-against such images, made before any fibre is built.
+simple, and Newton lifts each of those roots on its own, trying rational
+reconstruction after every doubling and stopping at the first candidate
+that exact substitution verifies; a root not found early is found at the
+precision the root bounds call for, so none is missed. cover_image_mod
+gives the image of P^1(F_p) under a cover at one of the same small
+primes, and quadratic_image_mod that of the nonsplit-11 criterion; the
+classifier's walk sieve reads them.
 """
 
 from __future__ import annotations
@@ -385,9 +385,10 @@ def compose(outer: tuple, inner: tuple) -> tuple:
 # --- rational root finding -------------------------------------------------
 
 # The primes at which rational_roots looks for a root-free reduction, and
-# at which outside_image_mod compares j with the image of a cover or of
-# the nonsplit-11 criterion; a prime p costs up to p evaluations, and on
-# the classify path the first few already rule out nearly every fibre.
+# at which the classifier's walk sieve compares j with the image of each
+# cover and of the nonsplit-11 criterion; a prime p costs up to p
+# evaluations, and on the classify path the first few already rule out
+# nearly every table entry.
 SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
@@ -403,13 +404,15 @@ def rational_roots(f: Poly) -> set:
     Otherwise f is reduced to its squarefree part f / gcd(f, f') over
     coprime ints. The lifting prime is the smallest prime p, not
     dividing the leading coefficient, at which every root of that part
-    mod p is simple. Those roots are Newton lifted, doubling the
-    precision until the modulus exceeds twice the product of the
-    numerator and denominator bounds; rational reconstruction proposes
-    candidates and each is verified by exact substitution into f. No
-    rational root is missed: its denominator divides the leading
+    mod p is simple. Each of those roots is Newton lifted on its own,
+    doubling the precision until the modulus exceeds twice the product of
+    the numerator and denominator bounds, and stops at the first rational
+    reconstruction that exact substitution into f verifies (_lift_root).
+    No rational root is missed: its denominator divides the leading
     coefficient, so it reduces to one of the simple roots mod p, and
-    Newton's iteration from there converges to it.
+    Newton's iteration from there converges to it; and it is the only
+    p-adic root over that residue, so the lift of a residue that has
+    yielded one root has no other to find.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has every root")
@@ -427,19 +430,10 @@ def rational_roots(f: Poly) -> set:
     height = max(abs(c) for c in ints)
     # Any root u/v in lowest terms has v | a_n and |u/v| <= 1 + H/|a_n|,
     # so |u| <= |a_n| + H and |v| <= |a_n|.
-    bound_u = an + height
-    bound_v = an
+    bounds = (an + height, an)
     p, residues = _lifting_prime(ints, dints)
-    target = 2 * bound_u * bound_v + 1
-    lifted, modulus = _newton_lift(ints, dints, residues, p, target)
-    roots = set()
-    for r in lifted:
-        cand = _rational_reconstruct(r, modulus, bound_u, bound_v)
-        if cand is None:
-            continue
-        if f.evaluate(cand) == 0:
-            roots.add(cand)
-    return roots
+    roots = (_lift_root(f, ints, dints, r, p, bounds) for r in residues)
+    return {root for root in roots if root is not None}
 
 
 def _squarefree_part(f: Poly) -> list:
@@ -464,21 +458,34 @@ def _lifting_prime(ints: list, dints: list):
             return p, residues
 
 
-def _newton_lift(ints: list, dints: list, residues: list, p: int,
-                 target: int):
-    """Lift simple roots mod p to roots mod p^(2^m) >= target."""
-    modulus = p
-    roots = list(residues)
-    while modulus < target:
-        modulus = modulus * modulus
-        new_roots = []
-        for r in roots:
-            fr = _eval_mod(ints, r, modulus)
-            dfr = _eval_mod(dints, r, modulus)
-            r2 = (r - fr * pow(dfr, -1, modulus)) % modulus
-            new_roots.append(r2)
-        roots = new_roots
-    return roots, modulus
+def _lift_root(f: Poly, ints: list, dints: list, r: int, p: int,
+               bounds: tuple) -> Optional[Fraction]:
+    """The rational root of f over the simple root r mod p of its
+    squarefree part ints (dints the derivative), or None; bounds are the
+    (numerator, denominator) bounds of rational_roots.
+
+    Newton's iteration squares the modulus m of r until m > 2 * bound_u *
+    bound_v. After each squaring short of that, rational reconstruction
+    with both bounds cut to isqrt(m/2) proposes a candidate, and the first
+    one that exact substitution into f verifies is returned; a candidate
+    that fails is dropped and the lift goes on. Only the last modulus gets
+    the full bounds, which find any root over r.
+    """
+    bound_u, bound_v = bounds
+    target = 2 * bound_u * bound_v + 1
+    m = p
+    while m < target:
+        m = m * m
+        r = (r - _eval_mod(ints, r, m) * pow(_eval_mod(dints, r, m), -1, m)) \
+            % m
+        if m < target:
+            h = math.isqrt(m // 2)
+            cand = _rational_reconstruct(r, m, min(bound_u, h),
+                                         min(bound_v, h))
+            if cand is not None and f.evaluate(cand) == 0:
+                return cand
+    cand = _rational_reconstruct(r, m, bound_u, bound_v)
+    return cand if cand is not None and f.evaluate(cand) == 0 else None
 
 
 def _eval_mod(ints: list, x: int, m: int) -> int:
@@ -546,25 +553,6 @@ def quadratic_image_mod(A: Poly, B: Poly, C: Poly, p: int
         if not alpha:
             image.add(p)
     return frozenset(image)
-
-
-def outside_image_mod(j: Fraction, images: dict, image_mod) -> bool:
-    """Whether j = a/b in lowest terms, as the point (a : b), reduces
-    outside the image on P^1(F_p) at some p of SIEVE_PRIMES.
-
-    images maps each prime looked up so far to image_mod(p), an image as
-    cover_image_mod writes it; a prime is filled in the first time a
-    lookup reaches it, and an image of None is passed over.
-    """
-    a, b = j.numerator, j.denominator
-    for p in SIEVE_PRIMES:
-        if p not in images:
-            images[p] = image_mod(p)
-        image = images[p]
-        if image is not None and \
-                (a * pow(b, -1, p) % p if b % p else p) not in image:
-            return True
-    return False
 
 
 def _rational_reconstruct(x: int, m: int, bound_u: int, bound_v: int):

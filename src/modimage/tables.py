@@ -17,10 +17,9 @@ carries some of:
 
 The nonsplit Cartan normalizer at l = 11 has a genus-one fiber handled
 by its own criterion (a rank-one curve and a quadratic in j); its data
-lives in NonsplitCriterion11. nonsplit11_contains first looks j up in
-the criterion's image on P^1(F_p) at the small sieve primes, built the
-first time a lookup needs it, and only a j that every image admits
-reaches the polynomial in x.
+lives in NonsplitCriterion11, and nonsplit11_contains is its exact test.
+The classifier's walk sieves the criterion modulo small primes with the
+covers, before that test.
 
 Everything is exact: Fractions and Poly over Q, each cover a coprime
 (num, den) pair as transcribed. verify_all() re-derives the internal
@@ -51,8 +50,7 @@ from .gl2 import (
     primitive_root,
 )
 from .polyq import INFINITY, Poly, compose, exact_divide, format_poly, \
-    outside_image_mod, poly_gcd, poly_sqrt, quadratic_image_mod, \
-    rational_roots
+    poly_gcd, poly_sqrt, rational_roots
 
 T = Poly.var()
 F = Fraction
@@ -516,33 +514,17 @@ def nonsplit11_j(x, y):
     return (f1 * f2 * f3 * f4) ** 3 / den
 
 
-# the images on P^1(F_p) of the criterion, {p: quadratic_image_mod(A, B,
-# C, p)}, filled in by outside_image_mod as nonsplit11_contains first
-# needs each prime (at p = 11 the image is None: A, B and C share a zero)
-_NONSPLIT11_IMAGES = {}
-
-
 def nonsplit11_contains(j) -> bool:
     """Whether a rational point of the criterion curve sits over j.
 
     Affine points appear as rational roots in x of A*j^2 + B*j + C. The
     curve's single point at infinity sits over j = 54000, where the
     leading coefficients cancel and the degree of that polynomial drops.
-
-    First a local test: the answer is False when j = a/b reduces outside
-    the criterion's image on P^1(F_p) at some sieve prime p. Sound
-    because a root x = u/v in lowest terms gives
-    A^h(u, v) a^2 + B^h(u, v) ab + C^h(u, v) b^2 = 0 with the forms of
-    quadratic_image_mod, and the drop at j = 54000 is that identity at
-    (u : v) = (1 : 0); both reduce mod p to a point of the image. Only a
-    j that every image admits reaches A*j^2 + B*j + C.
+    This is the exact test; the classifier's walk first sieves j against
+    the criterion's image on P^1(F_p) (see classifier._WalkSieve).
     """
     crit = nonsplit11()
     j = Fraction(j)
-    if outside_image_mod(j, _NONSPLIT11_IMAGES,
-                         lambda p: quadratic_image_mod(crit.A, crit.B,
-                                                       crit.C, p)):
-        return False
     f = crit.A * j ** 2 + crit.B * j + crit.C
     if f.degree < crit.A.degree:
         return True
@@ -575,17 +557,20 @@ def group_from_label(l: int, name: str) -> Subgroup:
     """Build the subgroup of GL2(F_l) named by a verdict label.
 
     Accepts either the bare name ("G1", "H4.2", "Ns", "B", "GL2",
-    "Ns-index3", "CM.H1", ...) or the full label "l.name". Raises
-    ValueError unless l is prime and the label is known and names no
-    other prime. This is the one way from a label to its group:
-    verify_all checks what it returns.
+    "Ns-index3", "CM.H1", ...) or the full label "l.name", whose prefix
+    is read as an integer, so "037.G3" is 37.G3. Raises ValueError
+    unless l is prime and the label is known and names no other prime.
+    This is the one way from a label to its group: verify_all checks
+    what it returns.
     """
     if not is_probable_prime(l):
         raise ValueError(f"l = {l} is not a prime")
-    name = name.removeprefix(f"{l}.")
-    prefix, dot, _ = name.partition(".")
+    prefix, dot, rest = name.partition(".")
     if dot and prefix.isdecimal():
-        raise ValueError(f"label {name} is at l = {prefix}, not {l}")
+        if int(prefix) != l:
+            raise ValueError(f"label {name} is at l = {int(prefix)}, "
+                             f"not {l}")
+        name = rest
     full = f"{l}.{name}"
     if name.startswith("CM.") and l == 2:
         raise ValueError(f"{full} needs an odd l")

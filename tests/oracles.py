@@ -18,8 +18,9 @@ evidence and not a shared bug:
     sequence.
   * subgroup_fingerprints enumerates an explicit subgroup, while the
     closed-form predicates in gl2 never build the group.
-  * naive_span closes a set of plain 4-tuples under all pairwise
-    products, while gl2.span grows a frontier by the generators only.
+  * naive_span closes a set of plain 4-tuples under products with the
+    generators, round by round on plain sets, while gl2.span grows a
+    frontier of Mat2 objects.
   * cover_value and value_at_infinity evaluate a (num, den) cover at a
     point and read its limit from the leading terms, while the package
     asks whether num - j*den has a root or drops degree.
@@ -31,24 +32,35 @@ evidence and not a shared bug:
   * mod2_label reads the mod-2 image of y^2 = x^3 + Ax + B off the
     rational roots and discriminant of the 2-division cubic, while the
     classifier walks the l = 2 cover table.
+  * unsieved_first_hit walks a table entry by entry with the exact tests
+    alone (the rational roots of each fibre, the j-values, the
+    nonsplit-11 polynomial), while classifier._first_hit first sieves
+    every entry at once against its images modulo small primes.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt
 
-from modimage.polyq import Poly
+from modimage.polyq import INFINITY, Poly, rational_roots
+from modimage.tables import nonsplit11, prime_table
 
 
 def _divisors(n):
-    """All positive divisors of n (n != 0), by trial division."""
+    """All positive divisors of n (n != 0), built from its factorization
+    by trial division."""
     n = abs(n)
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
+    out = {1}
+    q = 2
+    while q * q <= n:
+        k = 0
+        while n % q == 0:
+            n //= q
+            k += 1
+        if k:
+            out = {d * q ** e for d in out for e in range(k + 1)}
+        q += 1
+    if n > 1:
+        out |= {d * n for d in out}
     return out
 
 
@@ -165,16 +177,19 @@ def subgroup_fingerprints(elements):
 
 def naive_span(generators, l):
     """The subgroup of GL2(F_l) generated by (a, b, c, d) tuples, as a set
-    of reduced 4-tuples: add every product of two members until nothing
-    new appears."""
-    group = {(1, 0, 0, 1)} | {tuple(x % l for x in g) for g in generators}
-    while True:
+    of reduced 4-tuples: multiply every new member by every generator
+    until nothing new appears. In a finite group the inverses are powers,
+    so the products alone span it."""
+    gens = [tuple(x % l for x in g) for g in generators]
+    group = {(1, 0, 0, 1)}
+    new = list(group)
+    while new:
         products = {((a * e + b * g) % l, (a * f + b * h) % l,
                      (c * e + d * g) % l, (c * f + d * h) % l)
-                    for a, b, c, d in group for e, f, g, h in group}
-        if products <= group:
-            return group
-        group |= products
+                    for a, b, c, d in new for e, f, g, h in gens}
+        new = products - group
+        group |= new
+    return group
 
 
 def naive_is_square(x):
@@ -216,3 +231,30 @@ def silverman_invariants(a1, a2, a3, a4, a6):
     disc = -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     return {"b2": b2, "b4": b4, "b6": b6, "b8": b8, "c4": c4, "c6": c6,
             "disc": disc, "j": c4 * c4 * c4 / disc if disc else None}
+
+
+def unsieved_first_hit(j, l):
+    """The first entry of the table for l that j lies under, as (entry,
+    t), or None: t is the least rational cover parameter over j off the
+    entry's bad_t, by (denominator, numerator), else INFINITY when the
+    fibre polynomial num - j*den drops below the cover's degree; t is
+    None for a j-value or nonsplit-11 hit."""
+    for entry in prime_table(l).entries:
+        if entry.criterion:
+            crit = nonsplit11()
+            f = crit.A * j * j + crit.B * j + crit.C
+            if f.degree < crit.A.degree or rational_roots(f):
+                return entry, None
+        elif entry.jvals is not None:
+            if j in entry.jvals:
+                return entry, None
+        else:
+            num, den = entry.cover
+            f = num - j * den
+            roots = rational_roots(f) - entry.bad_t
+            if roots:
+                return entry, min(roots,
+                                  key=lambda t: (t.denominator, t.numerator))
+            if f.degree < max(num.degree, den.degree):
+                return entry, INFINITY
+    return None

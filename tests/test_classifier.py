@@ -13,12 +13,16 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import modimage.classifier
 import modimage.ec
 import modimage.polyq
 from modimage.classifier import (
     Certificate,
+    _WalkSieve,
+    _first_hit,
+    _sieve_points,
     classify,
     classify_cm,
     classify_from_j,
@@ -38,17 +42,20 @@ from modimage.ec import (
     twist_test,
 )
 from modimage.exactmath import FactorizationIncomplete, primes_up_to
-from modimage.polyq import Poly, rational_roots
+from modimage.polyq import (INFINITY, SIEVE_PRIMES, Poly, cover_image_mod,
+                            quadratic_image_mod, rational_roots)
 from modimage.gl2 import (
     borel,
     normalizer_nonsplit,
     normalizer_split,
     octahedral_normalizer,
 )
-from modimage.tables import (CM_TABLE, group_from_label, prime_table,
+from modimage.tables import (CM_TABLE, TableEntry, group_from_label,
+                             nonsplit11, nonsplit11_j, prime_table,
                              supported_primes)
-from oracles import (brute_force_ap, divisor_root_search, mod2_label,
-                     naive_is_square, subgroup_fingerprints)
+from oracles import (brute_force_ap, cover_value, divisor_root_search,
+                     mod2_label, naive_is_square, subgroup_fingerprints,
+                     unsieved_first_hit)
 
 
 # -3 * the generator on the nonsplit-11 criterion curve
@@ -180,6 +187,183 @@ class TestCoverWalk:
         # root; 54000 is CM by Z[sqrt(-3)] and 11 is inert in Q(sqrt(-3)),
         # so the image does lie in the nonsplit normalizer
         assert classify_prime_noncm(None, F(54000), 11).label == "11.G3"
+
+
+# --- the walk sieve --------------------------------------------------------
+
+TABLE_COVERS = [e.cover for l in supported_primes()
+                for e in prime_table(l).entries if e.cover is not None]
+
+
+def _criterion_points_j():
+    """The j of +-k P for k = 1..6, P the generator of the nonsplit-11
+    criterion curve, poles left out."""
+    crit = nonsplit11()
+    gen = modimage.ec.PointQ(crit.curve, *crit.generator)
+    out = []
+    for k in range(-6, 7):
+        if k:
+            q = modimage.ec.scalar_mul(gen, k)
+            j = nonsplit11_j(q.x, q.y)
+            if j is not INFINITY:
+                out.append(j)
+    return out
+
+
+SPECIAL_J = sorted(set(_criterion_points_j()) | {e.j for e in CM_TABLE} | {
+    j for l in supported_primes() for e in prime_table(l).entries
+    if e.jvals is not None for j in e.jvals})
+
+tall = st.integers(min_value=-10 ** 40, max_value=10 ** 40)
+wide = st.integers(min_value=1, max_value=10 ** 40)
+walk_inputs = st.one_of(
+    # a value of a table cover at a small parameter: a hit somewhere
+    st.builds(cover_value, st.sampled_from(TABLE_COVERS),
+              st.builds(F, st.integers(min_value=-30, max_value=30),
+                        st.integers(min_value=1, max_value=12))
+              ).filter(lambda j: j is not None),
+    st.sampled_from(SPECIAL_J),
+    st.builds(F, tall, wide),
+    # a numerator or a denominator divisible by a sieve prime: (a : b) is
+    # (0 : 1) or infinity = (1 : 0) there
+    st.builds(lambda a, b, q, top: F(a * q, b) if top else F(a, b * q),
+              tall, wide, st.sampled_from(SIEVE_PRIMES), st.booleans()),
+)
+
+
+def hit_label(hit):
+    return None if hit is None else (hit[0].label, hit[1])
+
+
+def fresh_sieves(monkeypatch):
+    """Empty the walk sieves for this test, and count the images built,
+    per (entry label, p) and per image function."""
+    monkeypatch.setattr(modimage.classifier, "_SIEVES", {})
+    built, calls = Counter(), Counter()
+    entry_image = modimage.classifier._entry_image
+
+    def counted_entry_image(entry, p):
+        built[entry.label, p] += 1
+        return entry_image(entry, p)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(modimage.classifier, "_entry_image",
+                        counted_entry_image)
+    monkeypatch.setattr(modimage.classifier, "cover_image_mod",
+                        counted("cover", cover_image_mod))
+    monkeypatch.setattr(modimage.classifier, "quadratic_image_mod",
+                        counted("criterion", quadratic_image_mod))
+    return built, calls
+
+
+class TestWalkSieve:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(walk_inputs)
+    @example(F(21952, 9))          # 2.G1 at t = 2, infinity at p = 3
+    @example(F(1, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29))
+    @example(F(54000))             # the criterion's point at infinity
+    @example(J11)
+    @example(F(-121))
+    def test_sieved_walk_matches_the_unsieved_walk(self, j):
+        points = _sieve_points(j)
+        for l in supported_primes():
+            expected = hit_label(unsieved_first_hit(j, l))
+            assert hit_label(_first_hit(j, l, points)) == expected, (j, l)
+            assert hit_label(_first_hit(j, l)) == expected, (j, l)
+
+    def test_sieve_points_write_infinity_as_p(self):
+        # (a : b) with b = 0 mod p is infinity, written p; a = 0 is 0
+        assert _sieve_points(F(7, 6)) == (2, 3, 2, 0, 3, 12, 4, 17, 5, 6)
+        assert _sieve_points(F(6, 7)) == (0, 0, 3, 7, 4, 12, 13, 9, 14, 5)
+
+    def test_walk_sieve_reads_each_image_once(self, monkeypatch):
+        built = []
+
+        def images(at):
+            def image_mod(entry, p):
+                built.append((entry.label, p))
+                return at(entry.label, p)
+            return image_mod
+
+        monkeypatch.setattr(modimage.classifier, "_entry_image",
+                            images(lambda _, p: None if p == 3
+                                   else frozenset({1, p})))
+        sieve = _WalkSieve((TableEntry("e", 1, ()),))
+        assert sieve.admitted(_sieve_points(F(1))) == 1
+        assert built == [("e", p) for p in SIEVE_PRIMES]
+        # 2 is 0 mod 2, outside {1, 2}; no image is built twice
+        assert sieve.admitted(_sieve_points(F(2))) == 0
+        assert built == [("e", p) for p in SIEVE_PRIMES]
+        # a denominator divisible by p reduces to infinity, written p, and
+        # an image of None rules nothing out
+        monkeypatch.setattr(modimage.classifier, "_entry_image",
+                            images(lambda _, p: frozenset({2}) if p == 2
+                                   else None))
+        for j, admitted in ((F(1, 2), 1), (F(1, 3), 0)):
+            assert _WalkSieve((TableEntry("e", 1, ()),)).admitted(
+                _sieve_points(j)) == admitted
+        # an entry ruled out at 2 has no image built at a later prime
+        built.clear()
+        monkeypatch.setattr(modimage.classifier, "_entry_image",
+                            images(lambda label, p: frozenset({p})
+                                   if label == "out" else None))
+        sieve = _WalkSieve((TableEntry("out", 1, ()), TableEntry("in", 1, ())))
+        assert sieve.admitted(_sieve_points(F(1))) == 0b10
+        assert built == [("out", 2), ("in", 2)] + [
+            ("in", p) for p in SIEVE_PRIMES[1:]]
+
+    def test_each_image_is_built_once_over_two_passes(self, monkeypatch):
+        built, calls = fresh_sieves(monkeypatch)
+        grid = [F(n, d) for n in range(-6, 7) for d in (1, 2, 3)]
+        js = sorted({j for cover in TABLE_COVERS for t in grid
+                     if (j := cover_value(cover, t)) is not None}
+                    | set(SPECIAL_J) | {F(k + 1) for k in range(1, 200)})
+        hits = []
+        for _ in range(2):
+            hits.append([hit_label(_first_hit(j, l))
+                         for j in js for l in supported_primes()])
+        assert hits[0] == hits[1]
+        assert set(built.values()) == {1}
+        jvals = {e.label for l in supported_primes()
+                 for e in prime_table(l).entries if e.jvals is not None}
+        assert calls["cover"] + calls["criterion"] == sum(
+            1 for label, _ in built if label not in jvals)
+        assert calls["criterion"] == sum(1 for label, _ in built
+                                         if label == "11.G3")
+
+    def test_first_classify_builds_no_more_images_than_before(
+            self, monkeypatch):
+        # y^2 + y = x^3 - 7x + 6 (5077a1): GL2 at every table prime, so
+        # every walk runs to its end; a per-entry sieve built 94 cover
+        # images and 7 criterion images here
+        built, calls = fresh_sieves(monkeypatch)
+        report = classify(WeierstrassCurve(0, 0, 1, -7, 6))
+        assert {r.label for r in report.results} == {"GL2"}
+        assert calls["cover"] <= 94 and calls["criterion"] <= 7
+
+    def test_exact_tests_see_only_admitted_entries(self, monkeypatch):
+        seen = []
+        cover_parameters = modimage.classifier._cover_parameters
+
+        def recorded(entry, j):
+            seen.append((entry, j))
+            return cover_parameters(entry, j)
+
+        monkeypatch.setattr(modimage.classifier, "_cover_parameters",
+                            recorded)
+        for j in SPECIAL_J + [F(k + 1) for k in range(1, 200)]:
+            for l in supported_primes():
+                _first_hit(j, l)
+        assert seen
+        for entry, j in seen:
+            for p, r in zip(SIEVE_PRIMES, _sieve_points(j)):
+                image = cover_image_mod(*entry.cover, p)
+                assert image is None or r in image, (entry.label, j, p)
 
 
 class TestComplexMultiplication:

@@ -183,7 +183,7 @@ class TestGroup:
 
 
     @pytest.mark.parametrize("label, order, index", [
-        ("37.G3", 15984, 114), ("B", 47952, 38)])
+        ("37.G3", 15984, 114), ("0037.G3", 15984, 114), ("B", 47952, 38)])
     def test_borel_groups_at_37_are_counted(self, label, order, index,
                                             capsys, span_calls):
         assert cli.run(["group", "--prime", "37", "--label", label]) == 0
@@ -306,9 +306,12 @@ class TestExitCodes:
         (("group", "--prime", "11", "--label", "XX"), "unknown label 11.XX"),
         (("group", "--prime", "37", "--label", "17.G1"),
          "label 17.G1 is at l = 17, not 37"),
+        (("group", "--prime", "37", "--label", "0017.G1"),
+         "label 0017.G1 is at l = 17, not 37"),
         (("classify", "--j", "0"), "j = 0 needs a curve model"),
     ], ids=["BadReduction", "FactorizationIncomplete", "unknown-label",
-            "label-at-another-prime", "j-zero"])
+            "label-at-another-prime", "zero-padded-label-at-another-prime",
+            "j-zero"])
     def test_library_errors_exit_one(self, args, message, capsys):
         assert cli.run(list(args)) == 1
         err = capsys.readouterr().err

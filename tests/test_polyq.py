@@ -394,28 +394,6 @@ def test_quadratic_image_mod():
                 brute_quadratic_image_mod(A, B, C, p), (A, B, C, p)
 
 
-def test_outside_image_mod_reads_each_image_once():
-    built = []
-
-    def image_mod(p):
-        built.append(p)
-        return None if p == 3 else frozenset({1, p})
-
-    images = {}
-    assert not polyq.outside_image_mod(Fraction(1), images, image_mod)
-    assert built == list(polyq.SIEVE_PRIMES)
-    # 2 is 0 mod 2, outside {1, 2}; no image is built twice
-    assert polyq.outside_image_mod(Fraction(2), images, image_mod)
-    assert built == list(polyq.SIEVE_PRIMES)
-    # a denominator divisible by p reduces to infinity, written p, and an
-    # image of None rules nothing out
-    infinity_only = {2: frozenset({2})}
-    assert not polyq.outside_image_mod(Fraction(1, 2), dict(infinity_only),
-                                       lambda p: None)
-    assert polyq.outside_image_mod(Fraction(1, 3), dict(infinity_only),
-                                   lambda p: None)
-
-
 def test_rational_roots_root_free_only_over_q_reaches_the_exact_path(
         monkeypatch):
     # every p has 2, 3 or 6 a square mod p, so f has a root mod every prime
@@ -439,6 +417,96 @@ def test_rational_roots_repeated_and_big():
     # large planted root exercises the lifting precision loop
     big = Fraction(99991, 2 ** 20)
     assert rational_roots(poly_from_roots([big])) == {big}
+
+
+def lift_log(monkeypatch, f):
+    """Record each rational reconstruction of rational_roots on the
+    squarefree f as (whether its modulus reached the precision the root
+    bounds of f call for, its candidate)."""
+    ints = f.primitive()
+    an, height = abs(ints[-1]), max(map(abs, ints))
+    target = 2 * (an + height) * an + 1
+    log = []
+    reconstruct = polyq._rational_reconstruct
+
+    def recorded(x, m, bound_u, bound_v):
+        cand = reconstruct(x, m, bound_u, bound_v)
+        log.append((m >= target, cand))
+        return cand
+
+    monkeypatch.setattr(polyq, "_rational_reconstruct", recorded)
+    return log
+
+
+def test_lift_stops_at_the_first_verified_root(monkeypatch):
+    # tall coefficients, small roots: each residue stops at a verified
+    # candidate long before the precision the root bounds call for
+    f = (2 * T - 1) * (T - 3) * (T ** 2 + 10 ** 30)
+    log = lift_log(monkeypatch, f)
+    assert rational_roots(f) == {Fraction(1, 2), Fraction(3)}
+    assert len(log) == 3 and not any(full for full, _ in log)
+    assert {cand for _, cand in log} == {None, Fraction(1, 2), Fraction(3)}
+
+
+def test_lift_reaches_the_full_bounds_when_no_early_candidate_holds(
+        monkeypatch):
+    # the root is as tall as the bounds allow, so only the last, full
+    # reconstruction finds it; the early candidates fail substitution and
+    # the lift goes on past them
+    big = Fraction(99991, 2 ** 20)
+    f = poly_from_roots([big])
+    log = lift_log(monkeypatch, f)
+    assert rational_roots(f) == {big}
+    assert log[-1] == (True, big)
+    assert [cand for full, cand in log if not full and cand is not None] \
+        == [Fraction(-2), Fraction(5, 2), Fraction(43)]
+    # residues 1 and 2 mod 3 lift to +-sqrt(7), no rational root: each
+    # ends in a full reconstruction, and 0 stops early at t = 3 (T^2 +
+    # 10^12 has no root mod 3, and only makes the bounds tall)
+    f = (T - 3) * (T ** 2 - 7) * (T ** 2 + 10 ** 12)
+    log = lift_log(monkeypatch, f)
+    assert rational_roots(f) == {3}
+    assert [full for full, cand in log if cand == 3] == [False]
+    assert sum(full for full, _ in log) == 2
+
+
+big_roots = st.builds(Fraction,
+                      st.sampled_from([99991, -99991, 65521, -3 ** 10, 1]),
+                      st.sampled_from([1, 2 ** 20, 3 ** 12, 2 ** 7 * 5 ** 3]))
+irreducible_quadratics = st.tuples(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-9, max_value=9),
+).filter(lambda q: q[2] != 0 and not math.isqrt(max(q[1] ** 2 - 4 * q[0]
+                                                    * q[2], 0)) ** 2
+         == q[1] ** 2 - 4 * q[0] * q[2])
+multiplicity = st.integers(min_value=1, max_value=3)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.lists(st.tuples(small_fracs, multiplicity), max_size=3),
+    st.lists(big_roots, max_size=1),
+    st.lists(st.tuples(irreducible_quadratics, st.integers(min_value=1,
+                                                           max_value=2)),
+             max_size=2),
+)
+@example([], [Fraction(99991, 2 ** 20)], [])
+@example([], [Fraction(99991)], [])        # cut bounds never reach 99991
+@example([(Fraction(3), 1)], [], [((1, 0, -7), 1)])
+@example([(Fraction(2, 3), 2)], [Fraction(-3 ** 10, 2 ** 20)],
+         [((1, 1, 2), 1)])
+def test_early_stopping_lift_against_divisor_search(small, big, quadratics):
+    # planted rational roots, repeated or tall, times irreducible
+    # quadratics whose residues lift to no rational root
+    f = poly_from_roots(big)
+    for r, m in small:
+        f = f * poly_from_roots([r]) ** m
+    for (a, b, c), m in quadratics:
+        f = f * (a * T ** 2 + b * T + c) ** m
+    if f.degree < 1:
+        return
+    assert rational_roots(f) == divisor_root_search(f)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

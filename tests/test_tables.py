@@ -22,13 +22,14 @@ from modimage.gl2 import (Mat2, Subgroup, gl2_order, is_applicable,
                           is_conjugate, normalizer_nonsplit,
                           octahedral_normalizer)
 from modimage.polyq import (INFINITY, SIEVE_PRIMES, Poly, poly_gcd,
-                            quadratic_image_mod, rational_roots)
-from modimage.tables import (CM_TABLE, EXCEPTIONAL_LOOKUP, Cover, TableEntry,
-                             cm_entry, emit_text, group_from_label,
+                            quadratic_image_mod)
+from modimage.tables import (CM_TABLE, EXCEPTIONAL_LOOKUP, Cover, PrimeTable,
+                             TableEntry, cm_entry, emit_text, group_from_label,
                              nonsplit11, nonsplit11_contains, nonsplit11_j,
                              prime_table, supported_primes, verify_all)
 from oracles import (brute_force_ap, cover_value, divisor_root_search,
-                     subgroup_fingerprints, value_at_infinity)
+                     subgroup_fingerprints, unsieved_first_hit,
+                     value_at_infinity)
 
 T = Poly.var()
 
@@ -231,30 +232,56 @@ def test_every_table_cover_finds_its_parameters_on_a_grid():
     assert pairs == 2580
 
 
-def test_covers_under_one_label_keep_their_own_images():
+def _hit_label(hit):
+    return None if hit is None else (hit[0].label, hit[1])
+
+
+def _first_hit_in(monkeypatch, entries, j, l=2):
+    """_first_hit(j, l) with the table for l made of entries, as
+    (label, t), or None."""
+    table = PrimeTable(l, l, tuple(entries))
+    monkeypatch.setattr(classifier, "prime_table", lambda _: table)
+    return _hit_label(classifier._first_hit(j, l))
+
+
+def test_tables_under_one_prime_keep_their_own_sieves(monkeypatch):
     # T^2 has no point over j = 2 modulo 3, where 2 is no square; T + 5
-    # has t = -3 over it. Each entry is freed before the next is built,
-    # so an image kept by id() would be served to the next cover.
-    def params(num):
-        entry = TableEntry("same", 1, (), cover=Cover(num))
-        return _cover_parameters(entry, F(2))
+    # has t = -3 over it. Each table is freed before the next is built,
+    # so a sieve kept by l or by id() would be served to the next table.
+    monkeypatch.setattr(classifier, "_SIEVES", {})
+
+    def hit(num):
+        return _first_hit_in(monkeypatch,
+                             [TableEntry("same", 1, (), cover=Cover(num))],
+                             F(2))
 
     square, shift = T ** 2, T + 5
     for _ in range(2):
-        assert params(square) == []
-        assert params(shift) == [F(-3)]
+        assert hit(square) is None
+        assert hit(shift) == ("same", F(-3))
 
 
-def test_cover_image_cache_is_bounded():
+def test_walk_sieves_are_bounded(monkeypatch):
+    monkeypatch.setattr(classifier, "_SIEVES", {})
     for k in range(1, 200):
         entry = TableEntry("test", 1, (), cover=Cover(T ** 2 + k))
-        assert _cover_parameters(entry, F(k + 1)) == [F(-1), F(1)]
-    info = classifier._cover_images.cache_info()
-    table_covers = sum(e.cover is not None for l in supported_primes()
-                       for e in prime_table(l).entries)
-    # the table's own covers fit, so the classify walk never evicts
-    assert table_covers <= info.maxsize
-    assert info.currsize <= info.maxsize
+        assert _first_hit_in(monkeypatch, [entry], F(k + 1)) == \
+            ("test", F(-1))
+        # a new table at l replaces the sieve of the last one
+        assert list(classifier._SIEVES) == [2]
+    monkeypatch.undo()
+    # the sieve of a table prime holds p + 1 masks of one bit per entry
+    # at each sieve prime, however many j are walked
+    for k in range(1, 200):
+        for l in supported_primes():
+            classifier._first_hit(F(k + 1), l)
+    for l in supported_primes():
+        sieve = classifier._SIEVES[l]
+        assert sieve.entries is prime_table(l).entries
+        for p in SIEVE_PRIMES:
+            assert len(sieve.masks[p]) == p + 1
+            assert all(0 <= m < 1 << len(sieve.entries)
+                       for m in sieve.masks[p])
 
 
 def test_criterion_curve_points_map_to_cm_j():
@@ -316,12 +343,6 @@ def test_criterion_j_lies_in_every_image():
         assert nonsplit11_contains(j)
 
 
-def _unsieved_nonsplit11_contains(j):
-    crit = nonsplit11()
-    f = crit.A * j ** 2 + crit.B * j + crit.C
-    return f.degree < crit.A.degree or bool(rational_roots(f))
-
-
 tall = st.integers(min_value=-10 ** 40, max_value=10 ** 40)
 criterion_inputs = st.one_of(
     st.sampled_from(CRITERION_J),
@@ -343,7 +364,14 @@ criterion_inputs = st.one_of(
 @example(F(1, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29))
 @example(F(8000))
 def test_criterion_sieve_matches_the_unsieved_test(j):
-    assert nonsplit11_contains(j) == _unsieved_nonsplit11_contains(j)
+    # the walk at 11 sieves the criterion with the j-values; wherever the
+    # unsieved criterion holds, the sieve admits its entry
+    assert _hit_label(classifier._first_hit(j, 11)) == \
+        _hit_label(unsieved_first_hit(j, 11))
+    labels = [e.label for e in prime_table(11).entries]
+    admitted = classifier._SIEVES[11].admitted(classifier._sieve_points(j))
+    if nonsplit11_contains(j):
+        assert admitted >> labels.index("11.G3") & 1
 
 
 def test_listed_generators_match_constructors():
