@@ -32,12 +32,12 @@ from typing import NamedTuple, Optional, Tuple
 
 from .exactmath import (factor, is_cube, is_probable_prime, is_square,
                         legendre, primes_up_to)
-from .ec import (ShortCurve, WeierstrassCurve, ap, integral_model,
+from .ec import (ShortCurve, WeierstrassCurve, _fr, ap, integral_model,
                  short_model, twist_test)
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
                   fingerprint_in_octahedral, fingerprint_in_split_normalizer)
-from .polyq import (INFINITY, SIEVE_PRIMES, cover_image_mod,
-                    quadratic_image_mod, rational_roots)
+from .polyq import (INFINITY, cover_image_mod, quadratic_image_mod,
+                    rational_roots)
 from .tables import (CMEntry, EXCEPTIONAL_LOOKUP, cm_entry, nonsplit11,
                      nonsplit11_contains, prime_table, supported_primes)
 
@@ -50,6 +50,11 @@ MAX_PRIME = 10 ** 7
 # of twist_set's integral model, may have: the walk slows down sharply with
 # the height of j, and twist_set factors the discriminant
 MAX_HEIGHT_DIGITS = 200
+# the primes of the walk sieve, at which j is compared with the image of
+# each cover and of the nonsplit-11 criterion; a prime p costs up to p
+# evaluations per entry, and on the classify path the first few already
+# rule out nearly every table entry
+SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 STATUS_PROVEN = "proven"
 STATUS_CONDITIONAL = "conditional(BPR-conjecture)"
@@ -369,7 +374,8 @@ def classify_prime_noncm(E, j, l: int,
                          frobenius_bound: int = DEFAULT_FROBENIUS_BOUND, *,
                          traces: Optional[FrobeniusPass] = None,
                          points: Optional[tuple] = None) -> ImageResult:
-    """Image of the mod-l representation for a non-CM j-invariant.
+    """Image of the mod-l representation for a non-CM j-invariant j, an
+    int or a Fraction.
 
     E may be None (classification from j alone); twist refinement and
     Frobenius certification then degrade with a note. The walk takes the
@@ -378,7 +384,6 @@ def classify_prime_noncm(E, j, l: int,
     frobenius_noncontainment, and points is j reduced at the sieve
     primes, which the call's walks share, as in _first_hit.
     """
-    j = Fraction(j)
     if l in supported_primes():
         hit = _first_hit(j, l, points)
         if hit is not None:
@@ -487,8 +492,12 @@ def _checked_prime(l) -> int:
     """l as an int; ValueError unless it is an integer of absolute value
     at most MAX_PRIME that passes a primality test. The size is checked
     first, and no message prints an l of unchecked size, whose str() may
-    itself raise."""
-    if int(l) != l:
+    itself raise. A non-finite float is no integer: int() raises on it."""
+    try:
+        integral = int(l) == l
+    except (OverflowError, ValueError):
+        integral = False
+    if not integral:
         raise ValueError("l is not an integer")
     if abs(l) > MAX_PRIME:
         raise ValueError(f"l must be a prime at most {MAX_PRIME}")
@@ -539,7 +548,7 @@ def classify_from_j(j, primes=None,
     level with an explanatory note. j = 0 and j = 1728 are rejected:
     every rule for them reads the model.
     """
-    return _report(None, Fraction(j), primes, frobenius_bound)
+    return _report(None, _fr(j), primes, frobenius_bound)
 
 
 # --- twist sets --------------------------------------------------------------

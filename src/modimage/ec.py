@@ -34,7 +34,14 @@ class BadReduction(ValueError):
 
 
 def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction; ValueError for a value with none, such as a
+    non-finite float (on which Fraction raises OverflowError)."""
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{x!r} is not a rational number") from None
 
 
 # The formulas of Silverman III.1, nested so that few sums are taken at the

@@ -3,25 +3,24 @@
 A polynomial is stored as integer numerators over one denominator, so
 its arithmetic runs on ints; _poly, which builds every one, brings it to
 that form. A product is one big-int product of the numerators (Kronecker
-substitution), or a scaling when one factor is a constant. poly_gcd first asks whether the gcd is 1 by Euclid on
-the primitive parts reduced modulo one word-sized prime, and only when
-that is inconclusive runs the exact primitive remainder sequence; one
-integer pseudo-division, _pseudo_divmod, serves that sequence and exact
-division. compose substitutes one map of the projective line, given as a
-(num, den) pair, into another.
+substitution), or a scaling when one factor is a constant. poly_gcd
+first asks whether the gcd is 1 by Euclid on the primitive parts reduced
+modulo one word-sized prime, and only when that is inconclusive runs the
+exact primitive remainder sequence; one integer pseudo-division,
+_pseudo_divmod, serves that sequence and exact division. compose
+substitutes one map of the projective line, given as a (num, den) pair,
+into another.
 
-rational_roots finds all rational roots of a polynomial. A polynomial
-with no root modulo some small prime not dividing its leading
-coefficient has none over Q, and the search ends there, before the
-squarefree gcd. Otherwise it reduces to a squarefree integer polynomial,
-picks the smallest prime at which the roots of that polynomial are
-simple, and Newton lifts each of those roots on its own, trying rational
-reconstruction after every doubling and stopping at the first candidate
-that exact substitution verifies; a root not found early is found at the
-precision the root bounds call for, so none is missed. cover_image_mod
-gives the image of P^1(F_p) under a cover at one of the same small
-primes, and quadratic_image_mod that of the nonsplit-11 criterion; the
-classifier's walk sieve reads them.
+rational_roots finds all rational roots of a polynomial. It reduces to a
+squarefree integer polynomial, picks the smallest prime at which the
+roots of that polynomial are simple, and Newton lifts each of those
+roots on its own, trying rational reconstruction after every doubling
+and stopping at the first candidate that exact substitution verifies; a
+root not found early is found at the precision the root bounds call for,
+so none is missed. It keeps no sieve of its own: the one mod-p sieve is
+the classifier's walk sieve, which reads cover_image_mod, the image of
+P^1(F_p) under a cover, and quadratic_image_mod, that of the nonsplit-11
+criterion, and leaves rational_roots only the fibres it cannot rule out.
 """
 
 from __future__ import annotations
@@ -384,29 +383,15 @@ def compose(outer: tuple, inner: tuple) -> tuple:
 
 # --- rational root finding -------------------------------------------------
 
-# The primes at which rational_roots looks for a root-free reduction, and
-# at which the classifier's walk sieve compares j with the image of each
-# cover and of the nonsplit-11 criterion; a prime p costs up to p
-# evaluations, and on the classify path the first few already rule out
-# nearly every table entry.
-SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-
-
 def rational_roots(f: Poly) -> set:
     """All rational roots of f, found by Hensel lifting.
 
-    First a sieve: if f has no root modulo some prime of SIEVE_PRIMES
-    that does not divide its leading coefficient, there is none over Q,
-    and the search ends before the squarefree gcd. Sound because a root
-    u/v in lowest terms has v | a_n, so for p not dividing a_n, u/v mod p
-    is a root of f mod p.
-
-    Otherwise f is reduced to its squarefree part f / gcd(f, f') over
-    coprime ints. The lifting prime is the smallest prime p, not
-    dividing the leading coefficient, at which every root of that part
-    mod p is simple. Each of those roots is Newton lifted on its own,
-    doubling the precision until the modulus exceeds twice the product of
-    the numerator and denominator bounds, and stops at the first rational
+    f is reduced to its squarefree part f / gcd(f, f') over coprime
+    ints. The lifting prime is the smallest prime p, not dividing the
+    leading coefficient, at which every root of that part mod p is
+    simple. Each of those roots is Newton lifted on its own, doubling the
+    precision until the modulus exceeds twice the product of the
+    numerator and denominator bounds, and stops at the first rational
     reconstruction that exact substitution into f verifies (_lift_root).
     No rational root is missed: its denominator divides the leading
     coefficient, so it reduces to one of the simple roots mod p, and
@@ -418,12 +403,6 @@ def rational_roots(f: Poly) -> set:
         raise ValueError("the zero polynomial has every root")
     if f.degree < 1:
         return set()
-    prim = f.primitive()
-    for p in SIEVE_PRIMES:
-        if prim[-1] % p:
-            red = [c % p for c in prim]
-            if all(_eval_mod(red, r, p) for r in range(p)):
-                return set()
     ints = _squarefree_part(f)
     dints = [i * c for i, c in enumerate(ints)][1:]
     an = abs(ints[-1])

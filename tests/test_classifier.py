@@ -19,6 +19,7 @@ import modimage.classifier
 import modimage.ec
 import modimage.polyq
 from modimage.classifier import (
+    SIEVE_PRIMES,
     Certificate,
     _WalkSieve,
     _first_hit,
@@ -42,7 +43,7 @@ from modimage.ec import (
     twist_test,
 )
 from modimage.exactmath import FactorizationIncomplete, primes_up_to
-from modimage.polyq import (INFINITY, SIEVE_PRIMES, Poly, cover_image_mod,
+from modimage.polyq import (INFINITY, Poly, cover_image_mod,
                             quadratic_image_mod, rational_roots)
 from modimage.gl2 import (
     borel,
@@ -639,6 +640,13 @@ class TestJOnlyClassification:
             with pytest.raises(ValueError):
                 classify_from_j(j, [5])
 
+    def test_non_finite_j_rejected(self):
+        # Fraction raises OverflowError on an infinity
+        for j in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="is not a rational number"):
+                classify_from_j(j)
+        assert classify_from_j(-121.0, [11]) == classify_from_j(F(-121), [11])
+
 
 class TestTwistSets:
     E = short(-42875, -3246250)
@@ -772,9 +780,13 @@ class TestInputValidation:
 
     def test_non_integer_prime_rejected(self):
         E = WeierstrassCurve(1, 1, 1, -305, 7888)
-        for l in (F(23, 2), 11.7):
+        # int() raises OverflowError on an infinity and ValueError on NaN
+        for l in (F(23, 2), 11.7, float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match="is not an integer"):
                 classify(E, [l])
+        for l in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="is not an integer"):
+                twist_set(E, l, 10)
         assert classify(E, [F(11)]) == classify(E, [11])
 
 

@@ -1,11 +1,14 @@
-"""Every module-level function and every method of the package is used
-by the package.
+"""Every module-level function, method, constant and import of the
+package is used by the package.
 
 A function that only tests call is dead weight; delete it together with
 its tests, or list it below with the reason it stays. A private function
 that nothing names is left over from a refactor and has no such excuse.
 A method counts as used when the package names it (as an attribute or a
 bare name) outside its own body; dunder methods are called by Python.
+Likewise every name a module imports is read in that module, and every
+module-level constant is read somewhere in the package outside its own
+assignment; dunders such as __version__ are read by tools, not code.
 """
 
 import ast
@@ -39,6 +42,14 @@ USES = [(node.id, module, node.lineno, False)
        [(node.attr, module, node.lineno, True)
         for module, tree in TREES.items() for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)]
+# the same for every name and attribute the package reads
+READS = [(node.id, module, node.lineno, False)
+         for module, tree in TREES.items() for node in ast.walk(tree)
+         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)] + \
+        [(node.attr, module, node.lineno, True)
+         for module, tree in TREES.items() for node in ast.walk(tree)
+         if isinstance(node, ast.Attribute)
+         and isinstance(node.ctx, ast.Load)]
 
 
 def _unreferenced(module, defs, attributes_count):
@@ -79,3 +90,54 @@ def test_every_private_function_has_a_caller():
 
 def test_every_method_has_a_caller():
     assert _unreferenced_methods() == set(METHODS_UNREFERENCED_OK)
+
+
+def _imported_names(tree):
+    """The names that the module's imports bind, __future__ features
+    aside."""
+    return {(alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom)
+            and node.module != "__future__" for alias in node.names}
+
+
+def test_every_import_is_read():
+    unread = {f"{module}.{name}" for module, tree in TREES.items()
+              for name in _imported_names(tree)
+              if not any(use == name and where == module and not attr
+                         for use, where, _, attr in READS)}
+    assert unread == set()
+
+
+def _constants(tree):
+    """The module-level names bound by a plain or annotated assignment,
+    dunders aside, each with the lines of its assignment."""
+    out = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        out += [(t.id, range(node.lineno, node.end_lineno + 1))
+                for t in targets if isinstance(t, ast.Name)
+                and not t.id.startswith("__")]
+    return out
+
+
+def _imported_from(module):
+    """The names that other modules of the package import from module."""
+    return {alias.name for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module == module for alias in node.names}
+
+
+def test_every_constant_is_read():
+    # a constant counts as read where its module reads it, where another
+    # module imports it (and test_every_import_is_read sees it read there),
+    # or where the package reads an attribute of that name
+    imported = {module: _imported_from(module) for module in TREES}
+    unread = {f"{module}.{name}" for module, tree in TREES.items()
+              for name, lines in _constants(tree)
+              if name not in imported[module]
+              and not any(use == name and (attr or where == module
+                                           and line not in lines)
+                          for use, where, line, attr in READS)}
+    assert unread == set()

@@ -52,6 +52,13 @@ def test_rejects_singular():
         if coeffs[:3] == (0, 0, 0):
             with pytest.raises(SingularCurveError, match=message):
                 ShortCurve(*coeffs[3:])
+    # a coefficient with no rational value is a ValueError too, where
+    # Fraction raises OverflowError on an infinity
+    for x in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="is not a rational number"):
+            WeierstrassCurve(0, 0, 1, -1, x)
+        with pytest.raises(ValueError, match="is not a rational number"):
+            ShortCurve(x, 1)
 
 
 def test_invariants_and_j():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import modimage.polyq as polyq
+from modimage.classifier import SIEVE_PRIMES
 from modimage.polyq import (
     Poly,
     compose,
@@ -298,12 +299,8 @@ def test_rational_roots_anchor():
     # a repeated root at 0 goes through the squarefree part, a simple one not
     assert rational_roots(T ** 2 * (2 * T - 1)) == {0, Fraction(1, 2)}
     assert rational_roots(5 * T) == {0}
-
-
-def test_rational_roots_sieve_skips_primes_dividing_the_leading_coefficient():
-    # 2T - 1 has no root mod 2, and 6469693230 = 2*3*5*...*29 is divisible
-    # by every sieve prime, so only the guard p !| a_n keeps these roots
-    assert math.prod(polyq.SIEVE_PRIMES) == 6469693230
+    # roots with no residue mod 2, or mod any prime up to 29:
+    # 6469693230 = 2*3*5*...*29 is their product
     assert rational_roots(2 * T - 1) == {Fraction(1, 2)}
     assert rational_roots(6469693230 * T - 1) == {Fraction(1, 6469693230)}
 
@@ -344,7 +341,7 @@ def test_cover_image_mod():
     for l in (5, 13):
         for entry in prime_table(l).entries:
             if entry.cover is not None:
-                for p in polyq.SIEVE_PRIMES[:4]:
+                for p in SIEVE_PRIMES[:4]:
                     assert polyq.cover_image_mod(*entry.cover, p) == \
                         brute_image_mod(*entry.cover, p), (entry.label, p)
 
@@ -389,7 +386,7 @@ def test_quadratic_image_mod():
              (Poly([3, 0, 2]), Poly([Fraction(5, 3), 1]), Poly([-4, 0, 1])),
              (2 * T, Poly.const(6), 4 * T ** 2 - 2)]
     for A, B, C in cases:
-        for p in polyq.SIEVE_PRIMES:
+        for p in SIEVE_PRIMES:
             assert polyq.quadratic_image_mod(A, B, C, p) == \
                 brute_quadratic_image_mod(A, B, C, p), (A, B, C, p)
 
@@ -397,7 +394,7 @@ def test_quadratic_image_mod():
 def test_rational_roots_root_free_only_over_q_reaches_the_exact_path(
         monkeypatch):
     # every p has 2, 3 or 6 a square mod p, so f has a root mod every prime
-    # and the sieve cannot rule it out; the squarefree gcd must run
+    # and only the exact path, through the squarefree gcd, finds it root-free
     f = (T ** 2 - 2) * (T ** 2 - 3) * (T ** 2 - 6)
     calls = []
     gcd = polyq.poly_gcd

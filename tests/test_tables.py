@@ -15,14 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import modimage.classifier as classifier
 import modimage.tables as tables
-from modimage.classifier import _cover_parameters
+from modimage.classifier import SIEVE_PRIMES, _cover_parameters
 from modimage.ec import PointQ, ShortCurve, scalar_mul
 from modimage.exactmath import primes_up_to
 from modimage.gl2 import (Mat2, Subgroup, gl2_order, is_applicable,
                           is_conjugate, normalizer_nonsplit,
                           octahedral_normalizer)
-from modimage.polyq import (INFINITY, SIEVE_PRIMES, Poly, poly_gcd,
-                            quadratic_image_mod)
+from modimage.polyq import INFINITY, Poly, poly_gcd, quadratic_image_mod
 from modimage.tables import (CM_TABLE, EXCEPTIONAL_LOOKUP, Cover, PrimeTable,
                              TableEntry, cm_entry, emit_text, group_from_label,
                              nonsplit11, nonsplit11_contains, nonsplit11_j,
