@@ -3,14 +3,15 @@
 Given an elliptic curve over Q and a prime l, determine the image of the
 mod-l representation up to conjugacy in GL_2(F_l):
 
-* non-CM curves at l <= 13 are classified by walking the genus-zero cover
-  table in order of decreasing index; the first hit (a cover parameter,
-  a j-value, or at l = 11 the nonsplit normalizer's plane quadratic
-  criterion) is refined to a twist sublabel with the curve parametrized
-  by the matched value; j is reduced once per call at a few small
-  primes, and one sieve per l, a bit per entry, keeps only the entries
-  whose image on P^1(F_p) holds j at every one of them, which rules out
-  nearly every miss before an exact test runs;
+* non-CM curves at l <= 13 are classified by walking the table in order
+  of decreasing index; each entry is one relation sum c_i(t) j^i = 0 (a
+  cover, a set of j-values, or at l = 11 the nonsplit normalizer's
+  criterion), and the first with a rational point over j is refined to
+  a twist sublabel with the curve parametrized by the matched value; j
+  is reduced once per call at a few small primes, and one sieve per l, a
+  bit per entry, keeps only the entries whose image on P^1(F_p) holds j
+  at every one of them, which rules out nearly every miss before the one
+  exact test runs;
 * at l = 13 and l >= 17 the remaining open containments (nonsplit or
   split normalizer images with no known rational points) give verdicts
   conditional on the surjectivity conjecture, upgraded to proven when
@@ -36,10 +37,9 @@ from .ec import (ShortCurve, WeierstrassCurve, _fr, ap, integral_model,
                  short_model, twist_test)
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
                   fingerprint_in_octahedral, fingerprint_in_split_normalizer)
-from .polyq import (INFINITY, cover_image_mod, quadratic_image_mod,
-                    rational_roots)
-from .tables import (CMEntry, EXCEPTIONAL_LOOKUP, cm_entry, nonsplit11,
-                     nonsplit11_contains, prime_table, supported_primes)
+from .polyq import INFINITY, fibre_image_mod, rational_roots
+from .tables import (CMEntry, EXCEPTIONAL_LOOKUP, cm_entry, prime_table,
+                     supported_primes)
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 37)
 DEFAULT_FROBENIUS_BOUND = 1000
@@ -108,20 +108,26 @@ class Report(NamedTuple):
 # --- the genus-zero walk ----------------------------------------------------
 
 def _cover_parameters(entry, j):
-    """Rational t with cover value j, excluded values removed, sorted by
-    (denominator, numerator); INFINITY appended when the cover takes the
-    value j there, that is when num - j*den drops below the cover's degree.
+    """The parameters over j of the entry's relation (TableEntry.relation):
+    the rational roots t of the fibre f = sum c_i j^i off bad_t, sorted by
+    (denominator, numerator), and INFINITY when f drops below the largest
+    degree of the c_i. A t is a cover parameter only for a relation linear
+    in j; any other hit, and a zero f (j one of the j-values), reads [None].
 
     The exact test: the walk reaches it only for an entry that its sieve
     admits (see _WalkSieve).
     """
-    num, den = entry.cover
-    f = num - j * den
+    relation = entry.relation
+    f = relation[-1]
+    for c in relation[-2::-1]:
+        f = f * j + c
+    if f.is_zero():
+        return [None]
     roots = {t for t in rational_roots(f) if t not in entry.bad_t}
     out = sorted(roots, key=lambda t: (t.denominator, t.numerator))
-    if f.degree < max(num.degree, den.degree):
+    if f.degree < max(c.degree for c in relation):
         out.append(INFINITY)
-    return out
+    return out if len(relation) == 2 else [None] * bool(out)
 
 
 def _twist_label(model, E, d: int, labels) -> str:
@@ -258,22 +264,10 @@ def _tail(E, l: int, bound: int, candidates, traces) -> ImageResult:
 
 def _sieve_points(j) -> tuple:
     """j = a/b in lowest terms as the point (a : b) of P^1(F_p) at each p
-    of SIEVE_PRIMES, written as cover_image_mod writes a point: its affine
+    of SIEVE_PRIMES, written as fibre_image_mod writes a point: its affine
     coordinate in range(p), and infinity as p."""
     a, b = j.numerator, j.denominator
     return tuple(a * pow(b, -1, p) % p if b % p else p for p in SIEVE_PRIMES)
-
-
-def _entry_image(entry, p: int) -> Optional[frozenset]:
-    """The image on P^1(F_p) of an entry's cover or of the nonsplit-11
-    criterion, as polyq writes it; None for a j-value entry, whose set
-    lookup is cheaper than any sieve."""
-    if entry.criterion == "nonsplit-fiber":
-        crit = nonsplit11()
-        return quadratic_image_mod(crit.A, crit.B, crit.C, p)
-    if entry.jvals is not None:
-        return None
-    return cover_image_mod(*entry.cover, p)
 
 
 class _WalkSieve:
@@ -282,18 +276,15 @@ class _WalkSieve:
 
     For each p of SIEVE_PRIMES, masks[p][r] has bit i set when entry i
     (in walk order) may lie over the point r of P^1(F_p): r is in the
-    entry's image there, or the entry has no image there (None). An entry
-    whose bit is clear at some p of j's points has no parameter over j.
-    Sound because a cover parameter t = u/v in lowest terms over
-    j = a/b (t = infinity being (1 : 0)) has b N^h(u, v) = a D^h(u, v)
-    for the homogenized N and D of cover_image_mod; at a prime where they
-    share no zero on P^1(F_p), both sides' vectors are nonzero mod p, so
-    (a : b) is the image of (u : v) mod p. Likewise a root x = u/v of the
-    nonsplit-11 polynomial A*j^2 + B*j + C gives
-    A^h(u, v) a^2 + B^h(u, v) ab + C^h(u, v) b^2 = 0 with the forms of
-    quadratic_image_mod, and the degree drop at j = 54000 is that
-    identity at (u : v) = (1 : 0); both reduce mod p to a point of the
-    image.
+    image of the entry's relation there (fibre_image_mod), or that image
+    is None. An entry whose bit is clear at some p of j's points has no
+    parameter over j. Sound for a relation sum c_i j^i of any degree k in
+    j: a parameter t = u/v in lowest terms over j = a/b (t = infinity
+    being (1 : 0), where the degree of the fibre drops) makes the form
+    sum c_i^h(u, v) a^i b^(k-i) of fibre_image_mod vanish, and so does
+    every t when the fibre is zero, at a j-value. Reduced mod p, that
+    identity puts (a : b) in the image of (u : v) wherever the c_i^h do
+    not all vanish at (u : v), and where they do the image is None.
 
     The masks fill lazily: entry i's image at p is built the first time
     a j that every earlier prime left entry i reaches p, and never again.
@@ -326,7 +317,8 @@ class _WalkSieve:
         while todo:
             bit = todo & -todo
             todo ^= bit
-            image = _entry_image(self.entries[bit.bit_length() - 1], p)
+            entry = self.entries[bit.bit_length() - 1]
+            image = fibre_image_mod(entry.relation, p)
             for r in range(p + 1) if image is None else image:
                 masks[r] |= bit
 
@@ -338,15 +330,14 @@ _SIEVES = {}
 
 
 def _first_hit(j, l: int, points: Optional[tuple] = None):
-    """The first entry of the table for l whose image j lies under, in
-    the table's decreasing-index order, as (entry, t): t is the smallest
-    cover parameter over j, or None for a j-value or nonsplit-11 criterion
-    hit. None when j lies under no entry.
+    """The first entry of the table for l whose relation j lies under, in
+    the table's decreasing-index order, as (entry, t): t is the first of
+    _cover_parameters, the smallest cover parameter over j, or None for a
+    j-value or nonsplit-11 criterion hit. None when j lies under no entry.
 
     points is j reduced by _sieve_points, which a classify call shares
     among its walks. Only the entries that the sieve of l admits meet
-    their exact test: the cover's parameters, the j-values, or the
-    criterion.
+    the exact test, _cover_parameters.
     """
     entries = prime_table(l).entries
     sieve = _SIEVES.get(l)
@@ -357,16 +348,9 @@ def _first_hit(j, l: int, points: Optional[tuple] = None):
         bit = alive & -alive
         alive ^= bit
         entry = entries[bit.bit_length() - 1]
-        if entry.criterion == "nonsplit-fiber":
-            if nonsplit11_contains(j):
-                return entry, None
-        elif entry.jvals is not None:
-            if j in entry.jvals:
-                return entry, None
-        else:
-            params = _cover_parameters(entry, j)
-            if params:
-                return entry, params[0]
+        params = _cover_parameters(entry, j)
+        if params:
+            return entry, params[0]
     return None
 
 

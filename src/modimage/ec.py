@@ -226,14 +226,21 @@ def integral_model(E: WeierstrassCurve) -> Tuple[WeierstrassCurve, int]:
 
 def ap(M: WeierstrassCurve, p: int) -> int:
     """Trace of Frobenius a_p = p + 1 - #M(F_p) by direct counting on the
-    integral model M (see integral_model). Raises ValueError when M has a
-    non-integral coefficient, BadReduction when p divides its
-    discriminant.
+    integral model M (see integral_model). Raises ValueError when p is not
+    an int or M has a non-integral coefficient, BadReduction when p
+    divides its discriminant.
+
+    p is not tested for primality (a composite p gives no trace: ap(M, 15)
+    is -9 for y^2 + y = x^3 - x): the package passes sieved primes, and a
+    test would add a fifth to each call of the Frobenius pass (7 us against
+    35 us at p = 101 under CPython 3.11). The command line tests p.
 
     For odd p the count is p + 1 + sum over x of the quadratic character
     of 4x^3 + b2 x^2 + 2 b4 x + b6 (complete the square in y); p = 2 is a
     four-point brute force.
     """
+    if not isinstance(p, int):
+        raise ValueError("p is not an integer")
     (a1, a2, a3, a4, a6), (b2, b4, b6, _), _, disc = _invariants(M)
     if type(disc) is not int:
         raise ValueError(f"ap needs an integral model, got {M!r}")

@@ -156,7 +156,11 @@ def _trial_primes(bound: int):
 
 def primes_up_to(bound: int) -> list:
     """All primes <= bound, by a sieve of Eratosthenes. The sieve takes
-    O(bound) memory, so a bound above _MAX_SIEVE_BOUND raises ValueError."""
+    O(bound) memory, so a bound above _MAX_SIEVE_BOUND raises ValueError,
+    as does a bound that is not an int (a float or a Fraction, even of
+    integral value)."""
+    if not isinstance(bound, int):
+        raise ValueError("the sieve bound is not an integer")
     if bound > _MAX_SIEVE_BOUND:
         raise ValueError(f"sieve bound {bound} exceeds {_MAX_SIEVE_BOUND}")
     if bound < 2:

@@ -18,9 +18,10 @@ roots on its own, trying rational reconstruction after every doubling
 and stopping at the first candidate that exact substitution verifies; a
 root not found early is found at the precision the root bounds call for,
 so none is missed. It keeps no sieve of its own: the one mod-p sieve is
-the classifier's walk sieve, which reads cover_image_mod, the image of
-P^1(F_p) under a cover, and quadratic_image_mod, that of the nonsplit-11
-criterion, and leaves rational_roots only the fibres it cannot rule out.
+the classifier's walk sieve, which reads fibre_image_mod, the image on
+P^1(F_p) of a relation sum c_i(x) j^i = 0 (a cover, the nonsplit-11
+criterion or a set of j-values), and leaves rational_roots only the
+fibres it cannot rule out.
 """
 
 from __future__ import annotations
@@ -490,47 +491,30 @@ def _projective_values(polys: tuple, p: int):
     yield tuple(f[-1] for f in forms)
 
 
-def cover_image_mod(num: Poly, den: Poly, p: int) -> Optional[frozenset]:
-    """The image of P^1(F_p) under the cover num/den, or None where it
-    says nothing.
+def fibre_image_mod(coeffs: tuple, p: int) -> Optional[frozenset]:
+    """The points (a : b) of P^1(F_p) over which the relation
+    sum c_i(x) j^i = 0, with coeffs = (c_0, ..., c_k), has a point with x
+    in P^1(F_p), or None where it says nothing.
 
-    With N and D the forms of num and den made integral and homogenized
-    as in _projective_values, the image is the set of points
-    (N^h(x) : D^h(x)) for x in P^1(F_p), each written as its affine
-    coordinate in range(p), and infinity as p. None when N^h and D^h
-    share a zero on P^1(F_p), where (0 : 0) is no point.
+    With the c_i made integral and homogenized as in _projective_values,
+    these are the (a : b) where sum c_i^h(x) a^i b^(k-i) vanishes for some
+    x, each written as its affine coordinate in range(p), and infinity as
+    p. None when the c_i^h share a zero on P^1(F_p), over which every
+    (a : b) lies. When k = 1 the form has the one zero (-c_0 : c_1) at
+    each x, solved directly; otherwise every (a : b) is tried, once per
+    distinct tuple of values.
     """
     image = set()
-    for y, z in _projective_values((num, den), p):
-        if z:
-            image.add(y * pow(z, -1, p) % p)
-        elif y:
-            image.add(p)
+    for values in set(_projective_values(coeffs, p)):
+        if not any(values):
+            return None
+        if len(values) == 2:
+            c0, c1 = values
+            image.add(-c0 * pow(c1, -1, p) % p if c1 else p)
         else:
-            return None
-    return frozenset(image)
-
-
-def quadratic_image_mod(A: Poly, B: Poly, C: Poly, p: int
-                        ) -> Optional[frozenset]:
-    """The points (a : b) of P^1(F_p) over which the curve
-    A(x) j^2 + B(x) j + C(x) = 0 has a point with x in P^1(F_p), or None
-    where it says nothing.
-
-    With A, B and C made integral and homogenized as in
-    _projective_values, these are the (a : b) where
-    A^h(x) a^2 + B^h(x) ab + C^h(x) b^2 vanishes for some x, written as
-    in cover_image_mod. None when A^h, B^h and C^h share a zero on
-    P^1(F_p), over which every (a : b) lies.
-    """
-    image = set()
-    for alpha, beta, gamma in _projective_values((A, B, C), p):
-        if not (alpha or beta or gamma):
-            return None
-        image.update(a for a in range(p)
-                     if ((alpha * a + beta) * a + gamma) % p == 0)
-        if not alpha:
-            image.add(p)
+            image.update(a for a in range(p) if _eval_mod(values, a, p) == 0)
+            if not values[-1]:
+                image.add(p)
     return frozenset(image)
 
 

@@ -15,11 +15,12 @@ carries some of:
     by whether the curve is the d = 1 or the d = l* quadratic twist of
     the family member over the matched point.
 
-The nonsplit Cartan normalizer at l = 11 has a genus-one fiber handled
-by its own criterion (a rank-one curve and a quadratic in j); its data
-lives in NonsplitCriterion11, and nonsplit11_contains is its exact test.
-The classifier's walk sieves the criterion modulo small primes with the
-covers, before that test.
+The nonsplit Cartan normalizer at l = 11 has a genus-one fiber, given
+by a criterion (a rank-one curve and a quadratic in j) whose data lives
+in NonsplitCriterion11. Every entry is one relation sum c_i(t) j^i = 0
+(TableEntry.relation), and j lies under it where the fibre over j has a
+rational point: _fiber_contains for verify_all, and nonsplit11_contains
+on the criterion's relation.
 
 Everything is exact: Fractions and Poly over Q, each cover a coprime
 (num, den) pair as transcribed. verify_all() re-derives the internal
@@ -30,6 +31,7 @@ the nonsplit-11 criterion) and is exposed on the command line as
 `verify-tables`.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -75,7 +77,21 @@ class TableEntry(NamedTuple):
     curve: Optional[ShortCurve] = None  # fixed representative curve
     bad_t: frozenset = frozenset()   # parameter values the family excludes
     subs: tuple = ()                 # ((label, gens) at d=1, (label, gens) at d=l*)
-    criterion: str = ""              # nonempty: handled by a special test
+    criterion: str = ""              # nonempty: the nonsplit-11 criterion
+
+    @property
+    def relation(self) -> tuple:
+        """The coefficients (c_0, ..., c_k), Polys in t, of the entry's
+        relation sum c_i(t) j^i = 0: (num, -den) for a cover, (C, B, A) of
+        nonsplit11() for the criterion, the constant coefficients of
+        prod (j - v) over the j-values v. Derived on read, never stale."""
+        if self.cover is not None:
+            return self.cover.num, -self.cover.den
+        if self.criterion:
+            crit = nonsplit11()
+            return crit.C, crit.B, crit.A
+        return tuple(map(Poly.const, math.prod(T - v for v in self.jvals)
+                         .coeffs))
 
 
 class PrimeTable(NamedTuple):
@@ -515,20 +531,14 @@ def nonsplit11_j(x, y):
 
 
 def nonsplit11_contains(j) -> bool:
-    """Whether a rational point of the criterion curve sits over j.
+    """Whether a rational point of the criterion curve sits over j:
+    _fiber_contains on the relation of 11.G3.
 
     Affine points appear as rational roots in x of A*j^2 + B*j + C. The
     curve's single point at infinity sits over j = 54000, where the
     leading coefficients cancel and the degree of that polynomial drops.
-    This is the exact test; the classifier's walk first sieves j against
-    the criterion's image on P^1(F_p) (see classifier._WalkSieve).
     """
-    crit = nonsplit11()
-    j = Fraction(j)
-    f = crit.A * j ** 2 + crit.B * j + crit.C
-    if f.degree < crit.A.degree:
-        return True
-    return bool(rational_roots(f))
+    return _fiber_contains(_entry(11, "G3").relation, Fraction(j))
 
 
 # --- building groups from labels ---------------------------------------------
@@ -559,10 +569,12 @@ def group_from_label(l: int, name: str) -> Subgroup:
     Accepts either the bare name ("G1", "H4.2", "Ns", "B", "GL2",
     "Ns-index3", "CM.H1", ...) or the full label "l.name", whose prefix
     is read as an integer, so "037.G3" is 37.G3. Raises ValueError
-    unless l is prime and the label is known and names no other prime.
-    This is the one way from a label to its group: verify_all checks
-    what it returns.
+    unless l is a prime int (13.0 and Fraction(13) are refused too) and
+    the label is known and names no other prime. This is the one way from
+    a label to its group: verify_all checks what it returns.
     """
+    if not isinstance(l, int):
+        raise ValueError("l is not an integer")
     if not is_probable_prime(l):
         raise ValueError(f"l = {l} is not a prime")
     prefix, dot, rest = name.partition(".")
@@ -656,13 +668,16 @@ def _same_map(f: tuple, g: tuple) -> bool:
     return a * d == c * b
 
 
-def _fiber_contains(cover: Cover, j: Fraction) -> bool:
-    """Whether j has a rational preimage: t = infinity when num - j*den
-    drops below the degree of the cover, else a root of num - j*den."""
-    f = cover.num - j * cover.den
-    if f.degree < max(cover.num.degree, cover.den.degree):
-        return True
-    return bool(rational_roots(f))
+def _fiber_contains(relation: tuple, j: Fraction) -> bool:
+    """Whether j lies under a rational point of a relation (see
+    TableEntry.relation): the fibre f = sum c_i j^i is zero, or drops
+    below the largest degree of the c_i (t = infinity), or has a rational
+    root."""
+    f = relation[-1]
+    for c in relation[-2::-1]:
+        f = f * j + c
+    return (f.is_zero() or f.degree < max(c.degree for c in relation)
+            or bool(rational_roots(f)))
 
 
 def verify_all():
@@ -741,8 +756,8 @@ def verify_all():
             if e.field_disc == l:
                 continue
             side = legendre(-e.field_disc, l)
-            cover = _entry(l, split_name if side == 1 else inert_name).cover
-            check(f"cm-fiber:{l}:{e.j}", _fiber_contains(cover, e.j))
+            entry = _entry(l, split_name if side == 1 else inert_name)
+            check(f"cm-fiber:{l}:{e.j}", _fiber_contains(entry.relation, e.j))
 
     # (g) the nonsplit-11 criterion: A, the discriminant identity, the
     # points over j, the point at infinity and the inert CM j-invariants

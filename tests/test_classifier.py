@@ -43,8 +43,7 @@ from modimage.ec import (
     twist_test,
 )
 from modimage.exactmath import FactorizationIncomplete, primes_up_to
-from modimage.polyq import (INFINITY, Poly, cover_image_mod,
-                            quadratic_image_mod, rational_roots)
+from modimage.polyq import INFINITY, Poly, fibre_image_mod, rational_roots
 from modimage.gl2 import (
     borel,
     normalizer_nonsplit,
@@ -192,8 +191,9 @@ class TestCoverWalk:
 
 # --- the walk sieve --------------------------------------------------------
 
-TABLE_COVERS = [e.cover for l in supported_primes()
-                for e in prime_table(l).entries if e.cover is not None]
+ALL_ENTRIES = [e for l in supported_primes() for e in prime_table(l).entries]
+TABLE_COVERS = [e.cover for e in ALL_ENTRIES if e.cover is not None]
+COVER_LABELS = {e.label for e in ALL_ENTRIES if e.cover is not None}
 
 
 def _criterion_points_j():
@@ -236,30 +236,36 @@ def hit_label(hit):
     return None if hit is None else (hit[0].label, hit[1])
 
 
+def label_by_relation(entries):
+    """The function from a relation to the label of the entry among
+    entries that has it."""
+    relations = [(e.label, e.relation) for e in entries]
+    return lambda coeffs: next(label for label, rel in relations
+                               if rel == coeffs)
+
+
+def fake_images(monkeypatch, at, entries, built):
+    """Make the walk sieve read at(label, p) as the image of each of
+    entries at p, and record each (label, p) it reads in built."""
+    label_of = label_by_relation(entries)
+
+    def image_mod(coeffs, p):
+        label = label_of(coeffs)
+        built.append((label, p))
+        return at(label, p)
+
+    monkeypatch.setattr(modimage.classifier, "fibre_image_mod", image_mod)
+
+
 def fresh_sieves(monkeypatch):
-    """Empty the walk sieves for this test, and count the images built,
-    per (entry label, p) and per image function."""
+    """Empty the walk sieves for this test, and count the images built
+    per (entry label, p)."""
     monkeypatch.setattr(modimage.classifier, "_SIEVES", {})
-    built, calls = Counter(), Counter()
-    entry_image = modimage.classifier._entry_image
-
-    def counted_entry_image(entry, p):
-        built[entry.label, p] += 1
-        return entry_image(entry, p)
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(modimage.classifier, "_entry_image",
-                        counted_entry_image)
-    monkeypatch.setattr(modimage.classifier, "cover_image_mod",
-                        counted("cover", cover_image_mod))
-    monkeypatch.setattr(modimage.classifier, "quadratic_image_mod",
-                        counted("criterion", quadratic_image_mod))
-    return built, calls
+    entries = {e.label: e for e in ALL_ENTRIES}
+    built = []
+    fake_images(monkeypatch, lambda label, p: fibre_image_mod(
+        entries[label].relation, p), ALL_ENTRIES, built)
+    return built
 
 
 class TestWalkSieve:
@@ -284,17 +290,12 @@ class TestWalkSieve:
 
     def test_walk_sieve_reads_each_image_once(self, monkeypatch):
         built = []
-
-        def images(at):
-            def image_mod(entry, p):
-                built.append((entry.label, p))
-                return at(entry.label, p)
-            return image_mod
-
-        monkeypatch.setattr(modimage.classifier, "_entry_image",
-                            images(lambda _, p: None if p == 3
-                                   else frozenset({1, p})))
-        sieve = _WalkSieve((TableEntry("e", 1, ()),))
+        e = TableEntry("e", 1, (), jvals=frozenset({F(5)}))
+        out = TableEntry("out", 1, (), jvals=frozenset({F(6)}))
+        kept = TableEntry("in", 1, (), jvals=frozenset({F(7)}))
+        fake_images(monkeypatch, lambda _, p: None if p == 3
+                    else frozenset({1, p}), (e,), built)
+        sieve = _WalkSieve((e,))
         assert sieve.admitted(_sieve_points(F(1))) == 1
         assert built == [("e", p) for p in SIEVE_PRIMES]
         # 2 is 0 mod 2, outside {1, 2}; no image is built twice
@@ -302,24 +303,21 @@ class TestWalkSieve:
         assert built == [("e", p) for p in SIEVE_PRIMES]
         # a denominator divisible by p reduces to infinity, written p, and
         # an image of None rules nothing out
-        monkeypatch.setattr(modimage.classifier, "_entry_image",
-                            images(lambda _, p: frozenset({2}) if p == 2
-                                   else None))
+        fake_images(monkeypatch, lambda _, p: frozenset({2}) if p == 2
+                    else None, (e,), built)
         for j, admitted in ((F(1, 2), 1), (F(1, 3), 0)):
-            assert _WalkSieve((TableEntry("e", 1, ()),)).admitted(
-                _sieve_points(j)) == admitted
+            assert _WalkSieve((e,)).admitted(_sieve_points(j)) == admitted
         # an entry ruled out at 2 has no image built at a later prime
         built.clear()
-        monkeypatch.setattr(modimage.classifier, "_entry_image",
-                            images(lambda label, p: frozenset({p})
-                                   if label == "out" else None))
-        sieve = _WalkSieve((TableEntry("out", 1, ()), TableEntry("in", 1, ())))
+        fake_images(monkeypatch, lambda label, p: frozenset({p})
+                    if label == "out" else None, (out, kept), built)
+        sieve = _WalkSieve((out, kept))
         assert sieve.admitted(_sieve_points(F(1))) == 0b10
         assert built == [("out", 2), ("in", 2)] + [
             ("in", p) for p in SIEVE_PRIMES[1:]]
 
     def test_each_image_is_built_once_over_two_passes(self, monkeypatch):
-        built, calls = fresh_sieves(monkeypatch)
+        built = fresh_sieves(monkeypatch)
         grid = [F(n, d) for n in range(-6, 7) for d in (1, 2, 3)]
         js = sorted({j for cover in TABLE_COVERS for t in grid
                      if (j := cover_value(cover, t)) is not None}
@@ -329,23 +327,21 @@ class TestWalkSieve:
             hits.append([hit_label(_first_hit(j, l))
                          for j in js for l in supported_primes()])
         assert hits[0] == hits[1]
-        assert set(built.values()) == {1}
-        jvals = {e.label for l in supported_primes()
-                 for e in prime_table(l).entries if e.jvals is not None}
-        assert calls["cover"] + calls["criterion"] == sum(
-            1 for label, _ in built if label not in jvals)
-        assert calls["criterion"] == sum(1 for label, _ in built
-                                         if label == "11.G3")
+        assert set(Counter(built).values()) == {1}
+        # the covers, the j-values and the criterion are all sieved
+        assert {"13.G1", "7.G1", "13.G7", "11.G3"} <= {
+            label for label, _ in built}
 
     def test_first_classify_builds_no_more_images_than_before(
             self, monkeypatch):
         # y^2 + y = x^3 - 7x + 6 (5077a1): GL2 at every table prime, so
         # every walk runs to its end; a per-entry sieve built 94 cover
         # images and 7 criterion images here
-        built, calls = fresh_sieves(monkeypatch)
+        built = fresh_sieves(monkeypatch)
         report = classify(WeierstrassCurve(0, 0, 1, -7, 6))
         assert {r.label for r in report.results} == {"GL2"}
-        assert calls["cover"] <= 94 and calls["criterion"] <= 7
+        assert sum(1 for label, _ in built if label in COVER_LABELS) <= 94
+        assert sum(1 for label, _ in built if label == "11.G3") <= 7
 
     def test_exact_tests_see_only_admitted_entries(self, monkeypatch):
         seen = []
@@ -360,10 +356,12 @@ class TestWalkSieve:
         for j in SPECIAL_J + [F(k + 1) for k in range(1, 200)]:
             for l in supported_primes():
                 _first_hit(j, l)
-        assert seen
+        # every kind of entry meets the one exact test
+        assert {"2.G1", "7.G1", "13.G7", "11.G3"} <= {
+            entry.label for entry, _ in seen}
         for entry, j in seen:
             for p, r in zip(SIEVE_PRIMES, _sieve_points(j)):
-                image = cover_image_mod(*entry.cover, p)
+                image = fibre_image_mod(entry.relation, p)
                 assert image is None or r in image, (entry.label, j, p)
 
 
@@ -788,6 +786,21 @@ class TestInputValidation:
             with pytest.raises(ValueError, match="is not an integer"):
                 twist_set(E, l, 10)
         assert classify(E, [F(11)]) == classify(E, [11])
+
+    @pytest.mark.parametrize("call", [
+        lambda E: classify(E, [13], 50.5),
+        lambda E: classify(E, [13], float("nan")),
+        lambda E: classify(E, [37], float("inf")),
+        lambda E: frobenius_noncontainment(E, 13, F(50)),
+        lambda E: twist_set(E, 7, 50.5),
+    ], ids=["classify", "classify-nan", "classify-inf", "certificates",
+            "twist-set"])
+    def test_non_integer_bound_rejected(self, call):
+        # the sieve of primes up to a Frobenius or twist-set bound refuses
+        # it, where it used to raise TypeError from inside the sieve
+        with pytest.raises(ValueError,
+                           match="the sieve bound is not an integer"):
+            call(WeierstrassCurve(0, 0, 1, -1, 0))
 
 
 class TestFingerprintSoundness:

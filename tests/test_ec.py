@@ -298,6 +298,15 @@ def test_ap_needs_an_integral_model(E):
     assert ap(M, 7) == brute_force_ap(M, 7)
 
 
+def test_ap_takes_an_int_p_untested_for_primality():
+    M = WeierstrassCurve(0, 0, 1, -1, 0)
+    for p in (7.5, 7.0, Fraction(7), float("nan")):
+        with pytest.raises(ValueError, match="p is not an integer"):
+            ap(M, p)
+    # a composite p is counted as given; no trace comes out
+    assert ap(M, 15) == -9
+
+
 def test_ap_against_brute_force():
     curves = [
         CURVE_J121,

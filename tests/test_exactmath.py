@@ -31,6 +31,12 @@ def test_primes_up_to():
     assert primes_up_to(1) == []
 
 
+def test_primes_up_to_refuses_a_non_integer_bound():
+    for bound in (50.5, 30.0, Fraction(30), float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="is not an integer"):
+            primes_up_to(bound)
+
+
 def test_primes_up_to_refuses_a_bound_past_the_cap(monkeypatch):
     cap = exactmath._MAX_SIEVE_BOUND
     assert cli._MAX_SCAN_BOUND < cap

@@ -305,90 +305,83 @@ def test_rational_roots_anchor():
     assert rational_roots(6469693230 * T - 1) == {Fraction(1, 6469693230)}
 
 
-def brute_image_mod(num, den, p):
-    """The points (N(x) : D(x)) of P^1(F_p), x in F_p or infinity, for the
-    coprime integer coefficient lists N, D proportional to num, den: the
-    values over Z at x, and the top coefficients at infinity, reduced mod
-    p. None at a shared zero."""
-    n = max(num.degree, den.degree)
-    coeffs = [num[i] for i in range(n + 1)] + [den[i] for i in range(n + 1)]
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    g = math.gcd(*ints)
-    N, D = [c // g for c in ints[:n + 1]], [c // g for c in ints[n + 1:]]
-    pairs = [(sum(c * x ** i for i, c in enumerate(N)),
-              sum(c * x ** i for i, c in enumerate(D))) for x in range(p)]
-    pairs.append((N[n], D[n]))
-    image = set()
-    for y, z in pairs:
-        y, z = y % p, z % p
-        if (y, z) == (0, 0):
-            return None
-        image.add(y * pow(z, -1, p) % p if z else p)
-    return image
-
-
-def test_cover_image_mod():
-    one = Poly.const(1)
-    assert polyq.cover_image_mod(T ** 2, one, 5) == {0, 1, 4, 5}
-    # T / (T + 1)^2 mod 2: a pole at 1 and a zero at infinity
-    assert polyq.cover_image_mod(T, T ** 2 + 1, 2) == {0, 2}
-    # a content shared by num and den is no common zero
-    assert polyq.cover_image_mod(2 * T, Poly.const(2), 2) == {0, 1, 2}
-    assert polyq.cover_image_mod(T ** 2 + 1, T + 3, 2) is None
-    # T^2 + 1 has no root mod 3, so 0 is missed
-    assert polyq.cover_image_mod(T ** 2 + 1, T + 3, 3) == {1, 2, 3}
-    for l in (5, 13):
-        for entry in prime_table(l).entries:
-            if entry.cover is not None:
-                for p in SIEVE_PRIMES[:4]:
-                    assert polyq.cover_image_mod(*entry.cover, p) == \
-                        brute_image_mod(*entry.cover, p), (entry.label, p)
-
-
-def brute_quadratic_image_mod(A, B, C, p):
-    """The (a : b) of P^1(F_p), written as in cover_image_mod, at which
-    A(x) a^2 + B(x) ab + C(x) b^2 vanishes mod p for some x in P^1(F_p),
-    with A, B, C scaled and homogenized as in brute_image_mod. None when
-    all three vanish at one x."""
-    n = max(A.degree, B.degree, C.degree)
-    coeffs = [f[i] for f in (A, B, C) for i in range(n + 1)]
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
+def brute_fibre_image_mod(coeffs, p):
+    """The (a : b) of P^1(F_p), written as fibre_image_mod writes them
+    (a/b in range(p), infinity as p), at which the form
+    sum c_i(x) a^i b^(k-i) vanishes mod p for some x in P^1(F_p), with
+    coeffs = (c_0, ..., c_k) scaled to coprime integers and homogenized
+    at their largest degree n (at x = infinity, the degree-n
+    coefficients). None when every c_i vanishes at one x."""
+    n = max(c.degree for c in coeffs)
+    flat = [c[i] for c in coeffs for i in range(n + 1)]
+    scale = math.lcm(*(c.denominator for c in flat))
+    ints = [int(c * scale) for c in flat]
     g = math.gcd(*ints)
     forms = [[c // g for c in ints[k:k + n + 1]]
-             for k in range(0, 3 * (n + 1), n + 1)]
+             for k in range(0, len(ints), n + 1)]
     values = [[sum(c * x ** i for i, c in enumerate(f)) % p for f in forms]
               for x in range(p)] + [[f[n] % p for f in forms]]
     points = [(a, 1) for a in range(p)] + [(1, 0)]
+    k = len(coeffs) - 1
     image = set()
-    for al, be, ga in values:
-        if (al, be, ga) == (0, 0, 0):
+    for vals in values:
+        if not any(vals):
             return None
         image |= {a if b else p for a, b in points
-                  if (al * a * a + be * a * b + ga * b * b) % p == 0}
+                  if sum(v * a ** i * b ** (k - i)
+                         for i, v in enumerate(vals)) % p == 0}
     return image
 
 
-def test_quadratic_image_mod():
+def test_fibre_image_mod():
     one, zero = Poly.const(1), Poly()
+
+    def cover(num, den, p):
+        return polyq.fibre_image_mod((num, -den), p)
+
+    def quadratic(A, B, C, p):
+        return polyq.fibre_image_mod((C, B, A), p)
+
+    # covers num - j*den
+    assert cover(T ** 2, one, 5) == {0, 1, 4, 5}
+    # T / (T + 1)^2 mod 2: a pole at 1 and a zero at infinity
+    assert cover(T, T ** 2 + 1, 2) == {0, 2}
+    # a content shared by num and den is no common zero
+    assert cover(2 * T, Poly.const(2), 2) == {0, 1, 2}
+    assert cover(T ** 2 + 1, T + 3, 2) is None
+    # T^2 + 1 has no root mod 3, so 0 is missed
+    assert cover(T ** 2 + 1, T + 3, 3) == {1, 2, 3}
+    # relations quadratic in j, A j^2 + B j + C
     # j^2 = x: every j over x = j^2, and infinity over x = infinity
-    assert polyq.quadratic_image_mod(one, zero, -T, 5) == set(range(6))
+    assert quadratic(one, zero, -T, 5) == set(range(6))
     # j^2 + 1 = 0 has no point mod 3 and one (x free) mod 5 at j = 2, 3
-    assert polyq.quadratic_image_mod(one, zero, one, 3) == set()
-    assert polyq.quadratic_image_mod(one, zero, one, 5) == {2, 3}
+    assert quadratic(one, zero, one, 3) == set()
+    assert quadratic(one, zero, one, 5) == {2, 3}
     # x j^2 - j = 0: j = 0 at every x, j = 1/x, and infinity at x = 0
-    assert polyq.quadratic_image_mod(T, -one, zero, 3) == {0, 1, 2, 3}
+    assert quadratic(T, -one, zero, 3) == {0, 1, 2, 3}
     # A, B and C all vanish at x = 1 mod 2
-    assert polyq.quadratic_image_mod(T + 1, T + 3, T - 1, 2) is None
-    assert polyq.quadratic_image_mod(T + 1, T + 3, T - 1, 3) is not None
+    assert quadratic(T + 1, T + 3, T - 1, 2) is None
+    assert quadratic(T + 1, T + 3, T - 1, 3) is not None
+    # a constant relation, (j - 3)(j - 1/2)(j + 121): its j-values, 1/2
+    # at infinity mod 2
+    jvals = tuple(map(Poly.const, ((T - 3) * (T - Fraction(1, 2))
+                                   * (T + 121)).coeffs))
+    assert polyq.fibre_image_mod(jvals, 2) == {1, 2}
+    assert polyq.fibre_image_mod(jvals, 5) == {3, 4}
     cases = [(T ** 2 + 1, Fraction(1, 2) * T, T ** 3 - 7),
              (Poly([3, 0, 2]), Poly([Fraction(5, 3), 1]), Poly([-4, 0, 1])),
              (2 * T, Poly.const(6), 4 * T ** 2 - 2)]
-    for A, B, C in cases:
+    relations = [(C, B, A) for A, B, C in cases] + [
+        jvals, (T ** 2 + 1, T + 3), (T ** 3 - 2, 5 * T, T - 1, T ** 2)]
+    for coeffs in relations:
         for p in SIEVE_PRIMES:
-            assert polyq.quadratic_image_mod(A, B, C, p) == \
-                brute_quadratic_image_mod(A, B, C, p), (A, B, C, p)
+            assert polyq.fibre_image_mod(coeffs, p) == \
+                brute_fibre_image_mod(coeffs, p), (coeffs, p)
+    for l in (5, 7, 11, 13):
+        for entry in prime_table(l).entries:
+            for p in SIEVE_PRIMES[:4]:
+                assert polyq.fibre_image_mod(entry.relation, p) == \
+                    brute_fibre_image_mod(entry.relation, p), (entry.label, p)
 
 
 def test_rational_roots_root_free_only_over_q_reaches_the_exact_path(

@@ -21,7 +21,7 @@ from modimage.exactmath import primes_up_to
 from modimage.gl2 import (Mat2, Subgroup, gl2_order, is_applicable,
                           is_conjugate, normalizer_nonsplit,
                           octahedral_normalizer)
-from modimage.polyq import INFINITY, Poly, poly_gcd, quadratic_image_mod
+from modimage.polyq import INFINITY, Poly, fibre_image_mod, poly_gcd
 from modimage.tables import (CM_TABLE, EXCEPTIONAL_LOOKUP, Cover, PrimeTable,
                              TableEntry, cm_entry, emit_text, group_from_label,
                              nonsplit11, nonsplit11_contains, nonsplit11_j,
@@ -122,7 +122,7 @@ def test_cover_values_pin_down_transcription():
             v = value_at_infinity(e.cover)
             if v is not None:
                 finite_at_infinity[e.label] = v
-                assert tables._fiber_contains(e.cover, v)
+                assert tables._fiber_contains(e.relation, v)
     assert finite_at_infinity == {
         "5.G3": F(0), "5.G7": F(8000), "7.G5": F(-3375), "7.G6": F(8000),
         "13.G3": F(-49353408, 5),
@@ -178,7 +178,7 @@ def test_infinity_lies_over_j_exactly_at_the_value_there(cover, j, at_limit):
     assert _cover_parameters(entry, j) == \
         sorted(roots, key=lambda t: (t.denominator, t.numerator)) \
         + [INFINITY] * at_infinity
-    assert tables._fiber_contains(entry.cover, j) == (at_infinity
+    assert tables._fiber_contains(entry.relation, j) == (at_infinity
                                                      or bool(roots))
 
 
@@ -327,9 +327,8 @@ CRITERION_J = _criterion_j()
 
 
 def test_criterion_j_lies_in_every_image():
-    crit = nonsplit11()
-    images = {p: quadratic_image_mod(crit.A, crit.B, crit.C, p)
-              for p in SIEVE_PRIMES}
+    relation = tables._entry(11, "G3").relation
+    images = {p: fibre_image_mod(relation, p) for p in SIEVE_PRIMES}
     # A, B and C share a zero mod 11 only
     assert [p for p, image in images.items() if image is None] == [11]
     assert len(CRITERION_J) == 15
@@ -424,6 +423,15 @@ def test_group_from_label():
                 assert G.label == f"{l}.{name}"
                 assert G.order * G.index == gl2_order(l)
                 assert G.order == order(l), (l, name)
+
+
+def test_group_from_label_refuses_a_non_integer_l():
+    # refused before the primality test, which raised TypeError on these
+    for l in (13.0, 13.5, float("nan"), F(13)):
+        with pytest.raises(ValueError, match="^l is not an integer$"):
+            group_from_label(l, "B")
+    with pytest.raises(ValueError, match="^l = 9 is not a prime$"):
+        group_from_label(9, "B")
 
 
 def test_exceptional_groups_from_label():
