@@ -3,21 +3,22 @@
 Given an elliptic curve over Q and a prime l, determine the image of the
 mod-l representation up to conjugacy in GL_2(F_l):
 
-* non-CM curves at l <= 13 are classified by walking the table in order
-  of decreasing index; each entry is one relation sum c_i(t) j^i = 0 (a
-  cover, a set of j-values, or at l = 11 the nonsplit normalizer's
-  criterion), and the first with a rational point over j is refined to
-  a twist sublabel with the curve parametrized by the matched value; j
-  is reduced once per call at a few small primes, and one sieve per l, a
-  bit per entry, keeps only the entries whose image on P^1(F_p) holds j
-  at every one of them, which rules out nearly every miss before the one
-  exact test runs;
-* at l = 13 and l >= 17 the remaining open containments (nonsplit or
-  split normalizer images with no known rational points) give verdicts
-  conditional on the surjectivity conjecture, upgraded to proven when
-  Frobenius traces certify non-containment in every open possibility;
-  the trace scans of one classify call read one Frobenius pass, which
-  builds the integral model once and counts each a_p once;
+* non-CM curves at every prime with a table (2 to 13, 17 and 37) are
+  classified by walking the table in order of decreasing index; each
+  entry is one relation sum c_i(t) j^i = 0 (a cover, a set of j-values,
+  or at l = 11 the nonsplit normalizer's criterion), and the first with
+  a rational point over j is refined to a twist sublabel with the curve
+  parametrized by the matched value; j is reduced once per call at a
+  few small primes, and one sieve per l, a bit per entry, keeps only the
+  entries whose image on P^1(F_p) holds j at every one of them, which
+  rules out nearly every miss before the one exact test runs;
+* when the walk misses at l < 13 the image is full; at l >= 13 the
+  remaining open containments (nonsplit or split normalizer images with
+  no known rational points) give verdicts conditional on the
+  surjectivity conjecture, upgraded to proven when Frobenius traces
+  certify non-containment in every open possibility; the trace scans of
+  one classify call read one Frobenius pass, which builds the integral
+  model once and counts each a_p once;
 * CM curves are classified by the discriminant table rules, including
   the mod-9 refinements for j = 0 and the twist tests at l = D; at l = 2
   away from j in {0, 1728} the l = 2 table decides, since a quadratic
@@ -38,8 +39,7 @@ from .ec import (ShortCurve, WeierstrassCurve, _fr, ap, integral_model,
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
                   fingerprint_in_octahedral, fingerprint_in_split_normalizer)
 from .polyq import INFINITY, fibre_image_mod, rational_roots
-from .tables import (CMEntry, EXCEPTIONAL_LOOKUP, cm_entry, prime_table,
-                     supported_primes)
+from .tables import CMEntry, cm_entry, prime_table, supported_primes
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 37)
 DEFAULT_FROBENIUS_BOUND = 1000
@@ -241,7 +241,7 @@ def frobenius_noncontainment(E, l: int, bound: int, *,
 
 
 def _tail(E, l: int, bound: int, candidates, traces) -> ImageResult:
-    """No table entry or isolated j-invariant settled l: the image is full
+    """The walk missed at l >= 13, or l has no table: the image is full
     unless it lies in one of the candidate groups, which conjecturally
     never happens for non-CM curves.
 
@@ -363,28 +363,25 @@ def classify_prime_noncm(E, j, l: int,
 
     E may be None (classification from j alone); twist refinement and
     Frobenius certification then degrade with a note. The walk takes the
-    first matching entry in the table's decreasing-index order. traces
+    first matching entry in the table's decreasing-index order; a miss
+    is GL2 at l < 13 and goes to the Frobenius tail above. traces
     is the Frobenius pass of E that the call's scans share, as in
     frobenius_noncontainment, and points is j reduced at the sieve
     primes, which the call's walks share, as in _first_hit.
     """
+    l = _checked_prime(l)
     if l in supported_primes():
         hit = _first_hit(j, l, points)
         if hit is not None:
             entry, t = hit
             label, note = _refine(entry, t, E, prime_table(l).twist)
             return ImageResult(l, label, STATUS_PROVEN, witness_t=t, note=note)
-        if l == 13:
-            return _tail(E, 13, frobenius_bound,
-                         (("13.Ns", "SplitNormalizer"),
-                          ("13.Nns", "NonsplitNormalizer")), traces)
+    if l < 13:
         return ImageResult(l, "GL2", STATUS_PROVEN)
-    l = _checked_prime(l)
-    label = EXCEPTIONAL_LOOKUP.get((l, j))
-    if label is not None:
-        return ImageResult(l, label, STATUS_PROVEN)
-    # the nonsplit normalizer, with its index-3 subgroup when l = 2 mod 3
-    candidates = ((f"{l}.Nns", "NonsplitNormalizer"),)
+    # the split normalizer at 13, then the nonsplit normalizer, with its
+    # index-3 subgroup when l = 2 mod 3
+    candidates = (("13.Ns", "SplitNormalizer"),) if l == 13 else ()
+    candidates += ((f"{l}.Nns", "NonsplitNormalizer"),)
     if l % 3 == 2:
         candidates += ((f"{l}.Nns-index3", "NonsplitNormalizer"),)
     return _tail(E, l, frobenius_bound, candidates, traces)

@@ -42,7 +42,7 @@ from .tables import emit_text, group_from_label, verify_all
 # of a prime with thousands of digits takes seconds, group --prime L
 # enumerates up to ~L^4 elements (only a group of upper-triangular
 # generators beside some [1, b; 0, 1] is counted in closed form; 37 is
-# the largest prime a table names, and GL2(37) has 1.8 million), and a
+# the largest table prime, and GL2(37) has 1.8 million), and a
 # rational literal may have as many digits as int() reads from a string.
 # Each limit is checked before any test of primality; the prime limit is
 # the library's own MAX_PRIME, checked here to name the flag. The height

@@ -227,8 +227,8 @@ def integral_model(E: WeierstrassCurve) -> Tuple[WeierstrassCurve, int]:
 def ap(M: WeierstrassCurve, p: int) -> int:
     """Trace of Frobenius a_p = p + 1 - #M(F_p) by direct counting on the
     integral model M (see integral_model). Raises ValueError when p is not
-    an int or M has a non-integral coefficient, BadReduction when p
-    divides its discriminant.
+    an int of at least 2 or M has a non-integral coefficient, BadReduction
+    when p divides its discriminant.
 
     p is not tested for primality (a composite p gives no trace: ap(M, 15)
     is -9 for y^2 + y = x^3 - x): the package passes sieved primes, and a
@@ -241,6 +241,8 @@ def ap(M: WeierstrassCurve, p: int) -> int:
     """
     if not isinstance(p, int):
         raise ValueError("p is not an integer")
+    if p < 2:
+        raise ValueError(f"p = {p} is less than 2")
     (a1, a2, a3, a4, a6), (b2, b4, b6, _), _, disc = _invariants(M)
     if type(disc) is not int:
         raise ValueError(f"ap needs an integral model, got {M!r}")

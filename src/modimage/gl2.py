@@ -54,11 +54,6 @@ class Mat2(tuple):
                                     (c * e + d * g) % l, (c * f + d * h) % l,
                                     l))
 
-    def inverse(self) -> "Mat2":
-        a, b, c, d, l = self
-        inv_det = pow(self.det(), -1, l)
-        return Mat2(d * inv_det, -b * inv_det, -c * inv_det, a * inv_det, l)
-
     def __neg__(self) -> "Mat2":
         a, b, c, d, l = self
         return tuple.__new__(Mat2, (-a % l, -b % l, -c % l, -d % l, l))
@@ -252,39 +247,6 @@ def is_applicable(G: Subgroup) -> bool:
     inv = G.invariants()
     return (inv.index > 1 and inv.has_minus_i and inv.det_is_full
             and (0, G.l - 1) in inv.fingerprints)
-
-
-def enumerate_gl2(l: int):
-    """Iterate over all of GL2(F_l). Quadratic in l^2; fine for l <= 13."""
-    for a in range(l):
-        for b in range(l):
-            for c in range(l):
-                for d in range(l):
-                    if (a * d - b * c) % l != 0:
-                        yield Mat2(a, b, c, d, l)
-
-
-def is_conjugate(G: Subgroup, H: Subgroup) -> Tuple[bool, Optional[Mat2]]:
-    """Decide conjugacy in GL2(F_l), returning a witness M with
-    M G M^-1 = H when one exists.
-
-    Fast rejection by order and fingerprint set; then a search over the
-    full group, checking that each generator of G lands in H (equal orders
-    then force equality). Intended for l <= 13.
-    """
-    if G.l != H.l:
-        raise ValueError("subgroups of different ambient groups")
-    if G.order != H.order:
-        return False, None
-    gi, hi = G.invariants(), H.invariants()
-    if gi.fingerprints != hi.fingerprints:
-        return False, None
-    gens = G.generators if G.generators else tuple(G.elements)
-    for m in enumerate_gl2(G.l):
-        m_inv = m.inverse()
-        if all((m * g * m_inv) in H.elements for g in gens):
-            return True, m
-    return False, None
 
 
 # --- the named subgroups ---------------------------------------------------

@@ -1,10 +1,12 @@
 """Classification data for the mod-l image computation at small primes.
 
-For each l in {2, 3, 5, 7, 11, 13} there is a table of the maximal proper
-subgroups (up to conjugacy and sign) that can occur as mod-l images of
-elliptic curves over Q, listed in the matching order used by the
-classifier: decreasing index, ties kept in their listed order. An entry
-carries some of:
+For each l in {2, 3, 5, 7, 11, 13, 17, 37} there is a table of the
+maximal proper subgroups (up to conjugacy and sign) that can occur as
+mod-l images of elliptic curves over Q, listed in the matching order
+used by the classifier: decreasing index, ties kept in their listed
+order. At 17 and 37 those are the Borel subgroups at Mazur's isolated
+points of X_0(17) and X_0(37), four j-values in all. An entry carries
+some of:
 
   * a degree-index cover J(t) of the j-line whose rational fibers detect
     containment of the image in +-G (genus-zero case),
@@ -376,8 +378,30 @@ def _table_13() -> PrimeTable:
     return PrimeTable(13, 13, entries)
 
 
+# --- l = 17 and l = 37: the isolated points of X_0(17) and X_0(37) ---------
+
+def _table_17() -> PrimeTable:
+    entries = (
+        TableEntry("17.G1", 72, ((2, 0, 0, 11), (4, 0, 0, 13), (1, 1, 0, 1)),
+                   jvals=frozenset({F(-17 * 373 ** 3, 2 ** 17)})),
+        TableEntry("17.G2", 72, ((11, 0, 0, 2), (13, 0, 0, 4), (1, 1, 0, 1)),
+                   jvals=frozenset({F(-(17 ** 2) * 101 ** 3, 2)})),
+    )
+    return PrimeTable(17, 17, entries)
+
+
+def _table_37() -> PrimeTable:
+    entries = (
+        TableEntry("37.G3", 114, ((8, 0, 0, 1), (1, 0, 0, 2), (1, 1, 0, 1)),
+                   jvals=frozenset({F(-7 * 11 ** 3)})),
+        TableEntry("37.G4", 114, ((2, 0, 0, 1), (1, 0, 0, 8), (1, 1, 0, 1)),
+                   jvals=frozenset({F(-7 * 137 ** 3 * 2083 ** 3)})),
+    )
+    return PrimeTable(37, 37, entries)
+
+
 _BUILDERS = {2: _table_2, 3: _table_3, 5: _table_5, 7: _table_7,
-             11: _table_11, 13: _table_13}
+             11: _table_11, 13: _table_13, 17: _table_17, 37: _table_37}
 
 
 def supported_primes() -> tuple:
@@ -431,23 +455,6 @@ _CM_BY_J = {e.j: e for e in CM_TABLE}
 def cm_entry(j) -> Optional[CMEntry]:
     """The CM table row for this j-invariant, or None."""
     return _CM_BY_J.get(Fraction(j))
-
-
-# --- the four isolated large-prime images -----------------------------------
-
-EXCEPTIONAL_LOOKUP = {
-    (17, F(-17 * 373 ** 3, 2 ** 17)): "17.G1",
-    (17, F(-(17 ** 2) * 101 ** 3, 2)): "17.G2",
-    (37, F(-7 * 11 ** 3)): "37.G3",
-    (37, F(-7 * 137 ** 3 * 2083 ** 3)): "37.G4",
-}
-
-EXCEPTIONAL_GENERATORS = {
-    "17.G1": ((2, 0, 0, 11), (4, 0, 0, 13), (1, 1, 0, 1)),
-    "17.G2": ((11, 0, 0, 2), (13, 0, 0, 4), (1, 1, 0, 1)),
-    "37.G3": ((8, 0, 0, 1), (1, 0, 0, 2), (1, 1, 0, 1)),
-    "37.G4": ((2, 0, 0, 1), (1, 0, 0, 8), (1, 1, 0, 1)),
-}
 
 
 # --- the nonsplit Cartan normalizer fiber at l = 11 --------------------------
@@ -602,8 +609,6 @@ def group_from_label(l: int, name: str) -> Subgroup:
         power, unit = _CM_GROUPS[name]
         s = pow(primitive_root(l), power, l)
         gens = ((s, 0, 0, s), unit, (1, 1, 0, 1))
-    elif full in EXCEPTIONAL_GENERATORS:
-        gens = EXCEPTIONAL_GENERATORS[full]
     else:
         e = _entry(l, name) if l in _BUILDERS else None
         if e is None:
@@ -742,9 +747,6 @@ def verify_all():
                       -Mat2.identity(l) not in H.elements
                       and 2 * H.order == G.order
                       and plus_minus == G.elements)
-    for label in EXCEPTIONAL_GENERATORS:
-        G = group_from_label(int(label.split(".")[0]), label)
-        check(f"group:{label}", is_applicable(G))
 
     # (e) CM models
     for e in CM_TABLE:
@@ -822,10 +824,6 @@ def emit_text() -> str:
     for e in CM_TABLE:
         out.append(f"  j {e.j} D {e.field_disc} f {e.order_index} "
                    f"model {e.model!r}")
-    out.append("isolated large-prime images")
-    for (l, j), label in EXCEPTIONAL_LOOKUP.items():
-        out.append(f"  {label}: l {l} j {j} gens "
-                   f"{EXCEPTIONAL_GENERATORS[label]}")
     crit = nonsplit11()
     out.append("nonsplit Cartan normalizer criterion at 11")
     out.append(f"  curve: {crit.curve!r} generator {crit.generator}")

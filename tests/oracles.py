@@ -32,6 +32,11 @@ evidence and not a shared bug:
   * mod2_label reads the mod-2 image of y^2 = x^3 + Ax + B off the
     rational roots and discriminant of the 2-division cubic, while the
     classifier walks the l = 2 cover table.
+  * is_conjugate decides conjugacy of two subgroups by searching all of
+    GL2(F_l) (enumerate_gl2) for an element that carries the generators
+    of one into the other, inverting it by the adjugate (mat_inverse);
+    the package has no conjugacy test at all, and the tests use it to tie
+    table groups to the named constructions.
   * unsieved_first_hit walks a table entry by entry with the exact tests
     alone (the rational roots of each fibre, the j-values, the
     nonsplit-11 polynomial), while classifier._first_hit first sieves
@@ -41,6 +46,7 @@ evidence and not a shared bug:
 from fractions import Fraction
 from math import gcd, isqrt
 
+from modimage.gl2 import Mat2
 from modimage.polyq import INFINITY, Poly, rational_roots
 from modimage.tables import nonsplit11, prime_table
 
@@ -190,6 +196,45 @@ def naive_span(generators, l):
         new = products - group
         group |= new
     return group
+
+
+def enumerate_gl2(l):
+    """Iterate over all of GL2(F_l). Quadratic in l^2; fine for l <= 13."""
+    for a in range(l):
+        for b in range(l):
+            for c in range(l):
+                for d in range(l):
+                    if (a * d - b * c) % l != 0:
+                        yield Mat2(a, b, c, d, l)
+
+
+def mat_inverse(m):
+    """The inverse of a Mat2: its adjugate over its determinant."""
+    inv_det = pow(m.det(), -1, m.l)
+    return Mat2(m.d * inv_det, -m.b * inv_det, -m.c * inv_det,
+                m.a * inv_det, m.l)
+
+
+def is_conjugate(G, H):
+    """Decide conjugacy in GL2(F_l), returning (True, M) for a witness M
+    with M G M^-1 = H, else (False, None).
+
+    Fast rejection by order and fingerprint set; then a search over the
+    full group, checking that each generator of G lands in H (equal orders
+    then force equality). Intended for l <= 13.
+    """
+    if G.l != H.l:
+        raise ValueError("subgroups of different ambient groups")
+    if G.order != H.order:
+        return False, None
+    if G.invariants().fingerprints != H.invariants().fingerprints:
+        return False, None
+    gens = G.generators if G.generators else tuple(G.elements)
+    for m in enumerate_gl2(G.l):
+        m_inv = mat_inverse(m)
+        if all((m * g * m_inv) in H.elements for g in gens):
+            return True, m
+    return False, None
 
 
 def naive_is_square(x):

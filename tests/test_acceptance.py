@@ -97,6 +97,8 @@ def test_criterion_02_group_tables():
         11: [("G1", 60), ("G2", 60), ("G3", 55)],
         13: [("G7", 91), ("G1", 42), ("G2", 42), ("G3", 42), ("G4", 28),
              ("G5", 28), ("G6", 14)],
+        17: [("G1", 72), ("G2", 72)],
+        37: [("G3", 114), ("G4", 114)],
     }
     total = 0
     for l in supported_primes():

@@ -474,6 +474,16 @@ class TestFrobeniusTail:
         assert r.possible == ("19.Nns",)
         assert one(E, 23, frobenius_bound=12).status == "proven"
         assert one(E, 19, frobenius_bound=3).status == "proven"
+        # at 17 and 37 the walk runs first; on a miss the same tail
+        # follows, and with no prime scanned every candidate stays open
+        assert all(modimage.classifier._first_hit(E.j_invariant(), l) is None
+                   for l in (17, 37))
+        r = one(E, 17, frobenius_bound=1)
+        assert r.possible == ("17.Nns", "17.Nns-index3")
+        r = one(E, 37, frobenius_bound=1)
+        assert r.possible == ("37.Nns",)
+        assert one(E, 17, frobenius_bound=2).status == "proven"
+        assert one(E, 37, frobenius_bound=2).status == "proven"
 
     def test_certificates_are_sound(self):
         # a ruled-out subgroup type must contain no element realizing the
@@ -776,6 +786,15 @@ class TestInputValidation:
             twist_set(ShortCurve(10 ** 1500 + 1, 1), l, 10)
         assert str(info.value) == self.DISC_TOO_TALL
 
+    def test_float_prime_gives_int_labels(self):
+        # l is read as an int once, on entry: a float l used to come back
+        # as the prime 2.0, and would have named the labels "13.0.Ns"
+        for l in supported_primes():
+            r = classify_prime_noncm(None, F(5, 7), float(l))
+            assert type(r.prime) is int and r.prime == l
+            assert r.possible or l < 13
+            assert all(lab.startswith(f"{int(l)}.") for lab in r.possible)
+
     def test_non_integer_prime_rejected(self):
         E = WeierstrassCurve(1, 1, 1, -305, 7888)
         # int() raises OverflowError on an infinity and ValueError on NaN
@@ -951,8 +970,8 @@ class TestVerdictExits:
         (short(3 * J11 * (1728 - J11), 2 * J11 * (1728 - J11) ** 2), None,
          [11], 1000),
         (short(-3, 1), None, [2], 1000),
-        # GL2 at every table prime, the proven 13, 17 and 37 tails; the
-        # conditional 13 and l >= 17 tails; the 17 and 37 lookups
+        # GL2 at every prime up to 11, the proven 13, 17 and 37 tails; the
+        # conditional 13 and l >= 17 tails; the j-value hits at 17 and 37
         (WeierstrassCurve(0, 0, 1, -1, 0), None, [2, 3, 5, 7, 11, 13, 17, 37],
          1000),
         (WeierstrassCurve(0, 0, 1, -1, 0), None, [13, 19, 23], 6),

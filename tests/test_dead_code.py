@@ -20,9 +20,6 @@ PACKAGE = Path(modimage.__file__).parent
 
 UNREFERENCED_OK = {
     "division_polynomial": "named by the acceptance suite (criterion 6)",
-    "is_conjugate": "used by tests/test_tables.py (3.G4 against N_ns(3), "
-                    "13.G7 against the octahedral normalizer) and "
-                    "tests/test_gl2.py",
     "octahedral_normalizer": "named by the acceptance suite (criterion 10) "
                              "as the enumerated exceptional group",
     "quadratic_twist": "library API for building twists, used by the tests",

@@ -307,6 +307,16 @@ def test_ap_takes_an_int_p_untested_for_primality():
     assert ap(M, 15) == -9
 
 
+def test_ap_refuses_p_below_2():
+    # refused before the discriminant test: p = 0 divided by zero there,
+    # p = 1 divides every discriminant, and a negative p gave a negative
+    # count of its own
+    M = WeierstrassCurve(0, 0, 1, -1, 0)  # 37a1
+    for p in (0, 1, -3):
+        with pytest.raises(ValueError, match=f"^p = {p} is less than 2$"):
+            ap(M, p)
+
+
 def test_ap_against_brute_force():
     curves = [
         CURVE_J121,

@@ -19,15 +19,14 @@ from modimage.classifier import SIEVE_PRIMES, _cover_parameters
 from modimage.ec import PointQ, ShortCurve, scalar_mul
 from modimage.exactmath import primes_up_to
 from modimage.gl2 import (Mat2, Subgroup, gl2_order, is_applicable,
-                          is_conjugate, normalizer_nonsplit,
-                          octahedral_normalizer)
+                          normalizer_nonsplit, octahedral_normalizer)
 from modimage.polyq import INFINITY, Poly, fibre_image_mod, poly_gcd
-from modimage.tables import (CM_TABLE, EXCEPTIONAL_LOOKUP, Cover, PrimeTable,
-                             TableEntry, cm_entry, emit_text, group_from_label,
+from modimage.tables import (CM_TABLE, Cover, PrimeTable, TableEntry,
+                             cm_entry, emit_text, group_from_label,
                              nonsplit11, nonsplit11_contains, nonsplit11_j,
                              prime_table, supported_primes, verify_all)
 from oracles import (brute_force_ap, cover_value, divisor_root_search,
-                     subgroup_fingerprints, unsieved_first_hit,
+                     is_conjugate, subgroup_fingerprints, unsieved_first_hit,
                      value_at_infinity)
 
 T = Poly.var()
@@ -35,7 +34,7 @@ T = Poly.var()
 # sha256 of emit_text(): any drift in a transcribed constant or in the
 # normalisation of cover denominators changes it
 EMIT_TEXT_SHA256 = \
-    "69badb93a60b2adbfaf18f88e02ac2f3336328bdf2b85ab7dad31dee3d125894"
+    "716b2ba95c75ac185a00a4509706c4ea7a063282af84e84c50c162560ef782e7"
 
 
 def test_verify_all_green():
@@ -76,8 +75,8 @@ def test_every_cover_is_checked_coprime(monkeypatch):
 
 def test_prime_table_only_at_table_primes():
     with pytest.raises(ValueError) as info:
-        prime_table(17)
-    assert str(info.value) == "no table for l = 17"
+        prime_table(19)
+    assert str(info.value) == "no table for l = 19"
 
 
 def test_each_table_label_names_one_generator_set():
@@ -88,9 +87,8 @@ def test_each_table_label_names_one_generator_set():
         for e in prime_table(l).entries:
             for label, g in ((e.label, e.gens), *e.subs):
                 gens.setdefault(label, set()).add(g)
-    assert len(gens) == 59
+    assert len(gens) == 63
     assert all(len(g) == 1 for g in gens.values())
-    assert not set(gens) & set(tables.EXCEPTIONAL_GENERATORS)
 
 
 def test_tables_listed_by_decreasing_index():
@@ -436,12 +434,17 @@ def test_group_from_label_refuses_a_non_integer_l():
 
 def test_exceptional_groups_from_label():
     # Borel subgroups of index 4 at 17 and of index 3 at 37; each must
-    # hold every Frobenius pair of a curve with its lookup j
+    # hold every Frobenius pair of a curve with its isolated j
     sizes = {"17.G1": (1088, 72), "17.G2": (1088, 72),
              "37.G3": (15984, 114), "37.G4": (15984, 114)}
-    for (l, j), label in EXCEPTIONAL_LOOKUP.items():
+    entries = [(l, e) for l in (17, 37) for e in prime_table(l).entries]
+    assert sorted(e.label for _, e in entries) == sorted(sizes)
+    for l, e in entries:
+        (j,) = e.jvals
+        label = e.label
         G = group_from_label(l, label)
         assert (G.order, G.index) == sizes[label]
+        assert e.index == G.index
         assert is_applicable(G)
         u = j.denominator  # scales y^2 = x^3 - 3j(j - 1728)x - 2j(j - 1728)^2
         M = ShortCurve(-3 * j * (j - 1728) * u ** 4,
@@ -466,8 +469,14 @@ def test_cm_table_lookup():
 
 
 def test_exceptional_lookup_keys():
-    assert EXCEPTIONAL_LOOKUP[(17, F(-17 * 373 ** 3, 2 ** 17))] == "17.G1"
-    assert EXCEPTIONAL_LOOKUP[(17, F(-17 ** 2 * 101 ** 3, 2))] == "17.G2"
-    assert EXCEPTIONAL_LOOKUP[(37, F(-7 * 11 ** 3))] == "37.G3"
-    assert EXCEPTIONAL_LOOKUP[(37, F(-7 * 137 ** 3 * 2083 ** 3))] == "37.G4"
-    assert len(EXCEPTIONAL_LOOKUP) == 4
+    # Mazur's isolated points on X_0(17) and X_0(37), the only j-values
+    # of the tables at 17 and 37
+    isolated = {(l, v): e.label for l in (17, 37)
+                for e in prime_table(l).entries for v in e.jvals}
+    assert isolated[(17, F(-17 * 373 ** 3, 2 ** 17))] == "17.G1"
+    assert isolated[(17, F(-17 ** 2 * 101 ** 3, 2))] == "17.G2"
+    assert isolated[(37, F(-7 * 11 ** 3))] == "37.G3"
+    assert isolated[(37, F(-7 * 137 ** 3 * 2083 ** 3))] == "37.G4"
+    assert len(isolated) == 4
+    assert all(e.cover is None and e.jvals is not None
+               for l in (17, 37) for e in prime_table(l).entries)
