@@ -18,7 +18,9 @@ mod-l representation up to conjugacy in GL_2(F_l):
   surjectivity conjecture, upgraded to proven when Frobenius traces
   certify non-containment in every open possibility; the trace scans of
   one classify call read one Frobenius pass, which builds the integral
-  model once and counts each a_p once;
+  model and its invariants once and counts each a_p once with the
+  counting kernel of ec.ap, and each scan reads the kinds a pair
+  (a_p, p) mod l excludes from a cached table;
 * CM curves are classified by the discriminant table rules, including
   the mod-9 refinements for j = 0 and the twist tests at l = D; at l = 2
   away from j in {0, 1728} the l = 2 table decides, since a quadratic
@@ -32,20 +34,17 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
-from .exactmath import (factor, is_cube, is_probable_prime, is_square,
-                        legendre, primes_up_to)
-from .ec import (ShortCurve, WeierstrassCurve, _fr, ap, integral_model,
-                 short_model, twist_test)
+from .exactmath import (MAX_PRIME, factor, is_cube, is_probable_prime,
+                        is_square, legendre, primes_up_to)
+from .ec import (DEFAULT_FROBENIUS_BOUND, ShortCurve, WeierstrassCurve, _fr,
+                 _invariants, _trace, ap, integral_model, short_model,
+                 twist_test)
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
                   fingerprint_in_octahedral, fingerprint_in_split_normalizer)
 from .polyq import INFINITY, fibre_image_mod, rational_roots
 from .tables import CMEntry, cm_entry, prime_table, supported_primes
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 37)
-DEFAULT_FROBENIUS_BOUND = 1000
-# the largest prime the entry points take; a larger one is refused before
-# its primality test, which takes seconds at a few thousand digits
-MAX_PRIME = 10 ** 7
 # the most digits the numerator and denominator of j, and the discriminant
 # of twist_set's integral model, may have: the walk slows down sharply with
 # the height of j, and twist_set factors the discriminant
@@ -182,9 +181,10 @@ class FrobeniusPass:
     increasing order: the one Frobenius pass that the trace scans of a
     classify call read in turn.
 
-    The integral model and its discriminant are built when a scan first
-    reads the pass, and each a_p when a scan first reaches p; a later
-    scan rereads the pairs already computed. A pass lives for one call.
+    The integral model and its invariants are built once, when a scan
+    first reads the pass, and each a_p is counted by the kernel of ap,
+    ec._trace, when a scan first reaches p; a later scan rereads the
+    pairs already computed. A pass lives for one call.
     """
 
     def __init__(self, E, bound: int):
@@ -194,8 +194,9 @@ class FrobeniusPass:
     @staticmethod
     def _scan(E, bound: int):
         M, _ = integral_model(_as_long(E))
-        for p in _good_primes(M.discriminant().numerator, bound):
-            yield p, ap(M, p)
+        a, b, _, disc = _invariants(M)
+        for p in _good_primes(disc, bound):
+            yield p, _trace(a, b, p)
 
     def __iter__(self):
         pairs, i = self._pairs, 0
@@ -209,6 +210,15 @@ class FrobeniusPass:
             i += 1
 
 
+@lru_cache(maxsize=2048)
+def _excluded_kinds(t: int, d: int, l: int) -> tuple:
+    """The kinds of MAXIMAL_KINDS, in that order, that no element of
+    trace t and determinant d mod l lies in. The cache holds every pair
+    of the tail primes 13, 17 and 37 (1827 keys) without evicting."""
+    return tuple(kind for kind, contains in MAXIMAL_KINDS
+                 if not contains(t, d, l))
+
+
 def frobenius_noncontainment(E, l: int, bound: int, *,
                              traces: Optional[FrobeniusPass] = None) -> dict:
     """Trace certificates against the maximal subgroup types.
@@ -217,23 +227,29 @@ def frobenius_noncontainment(E, l: int, bound: int, *,
     (t, d) = (a_p, p) mod l. A type is ruled out by the first pair that
     no element of its subgroup has, as decided by the type's test in
     MAXIMAL_KINDS (the exceptional type is the projectively octahedral
-    normalizer). The pairs are read from traces, the Frobenius pass of E
-    up to bound that a classify call shares among its scans, or from a
-    pass of its own when traces is None.
+    normalizer). The pairs are read from traces, a Frobenius pass of E
+    up to bound, or from a pass of its own when traces is None.
 
     Returns {kind: Certificate} for the types ruled out.
     """
     l = _checked_prime(l)
     if l < 5:
         raise ValueError("certificates are defined for l >= 5")
+    return _certificates(E, l, bound, traces)
+
+
+def _certificates(E, l: int, bound: int, traces) -> dict:
+    """frobenius_noncontainment at a checked prime l >= 5: the kinds each
+    pair excludes are read from _excluded_kinds, and the scan stops once
+    every kind is ruled out."""
     found = {}
     for p, a in FrobeniusPass(E, bound) if traces is None else traces:
         if p == l:
             continue
         t = a % l
         d = p % l
-        for kind, contains in MAXIMAL_KINDS:
-            if kind not in found and not contains(t, d, l):
+        for kind in _excluded_kinds(t, d, l):
+            if kind not in found:
                 found[kind] = Certificate(kind, p, t, d)
         if len(found) == len(MAXIMAL_KINDS):
             break
@@ -241,19 +257,20 @@ def frobenius_noncontainment(E, l: int, bound: int, *,
 
 
 def _tail(E, l: int, bound: int, candidates, traces) -> ImageResult:
-    """The walk missed at l >= 13, or l has no table: the image is full
-    unless it lies in one of the candidate groups, which conjecturally
-    never happens for non-CM curves.
+    """The walk missed at the checked prime l >= 13, or l has no table:
+    the image is full unless it lies in one of the candidate groups,
+    which conjecturally never happens for non-CM curves.
 
     candidates pairs each open label with its maximal subgroup type; a
     Frobenius certificate against a type closes its labels, and the
     verdict is proven once none is left open. Without a model no
-    certificate can be sought, so every candidate stays open.
+    certificate can be sought, so every candidate stays open. traces is
+    the call's Frobenius pass of E, or None for a pass of its own.
     """
     if E is None:
         found, note = {}, "model required for Frobenius certificates"
     else:
-        found = frobenius_noncontainment(E, l, bound, traces=traces)
+        found = _certificates(E, l, bound, traces)
         note = ""
     certs = tuple(found[k] for k, _ in MAXIMAL_KINDS if k in found)
     possible = tuple(lab for lab, kind in candidates if kind not in found)
@@ -367,7 +384,8 @@ def classify_prime_noncm(E, j, l: int,
     is GL2 at l < 13 and goes to the Frobenius tail above. traces
     is the Frobenius pass of E that the call's scans share, as in
     frobenius_noncontainment, and points is j reduced at the sieve
-    primes, which the call's walks share, as in _first_hit.
+    primes, which the call's walks share, as in _first_hit. l is checked
+    here once, and the walk and the tail take the checked int.
     """
     l = _checked_prime(l)
     if l in supported_primes():
@@ -491,7 +509,9 @@ def _checked_prime(l) -> int:
 def _report(E, j, primes, frobenius_bound: int) -> Report:
     """The report of classify or classify_from_j (E None), after checking
     the height of j, then the primes, then that a j of 0 or 1728 comes
-    with a model."""
+    with a model. The per-prime verdicts come from the public
+    classify_prime_noncm and classify_cm, which check their l as well:
+    a default prime is checked there alone, once per call."""
     if max(abs(j.numerator), j.denominator) >= 10 ** MAX_HEIGHT_DIGITS:
         raise ValueError(f"the numerator and denominator of j must be at "
                          f"most {MAX_HEIGHT_DIGITS} digits long")

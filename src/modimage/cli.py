@@ -26,13 +26,12 @@ from functools import lru_cache
 
 from .classifier import (
     DEFAULT_FROBENIUS_BOUND,
-    MAX_PRIME,
     classify,
     classify_from_j,
     twist_set,
 )
 from .ec import ShortCurve, WeierstrassCurve, ap, integral_model
-from .exactmath import is_probable_prime
+from .exactmath import MAX_PRIME, is_probable_prime
 from .polyq import INFINITY
 from .tables import emit_text, group_from_label, verify_all
 
@@ -45,7 +44,8 @@ from .tables import emit_text, group_from_label, verify_all
 # the largest table prime, and GL2(37) has 1.8 million), and a
 # rational literal may have as many digits as int() reads from a string.
 # Each limit is checked before any test of primality; the prime limit is
-# the library's own MAX_PRIME, checked here to name the flag. The height
+# the library's own MAX_PRIME, checked here to name the flag (ap refuses
+# a larger p itself, and classify a larger l). The height
 # limit on j and on twist-set's discriminant is the library's own
 # MAX_HEIGHT_DIGITS, checked by the library alone.
 _MAX_SCAN_BOUND = 10 ** 5

@@ -19,6 +19,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _MAX_SIEVE_BOUND = 10 ** 6
 
+# the largest prime the package takes, as the l of a classification or the
+# p of a point count: a larger l is refused before its primality test,
+# which takes seconds at a few thousand digits, and a larger p before
+# ec.ap builds its p-byte table of quadratic characters
+MAX_PRIME = 10 ** 7
+
 
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test (deterministic below 3.3e24)."""

@@ -19,8 +19,12 @@ import modimage.classifier
 import modimage.ec
 import modimage.polyq
 from modimage.classifier import (
+    DEFAULT_PRIMES,
+    MAXIMAL_KINDS,
     SIEVE_PRIMES,
     Certificate,
+    FrobeniusPass,
+    _excluded_kinds,
     _WalkSieve,
     _first_hit,
     _sieve_points,
@@ -36,6 +40,7 @@ from modimage.ec import (
     ShortCurve,
     SingularCurveError,
     WeierstrassCurve,
+    _trace,
     ap,
     integral_model,
     quadratic_twist,
@@ -559,19 +564,20 @@ class TestFrobeniusTail:
         short(F(-3, 4), F(5, 8)),
     ])
     def test_one_trace_per_prime_per_classify(self, monkeypatch, E):
-        # the scans at 13, 17 and 37 share one pass: a_p is counted once
-        # for each p that some scan reaches, and no model is built twice
+        # the scans at 13, 17 and 37 share one pass: the kernel counts
+        # a_p once for each p that some scan reaches, on one model's
+        # invariants, read once
         calls = []
 
-        def counted(M, p):
-            calls.append((M, p))
-            return ap(M, p)
+        def counted(a, b, p):
+            calls.append(((id(a), id(b)), p))
+            return _trace(a, b, p)
 
-        monkeypatch.setattr(modimage.classifier, "ap", counted)
+        monkeypatch.setattr(modimage.classifier, "_trace", counted)
         report = classify(E, [13, 17, 37])
         assert calls
         assert len(calls) == len({p for _, p in calls})
-        assert len({M for M, _ in calls}) == 1
+        assert len({model for model, _ in calls}) == 1
         # and the pass reaches as far as the furthest certificate scan
         last = max(c.p for r in report.results for c in r.certificates)
         assert max(p for _, p in calls) == last
@@ -580,6 +586,54 @@ class TestFrobeniusTail:
         for r in report.results:
             found = frobenius_noncontainment(E, r.prime, 1000)
             assert set(r.certificates) == set(found.values())
+
+    @pytest.mark.parametrize("E", [
+        WeierstrassCurve(1, -1, 0, -7, 11),
+        family_curve(13, "13.G4", F(-123457, 8191)),
+        ShortCurve(F(-3, 4), F(5, 8)),
+    ], ids=["box", "tall-family-member", "rational-short"])
+    def test_pass_counts_what_ap_counts(self, E):
+        # the pass reads the model's invariants once and calls the kernel
+        # of ap; it must count every good p <= 1000 as ap does
+        M, _ = integral_model(E.to_long() if isinstance(E, ShortCurve) else E)
+        pairs = list(FrobeniusPass(E, 1000))
+        disc = M.discriminant().numerator
+        assert [p for p, _ in pairs] == [p for p in primes_up_to(1000)
+                                         if disc % p]
+        assert all(a == ap(M, p) for p, a in pairs)
+
+    def test_excluded_kinds_table(self):
+        # the cached kinds of a pair are the MAXIMAL_KINDS tests read in
+        # order, at the tail primes and beyond
+        for l in (5, 7, 13, 17, 37, 41):
+            for t in range(l):
+                for d in range(1, l):
+                    assert _excluded_kinds(t, d, l) == tuple(
+                        k for k, c in MAXIMAL_KINDS if not c(t, d, l))
+        # a scan at a large l fills the cache no further than its bound
+        frobenius_noncontainment(WeierstrassCurve(0, 0, 1, -1, 0), 99991,
+                                 1000)
+        info = _excluded_kinds.cache_info()
+        assert info.currsize <= info.maxsize
+        assert info.maxsize >= 13 ** 2 + 17 ** 2 + 37 ** 2
+
+    @pytest.mark.parametrize("E", [
+        WeierstrassCurve(1, -1, 0, -7, 11),
+        WeierstrassCurve(0, 0, 0, -1, 0),  # CM, j = 1728
+    ], ids=["non-CM", "CM"])
+    def test_one_prime_check_per_requested_prime(self, monkeypatch, E):
+        # the per-prime entry point checks l, and the walk, the tail and
+        # the certificate scan below it take the checked int
+        checked = []
+        check = modimage.classifier._checked_prime
+
+        def counted(l):
+            checked.append(l)
+            return check(l)
+
+        monkeypatch.setattr(modimage.classifier, "_checked_prime", counted)
+        classify(E)
+        assert sorted(checked) == sorted(DEFAULT_PRIMES)
 
     def test_trace_scans_accept_a_short_curve(self):
         E = ShortCurve(-1, 1)

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import modimage.ec
 from modimage.ec import (
+    DEFAULT_FROBENIUS_BOUND,
     BadReduction,
     PointQ,
     ShortCurve,
@@ -19,7 +21,7 @@ from modimage.ec import (
     short_model,
     twist_test,
 )
-from modimage.exactmath import is_cube, is_square
+from modimage.exactmath import MAX_PRIME, is_cube, is_square, primes_up_to
 from modimage.polyq import Poly, exact_divide
 from oracles import brute_force_ap, silverman_invariants
 
@@ -333,6 +335,51 @@ def test_ap_against_brute_force():
                     ap(E, p)
                 continue
             assert ap(E, p) == brute_force_ap(E, p)
+
+
+# a coefficient of a long model, up to 60 digits, so that ap reduces the
+# invariants mod p before it counts
+LONG_COEFF = st.one_of(st.integers(-3, 3), st.integers(-10 ** 60, 10 ** 60))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.tuples(*[LONG_COEFF] * 5), st.sampled_from(primes_up_to(60)))
+@example((1, 1, 1, -305, 7888), 2)
+@example((0, 0, 0, 10 ** 60, -10 ** 60 + 1), 3)
+def test_ap_of_long_models_against_brute_force(coeffs, p):
+    try:
+        E = WeierstrassCurve(*coeffs)
+    except SingularCurveError:
+        return
+    if int(E.discriminant()) % p == 0:
+        with pytest.raises(BadReduction):
+            ap(E, p)
+        return
+    assert ap(E, p) == brute_force_ap(E, p)
+
+
+def test_character_tables_kept_up_to_the_frobenius_bound():
+    tables = modimage.ec._cached_char_table
+    # room for the table of every prime the classifier's pass reaches
+    assert tables.cache_info().maxsize == len(
+        primes_up_to(DEFAULT_FROBENIUS_BOUND))
+    E = CURVE_J131
+    ap(E, 997)
+    size = tables.cache_info().currsize
+    assert size >= 1
+    assert ap(E, 1009) == brute_force_ap(E, 1009)
+    assert tables.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("p", [MAX_PRIME + 19, 10 ** 12])
+def test_ap_refuses_p_above_max_prime(monkeypatch, p):
+    # refused before its table of p bytes is built
+    def forbidden(p):
+        raise AssertionError("character table built")
+
+    monkeypatch.setattr(modimage.ec, "_char_table", forbidden)
+    with pytest.raises(ValueError, match="^p must be at most 10000000$"):
+        ap(RANK1_11, p)
 
 
 def test_ap_hasse_bound():
