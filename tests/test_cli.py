@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +22,13 @@ import modimage.cli as cli
 import modimage.exactmath as exactmath
 import modimage.gl2 as gl2
 import modimage.tables as tables
+from modimage.classifier import (ImageResult, Report, classify,
+                                  classify_from_j)
+from modimage.ec import ShortCurve, WeierstrassCurve
 from modimage.exactmath import FactorizationIncomplete
+from modimage.polyq import INFINITY
 from modimage.tables import prime_table, supported_primes
+from oracles import report_to_dict
 
 
 def run_cli(*args, capsys=None):
@@ -77,6 +83,32 @@ class TestClassify:
                             "--format", "json", capsys=capsys)
         assert code == 0
         assert json.dumps(json.loads(out), indent=2) == out.rstrip("\n")
+
+    def test_json_writer_matches_the_dict_oracle(self):
+        # the template writer against json.dumps of the oracle's dict: a
+        # box curve, cover hits with a witness, a j-value hit refined by
+        # twist, CM, conditional tails with possible lists, explicit primes
+        # without a table, and reports from j alone
+        reports = []
+        for curve in ("0,0,1,-1,0", "1,1,1,-305,7888", "0,-1,1,-10,-20",
+                      "1,0,1,-190891,-36002922", "1,1,1,-208083,-36621194",
+                      "1/2,0,0,-3/4,1"):
+            E = WeierstrassCurve(*map(Fraction, curve.split(",")))
+            reports.append((classify(E), E))
+            reports.append((classify(E, [13, 19, 41], frobenius_bound=6), E))
+        for A, B in ((-1715, 33614), (0, 16), (1, 0)):
+            E = ShortCurve(A, B).to_long()
+            reports.append((classify(E, [2, 3, 7, 11, 19, 41]), E))
+        for j in (Fraction(-121), Fraction(3), Fraction(-3375)):
+            reports.append((classify_from_j(j, [2, 11, 13, 19]), None))
+        # strings that json.dumps must escape, and empty lists throughout
+        odd = ImageResult(5, 'a "b"', "c\\d", witness_t=INFINITY,
+                          possible=("\u00e9", "\n"), note="\x7f\t")
+        reports.append((Report(None, Fraction(1, 2), None, (odd,)), None))
+        reports.append((Report(None, Fraction(7), None, ()), None))
+        for report, model in reports:
+            assert cli.report_json(report, model) == json.dumps(
+                report_to_dict(report, model), indent=2)
 
     def test_text_mode_one_line_per_prime(self, capsys):
         code, out = run_cli("classify", "--curve", "0,-1,1,-10,-20",

@@ -8,6 +8,7 @@ standard subgroup constructors.
 """
 
 import hashlib
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -356,8 +357,9 @@ criterion_inputs = st.one_of(
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(criterion_inputs)
-@example(F(54000 + 2 * 3 * 5 * 7 * 13 * 17 * 19 * 23 * 29))
-@example(F(1, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29))
+# j = 54000 mod every sieve prime but 11; j = infinity mod every one
+@example(F(54000 + math.prod(p for p in SIEVE_PRIMES if p != 11)))
+@example(F(1, math.prod(SIEVE_PRIMES)))
 @example(F(8000))
 def test_criterion_sieve_matches_the_unsieved_test(j):
     # the walk at 11 sieves the criterion with the j-values; wherever the
