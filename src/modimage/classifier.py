@@ -43,7 +43,7 @@ from .ec import (DEFAULT_FROBENIUS_BOUND, ShortCurve, WeierstrassCurve, _fr,
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
                   fingerprint_in_octahedral, fingerprint_in_split_normalizer)
 from .polyq import INFINITY, fibre_image_mod, rational_roots
-from .tables import CMEntry, cm_entry, prime_table, supported_primes
+from .tables import CMEntry, cm_entry, fibre, prime_table, supported_primes
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 37)
 # the most digits the numerator and denominator of j, and the discriminant
@@ -116,25 +116,22 @@ class Report(NamedTuple):
 
 def _cover_parameters(entry, j):
     """The parameters over j of the entry's relation (TableEntry.relation):
-    the rational roots t of the fibre f = sum c_i j^i off bad_t, sorted by
-    (denominator, numerator), and INFINITY when f drops below the largest
-    degree of the c_i. A t is a cover parameter only for a relation linear
-    in j; any other hit, and a zero f (j one of the j-values), reads [None].
+    the rational roots t of its fibre f over j (tables.fibre) off bad_t,
+    sorted by (denominator, numerator), and INFINITY when t = infinity
+    lies over j. A t is a cover parameter only for a cover; a hit on
+    the criterion, and a zero f (j one of the j-values), reads [None].
 
     The exact test: the walk reaches it only for an entry that its sieve
     admits (see _WalkSieve).
     """
-    relation = entry.relation
-    f = relation[-1]
-    for c in relation[-2::-1]:
-        f = f * j + c
+    f, at_infinity = fibre(entry.relation, j)
     if f.is_zero():
         return [None]
     roots = {t for t in rational_roots(f) if t not in entry.bad_t}
     out = sorted(roots, key=lambda t: (t.denominator, t.numerator))
-    if f.degree < max(c.degree for c in relation):
+    if at_infinity:
         out.append(INFINITY)
-    return out if len(relation) == 2 else [None] * bool(out)
+    return out if entry.cover is not None else [None] * bool(out)
 
 
 def _twist_label(model, E, d: int, labels) -> str:
@@ -227,31 +224,30 @@ def _excluded_kinds(t: int, d: int, l: int) -> tuple:
                  if not contains(t, d, l))
 
 
-def frobenius_noncontainment(E, l: int, bound: int, *,
-                             traces: Optional[FrobeniusPass] = None) -> dict:
+def frobenius_noncontainment(E, l: int, bound: int) -> dict:
     """Trace certificates against the maximal subgroup types.
 
     For each good prime p <= bound other than l compute
     (t, d) = (a_p, p) mod l. A type is ruled out by the first pair that
     no element of its subgroup has, as decided by the type's test in
     MAXIMAL_KINDS (the exceptional type is the projectively octahedral
-    normalizer). The pairs are read from traces, a Frobenius pass of E
-    up to bound, or from a pass of its own when traces is None.
+    normalizer). The pairs are read from a Frobenius pass of E up to
+    bound, built here.
 
     Returns {kind: Certificate} for the types ruled out.
     """
     l = _checked_prime(l)
     if l < 5:
         raise ValueError("certificates are defined for l >= 5")
-    return _certificates(E, l, bound, traces)
+    return _certificates(l, FrobeniusPass(E, bound))
 
 
-def _certificates(E, l: int, bound: int, traces) -> dict:
-    """frobenius_noncontainment at a checked prime l >= 5: the kinds each
-    pair excludes are read from _excluded_kinds, and the scan stops once
-    every kind is ruled out."""
+def _certificates(l: int, traces: FrobeniusPass) -> dict:
+    """frobenius_noncontainment at a checked prime l >= 5, reading the
+    pairs of the pass traces: the kinds each pair excludes are read from
+    _excluded_kinds, and the scan stops once every kind is ruled out."""
     found = {}
-    for p, a in FrobeniusPass(E, bound) if traces is None else traces:
+    for p, a in traces:
         if p == l:
             continue
         t = a % l
@@ -264,21 +260,21 @@ def _certificates(E, l: int, bound: int, traces) -> dict:
     return found
 
 
-def _tail(E, l: int, bound: int, candidates, traces) -> ImageResult:
+def _tail(l: int, candidates, traces) -> ImageResult:
     """The walk missed at the checked prime l >= 13, or l has no table:
     the image is full unless it lies in one of the candidate groups,
     which conjecturally never happens for non-CM curves.
 
     candidates pairs each open label with its maximal subgroup type; a
     Frobenius certificate against a type closes its labels, and the
-    verdict is proven once none is left open. Without a model no
-    certificate can be sought, so every candidate stays open. traces is
-    the call's Frobenius pass of E, or None for a pass of its own.
+    verdict is proven once none is left open. traces is the call's
+    Frobenius pass, None exactly when there is no model: then no
+    certificate can be sought, and every candidate stays open.
     """
-    if E is None:
+    if traces is None:
         found, note = {}, "model required for Frobenius certificates"
     else:
-        found = _certificates(E, l, bound, traces)
+        found = _certificates(l, traces)
         note = ""
     certs = tuple(found[k] for k, _ in MAXIMAL_KINDS if k in found)
     possible = tuple(lab for lab, kind in candidates if kind not in found)
@@ -389,11 +385,12 @@ def classify_prime_noncm(E, j, l: int,
     E may be None (classification from j alone); twist refinement and
     Frobenius certification then degrade with a note. The walk takes the
     first matching entry in the table's decreasing-index order; a miss
-    is GL2 at l < 13 and goes to the Frobenius tail above. traces
-    is the Frobenius pass of E that the call's scans share, as in
-    frobenius_noncontainment, and points is j reduced at the sieve
-    primes, which the call's walks share, as in _first_hit. l is checked
-    here once, and the walk and the tail take the checked int.
+    is GL2 at l < 13 and goes to the Frobenius tail above. traces is
+    the Frobenius pass of E that a classify call's scans share; a lone
+    call with a model builds its own, up to frobenius_bound. points is
+    j reduced at the sieve primes, which the call's walks share, as in
+    _first_hit. l is checked here once, and the walk and the tail take
+    the checked int.
     """
     l = _checked_prime(l)
     if l in supported_primes():
@@ -410,7 +407,9 @@ def classify_prime_noncm(E, j, l: int,
     candidates += ((f"{l}.Nns", "NonsplitNormalizer"),)
     if l % 3 == 2:
         candidates += ((f"{l}.Nns-index3", "NonsplitNormalizer"),)
-    return _tail(E, l, frobenius_bound, candidates, traces)
+    if traces is None and E is not None:
+        traces = FrobeniusPass(E, frobenius_bound)
+    return _tail(l, candidates, traces)
 
 
 # --- CM curves ---------------------------------------------------------------

@@ -171,16 +171,17 @@ def _image_json(r) -> str:
     }}"""
 
 
-def report_json(report, model) -> str:
+def report_json(report) -> str:
     """The JSON text of a classification report, as json.dumps with
-    indent=2 writes it.
+    indent=2 writes it; "curve" is report.curve, null for a report from
+    j alone.
 
     All rationals appear as strings so nothing is rounded; the layout is
     stable so that parse + re-dump reproduces the bytes exactly. The text
     is filled into fixed templates, one per level of the document, and
     not dumped from a dict; every string goes through json.dumps."""
-    curve = "null" if model is None else _json_list(
-        ["    " + _json_q(a) for a in model.a_invariants()], 2)
+    curve = "null" if report.curve is None else _json_list(
+        ["    " + _json_q(a) for a in report.curve.a_invariants()], 2)
     cm = "null" if report.cm is None else f"""{{
     "j": {_json_q(report.cm.j)},
     "field_disc": {report.cm.field_disc},
@@ -198,9 +199,9 @@ def report_json(report, model) -> str:
 }}"""
 
 
-def _print_text_report(report, model):
-    if model is not None:
-        print("curve: " + ",".join(_fmt_q(a) for a in model.a_invariants()))
+def _print_text_report(report):
+    if report.curve is not None:
+        print("curve: " + ",".join(map(_fmt_q, report.curve.a_invariants())))
     print("j = " + _fmt_q(report.j))
     if report.cm is None:
         print("cm: no")
@@ -241,9 +242,9 @@ def cmd_classify(ns) -> int:
     else:
         raise InputError("give a curve (--curve or --short) or --j")
     if ns.format == "json":
-        print(report_json(report, model))
+        print(report_json(report))
     else:
-        _print_text_report(report, model)
+        _print_text_report(report)
     return 0
 
 

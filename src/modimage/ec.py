@@ -38,12 +38,13 @@ class BadReduction(ValueError):
 
 def _fr(x) -> Fraction:
     """x as a Fraction; ValueError for a value with none, such as a
-    non-finite float (on which Fraction raises OverflowError)."""
+    non-finite float (on which Fraction raises OverflowError) or a
+    string with a zero denominator (ZeroDivisionError)."""
     if isinstance(x, Fraction):
         return x
     try:
         return Fraction(x)
-    except (OverflowError, ValueError):
+    except (OverflowError, ValueError, ZeroDivisionError):
         raise ValueError(f"{x!r} is not a rational number") from None
 
 

@@ -121,10 +121,11 @@ def factor(n: int, trial_bound: int = 10 ** 6) -> dict:
     Returns {prime: exponent} when the cofactor left after trial division
     is 1 or passes a primality test; otherwise raises
     FactorizationIncomplete naming that cofactor, or its bit length when
-    it has too many digits for str().
+    it has too many digits for str(). An n that is 0 or not an int (a
+    float or a Fraction, even of integral value) raises ValueError.
     """
-    if n == 0:
-        raise ValueError("cannot factor 0")
+    if not isinstance(n, int) or n == 0:
+        raise ValueError("only a nonzero int can be factored")
     m = abs(n)
     factors: dict = {}
     for p in _trial_primes(trial_bound):

@@ -21,8 +21,9 @@ The nonsplit Cartan normalizer at l = 11 has a genus-one fiber, given
 by a criterion (a rank-one curve and a quadratic in j) whose data lives
 in NonsplitCriterion11. Every entry is one relation sum c_i(t) j^i = 0
 (TableEntry.relation), and j lies under it where the fibre over j has a
-rational point: _fiber_contains for verify_all, and nonsplit11_contains
-on the criterion's relation.
+rational point. fibre() forms that fibre, for the classifier's walk and
+for _fiber_contains, which verify_all and nonsplit11_contains (on the
+criterion's relation) call.
 
 Everything is exact: Fractions and Poly over Q, each cover a coprime
 (num, den) pair as transcribed. verify_all() re-derives the internal
@@ -673,16 +674,26 @@ def _same_map(f: tuple, g: tuple) -> bool:
     return a * d == c * b
 
 
-def _fiber_contains(relation: tuple, j: Fraction) -> bool:
-    """Whether j lies under a rational point of a relation (see
-    TableEntry.relation): the fibre f = sum c_i j^i is zero, or drops
-    below the largest degree of the c_i (t = infinity), or has a rational
-    root."""
+def fibre(relation: tuple, j: Fraction) -> tuple:
+    """The fibre of a relation (see TableEntry.relation) over j, as
+    (f, at_infinity): f = sum c_i j^i, a Poly in t evaluated by Horner,
+    whose rational roots are the affine points over j, and whether
+    t = infinity lies over j, which it does exactly where f drops below
+    the largest degree of the c_i. A zero f (j one of the j-values) has
+    every t over it, infinity included. The one fibre rule: the walk's
+    exact test (classifier._cover_parameters) and _fiber_contains both
+    read it."""
     f = relation[-1]
     for c in relation[-2::-1]:
         f = f * j + c
-    return (f.is_zero() or f.degree < max(c.degree for c in relation)
-            or bool(rational_roots(f)))
+    return f, f.degree < max(c.degree for c in relation)
+
+
+def _fiber_contains(relation: tuple, j: Fraction) -> bool:
+    """Whether j lies under a rational point of a relation: t = infinity
+    lies over it, or its fibre has a rational root."""
+    f, at_infinity = fibre(relation, j)
+    return at_infinity or bool(rational_roots(f))
 
 
 def verify_all():

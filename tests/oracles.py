@@ -312,10 +312,11 @@ def _q(x):
     return "infinity" if x is INFINITY else str(x)
 
 
-def report_to_dict(report, model):
+def report_to_dict(report):
     """The JSON document of a classification report, as the dict whose
     json.dumps(..., indent=2) is the `classify --format json` output:
-    every rational a string, and INFINITY the string "infinity"."""
+    every rational a string, INFINITY the string "infinity", and "curve"
+    the a-invariants of report.curve, or null for a report from j alone."""
     cm = None
     if report.cm is not None:
         cm = {
@@ -338,8 +339,8 @@ def report_to_dict(report, model):
             "note": r.note,
         })
     return {
-        "curve": None if model is None else
-        [_q(a) for a in model.a_invariants()],
+        "curve": None if report.curve is None else
+        [_q(a) for a in report.curve.a_invariants()],
         "j": _q(report.j),
         "cm": cm,
         "images": images,

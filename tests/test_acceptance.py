@@ -7,7 +7,6 @@ scratch, rational roots are cross-checked against divisor search, and
 group facts against exhaustive subgroup enumeration.
 """
 
-import math
 import os
 import random
 import subprocess
@@ -48,7 +47,7 @@ from modimage.tables import (
     supported_primes,
     verify_all,
 )
-from oracles import cover_value, value_at_infinity
+from oracles import cover_value, divisor_root_search, value_at_infinity
 
 
 def announce(n, text):
@@ -246,34 +245,6 @@ def test_criterion_07_twist_sets():
     announce(7, f"twist sets {{1,-7}} and 16 candidates, {elapsed:.1f}s")
 
 
-def divisor_search_roots(f):
-    """Rational roots by divisor enumeration; the independent oracle."""
-    denom = 1
-    for c in f.coeffs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in f.coeffs]
-    roots = set()
-    low = 0
-    while low < len(ints) and ints[low] == 0:
-        low += 1
-    if low:
-        roots.add(F(0))
-        ints = ints[low:]
-    if len(ints) <= 1:
-        return roots
-    a0, an = abs(ints[0]), abs(ints[-1])
-    p_divs = [d for d in range(1, a0 + 1) if a0 % d == 0]
-    q_divs = [d for d in range(1, an + 1) if an % d == 0]
-    for p in p_divs:
-        for q in q_divs:
-            if math.gcd(p, q) != 1:
-                continue
-            for cand in (F(p, q), F(-p, q)):
-                if f.evaluate(cand) == 0:
-                    roots.add(cand)
-    return roots
-
-
 def test_criterion_08_rational_root_oracle():
     """Hensel-based roots agree with divisor search on 200 random
     polynomials with planted roots."""
@@ -293,7 +264,7 @@ def test_criterion_08_rational_root_oracle():
         f = f * Poly(tail + [lead])
         if f.degree < 1:
             continue
-        assert set(rational_roots(f)) == divisor_search_roots(f), \
+        assert set(rational_roots(f)) == divisor_root_search(f), \
             (trial, f.coeffs)
     announce(8, "200 planted-root polynomials agree with divisor search")
 

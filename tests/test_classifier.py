@@ -1085,8 +1085,8 @@ class TestVerdictExits:
                 report = classify_from_j(j, primes, frobenius_bound=bound)
             else:
                 report = classify(model, primes, frobenius_bound=bound)
-            _print_text_report(report, model)
+            _print_text_report(report)
             digest.update(capsys.readouterr().out.encode())
-            digest.update(json.dumps(report_to_dict(report, model),
+            digest.update(json.dumps(report_to_dict(report),
                                      indent=2).encode())
         assert digest.hexdigest() == self.SHA256

@@ -94,21 +94,21 @@ class TestClassify:
                       "1,0,1,-190891,-36002922", "1,1,1,-208083,-36621194",
                       "1/2,0,0,-3/4,1"):
             E = WeierstrassCurve(*map(Fraction, curve.split(",")))
-            reports.append((classify(E), E))
-            reports.append((classify(E, [13, 19, 41], frobenius_bound=6), E))
+            reports.append(classify(E))
+            reports.append(classify(E, [13, 19, 41], frobenius_bound=6))
         for A, B in ((-1715, 33614), (0, 16), (1, 0)):
             E = ShortCurve(A, B).to_long()
-            reports.append((classify(E, [2, 3, 7, 11, 19, 41]), E))
+            reports.append(classify(E, [2, 3, 7, 11, 19, 41]))
         for j in (Fraction(-121), Fraction(3), Fraction(-3375)):
-            reports.append((classify_from_j(j, [2, 11, 13, 19]), None))
+            reports.append(classify_from_j(j, [2, 11, 13, 19]))
         # strings that json.dumps must escape, and empty lists throughout
         odd = ImageResult(5, 'a "b"', "c\\d", witness_t=INFINITY,
                           possible=("\u00e9", "\n"), note="\x7f\t")
-        reports.append((Report(None, Fraction(1, 2), None, (odd,)), None))
-        reports.append((Report(None, Fraction(7), None, ()), None))
-        for report, model in reports:
-            assert cli.report_json(report, model) == json.dumps(
-                report_to_dict(report, model), indent=2)
+        reports.append(Report(None, Fraction(1, 2), None, (odd,)))
+        reports.append(Report(None, Fraction(7), None, ()))
+        for report in reports:
+            assert cli.report_json(report) == json.dumps(
+                report_to_dict(report), indent=2)
 
     def test_text_mode_one_line_per_prime(self, capsys):
         code, out = run_cli("classify", "--curve", "0,-1,1,-10,-20",

@@ -9,6 +9,9 @@ bare name) outside its own body; dunder methods are called by Python.
 Likewise every name a module imports is read in that module, and every
 module-level constant is read somewhere in the package outside its own
 assignment; dunders such as __version__ are read by tools, not code.
+Every defaulted or keyword-only parameter of a module-level function is
+passed by some call in the package, or listed below with its reason: an
+option that no caller sets is dead weight too.
 """
 
 import ast
@@ -32,6 +35,9 @@ UNREFERENCED_OK = {
 METHODS_UNREFERENCED_OK = {
     "_Parser.error": "argparse calls it on a parse error",
 }
+
+# "function(parameter)": reason
+PARAMETERS_UNPASSED_OK = {}
 
 TREES = {p.stem: ast.parse(p.read_text())
          for p in sorted(PACKAGE.glob("*.py"))}
@@ -142,3 +148,40 @@ def test_every_constant_is_read():
                                            and line not in lines)
                           for use, where, line, attr in READS)}
     assert unread == set()
+
+
+def _optional_parameters(fn):
+    """(name, position) of each defaulted or keyword-only parameter of a
+    FunctionDef; the position is None for a keyword-only one."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return [(a.arg, i) for i, a in enumerate(positional) if i >= first] + \
+        [(a.arg, None) for a in args.kwonlyargs]
+
+
+def _passes(call, name, position):
+    """Whether a call passes the parameter: by name, by a **mapping, by
+    position, or by a *sequence that reaches its position."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_optional_parameter_is_passed():
+    calls = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    unpassed = {f"{fn.name}({name})" for tree in TREES.values()
+                for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                for name, position in _optional_parameters(fn)
+                if not any(_passes(call, name, position)
+                           for call in calls.get(fn.name, ()))}
+    assert unpassed == set(PARAMETERS_UNPASSED_OK)

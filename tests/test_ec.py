@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import modimage.ec
+from modimage.classifier import classify_from_j
 from modimage.ec import (
     DEFAULT_FROBENIUS_BOUND,
     BadReduction,
@@ -61,6 +62,16 @@ def test_rejects_singular():
             WeierstrassCurve(0, 0, 1, -1, x)
         with pytest.raises(ValueError, match="is not a rational number"):
             ShortCurve(x, 1)
+
+
+def test_zero_denominator_is_not_a_rational_number():
+    # Fraction("1/0") raises ZeroDivisionError, which is no ValueError;
+    # a curve or a j with such a coefficient gets the message above
+    for build in (lambda x: WeierstrassCurve(0, 0, 0, x, 1),
+                  lambda x: ShortCurve(x, 1), classify_from_j):
+        for text in ("1/0", "-7/0"):
+            with pytest.raises(ValueError, match="is not a rational number"):
+                build(text)
 
 
 def test_invariants_and_j():

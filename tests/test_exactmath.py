@@ -59,6 +59,14 @@ def test_factor_basic():
     assert factor(2 ** 10 * 3 ** 4) == {2: 10, 3: 4}
 
 
+def test_factor_refuses_zero_and_a_non_int():
+    # a float or a Fraction is refused, not returned as its own factor
+    for n in (1.5, Fraction(3, 2), 12.0, Fraction(12), "12", 0):
+        with pytest.raises(ValueError, match="^only a nonzero int can be "
+                                             "factored$"):
+            factor(n)
+
+
 def test_factor_incomplete():
     # 2^80 + 1 has no prime factor below 1000, so with that trial bound
     # factor raises, naming the composite cofactor it could not split

@@ -159,26 +159,64 @@ covers = st.tuples(small_polys, small_polys).filter(
     and poly_gcd(*c).degree == 0)
 
 
+TABLE_ENTRIES = tuple(e for l in supported_primes()
+                      for e in prime_table(l).entries)
+
+
+def _values_at_infinity(entry):
+    """The j over the point t = infinity of an entry's relation: a
+    cover's limit there, if finite; 54000 for 11.G3's criterion, where
+    the leading terms of A j^2 + B j + C cancel; and each value of a
+    j-value set, whose fibre there is zero, so that every t lies over
+    it."""
+    if entry.cover is not None:
+        limit = value_at_infinity(entry.cover)
+        return set() if limit is None else {limit}
+    return {F(54000)} if entry.criterion else set(entry.jvals)
+
+
+def _at_every_table_entry(test):
+    """test with two explicit examples per table entry: j at a value over
+    its point at infinity, and j = 1."""
+    for entry in TABLE_ENTRIES:
+        for at_limit in (True, False):
+            test = example(entry, F(1), at_limit)(test)
+    return test
+
+
 @settings(derandomize=True, deadline=None)
-@given(covers, small_fracs, st.booleans())
+@given(st.one_of(covers, st.sampled_from(TABLE_ENTRIES)), small_fracs,
+       st.booleans())
 @example((T + 1, T - 1), F(3), True)        # equal degrees: the lead ratio
 @example((T + 1, T - 1), F(3), False)
 @example((T ** 2, T + 1), F(1), True)       # a pole at infinity
 @example((T, T ** 2 + 1), F(1), True)       # 0 at infinity
 @example((T, T ** 2 + 1), F(1), False)
+@_at_every_table_entry
 def test_infinity_lies_over_j_exactly_at_the_value_there(cover, j, at_limit):
-    # j is the value at infinity when at_limit and there is one
-    limit = value_at_infinity(cover)
-    if at_limit and limit is not None:
-        j = limit
-    entry = TableEntry("test", 1, (), cover=Cover(*cover))
-    at_infinity = j == limit
-    roots = divisor_root_search(cover[0] - j * cover[1])
-    assert _cover_parameters(entry, j) == \
-        sorted(roots, key=lambda t: (t.denominator, t.numerator)) \
+    # cover is a (num, den) pair or a table entry; j is a value over its
+    # point at infinity when at_limit and there is one
+    entry = cover if isinstance(cover, TableEntry) else \
+        TableEntry("test", 1, (), cover=Cover(*cover))
+    limits = _values_at_infinity(entry)
+    if at_limit and limits:
+        j = min(limits)
+    at_infinity = j in limits
+    params = _cover_parameters(entry, j)
+    contains = tables._fiber_contains(entry.relation, j)
+    assert tables.fibre(entry.relation, j)[1] == at_infinity
+    if entry.cover is None:
+        # a j-value or criterion hit names no parameter; a j-value set
+        # has no point over any other j
+        assert params == [None] * contains
+        if at_infinity or entry.jvals:
+            assert contains == at_infinity
+        return
+    roots = divisor_root_search(entry.cover.num - j * entry.cover.den)
+    assert params == sorted(roots - entry.bad_t,
+                            key=lambda t: (t.denominator, t.numerator)) \
         + [INFINITY] * at_infinity
-    assert tables._fiber_contains(entry.relation, j) == (at_infinity
-                                                     or bool(roots))
+    assert contains == (at_infinity or bool(roots))
 
 
 # coefficients past the small sieve primes, so that num and den often
