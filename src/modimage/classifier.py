@@ -36,8 +36,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
 from .exactmath import (MAX_PRIME, factor, is_cube, is_probable_prime,
-                        is_square, legendre, primes_up_to)
-from .ec import (DEFAULT_FROBENIUS_BOUND, ShortCurve, WeierstrassCurve, _fr,
+                        is_square, legendre, primes_up_to, to_fraction)
+from .ec import (DEFAULT_FROBENIUS_BOUND, ShortCurve, WeierstrassCurve,
                  _invariants, _trace, ap, integral_model, short_model,
                  twist_test)
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
@@ -234,8 +234,11 @@ def frobenius_noncontainment(E, l: int, bound: int) -> dict:
     normalizer). The pairs are read from a Frobenius pass of E up to
     bound, built here.
 
-    Returns {kind: Certificate} for the types ruled out.
+    Returns {kind: Certificate} for the types ruled out. ValueError
+    unless E is a curve model (a WeierstrassCurve or a ShortCurve).
     """
+    if not isinstance(E, (WeierstrassCurve, ShortCurve)):
+        raise ValueError(f"certificates need a curve model, not {E!r}")
     l = _checked_prime(l)
     if l < 5:
         raise ValueError("certificates are defined for l >= 5")
@@ -375,8 +378,7 @@ def _first_hit(j, l: int, points: Optional[tuple] = None):
     return None
 
 
-def classify_prime_noncm(E, j, l: int,
-                         frobenius_bound: int = DEFAULT_FROBENIUS_BOUND, *,
+def classify_prime_noncm(E, j, l: int, *,
                          traces: Optional[FrobeniusPass] = None,
                          points: Optional[tuple] = None) -> ImageResult:
     """Image of the mod-l representation for a non-CM j-invariant j, an
@@ -387,7 +389,8 @@ def classify_prime_noncm(E, j, l: int,
     first matching entry in the table's decreasing-index order; a miss
     is GL2 at l < 13 and goes to the Frobenius tail above. traces is
     the Frobenius pass of E that a classify call's scans share; a lone
-    call with a model builds its own, up to frobenius_bound. points is
+    call with a model builds its own, up to DEFAULT_FROBENIUS_BOUND (pass
+    traces=FrobeniusPass(E, bound) for another bound). points is
     j reduced at the sieve primes, which the call's walks share, as in
     _first_hit. l is checked here once, and the walk and the tail take
     the checked int.
@@ -408,7 +411,7 @@ def classify_prime_noncm(E, j, l: int,
     if l % 3 == 2:
         candidates += ((f"{l}.Nns-index3", "NonsplitNormalizer"),)
     if traces is None and E is not None:
-        traces = FrobeniusPass(E, frobenius_bound)
+        traces = FrobeniusPass(E, DEFAULT_FROBENIUS_BOUND)
     return _tail(l, candidates, traces)
 
 
@@ -535,8 +538,7 @@ def _report(E, j, primes, frobenius_bound: int) -> Report:
     points = None if entry is not None else _sieve_points(j)
     results = tuple(
         classify_cm(E, l, entry) if entry is not None
-        else classify_prime_noncm(E, j, l, frobenius_bound, traces=traces,
-                                  points=points)
+        else classify_prime_noncm(E, j, l, traces=traces, points=points)
         for l in primes)
     return Report(E, j, entry, results)
 
@@ -556,7 +558,7 @@ def classify_from_j(j, primes=None,
     level with an explanatory note. j = 0 and j = 1728 are rejected:
     every rule for them reads the model.
     """
-    return _report(None, _fr(j), primes, frobenius_bound)
+    return _report(None, to_fraction(j), primes, frobenius_bound)
 
 
 # --- twist sets --------------------------------------------------------------

@@ -31,7 +31,8 @@ from .classifier import (
     twist_set,
 )
 from .ec import ShortCurve, WeierstrassCurve, ap, integral_model
-from .exactmath import MAX_PRIME, is_probable_prime
+from .exactmath import (MAX_LITERAL_DIGITS, MAX_PRIME, LiteralTooLong,
+                        is_probable_prime, to_fraction)
 from .polyq import INFINITY
 from .tables import emit_text, group_from_label, verify_all
 
@@ -42,16 +43,17 @@ from .tables import emit_text, group_from_label, verify_all
 # enumerates up to ~L^4 elements (only a group of upper-triangular
 # generators beside some [1, b; 0, 1] is counted in closed form; 37 is
 # the largest table prime, and GL2(37) has 1.8 million), and a
-# rational literal may have as many digits as int() reads from a string.
-# Each limit is checked before any test of primality; the prime limit is
-# the library's own MAX_PRIME, checked here to name the flag (ap refuses
-# a larger p itself, and classify a larger l). The height
+# literal may have as many digits as int() reads from a string (the
+# library's MAX_LITERAL_DIGITS, which to_fraction checks on a rational
+# and _int_list here on an integer). Each limit is checked before any
+# test of primality; the prime limit is the library's own MAX_PRIME,
+# checked here to name the flag (ap refuses a larger p itself, and
+# classify a larger l). The height
 # limit on j and on twist-set's discriminant is the library's own
 # MAX_HEIGHT_DIGITS, checked by the library alone.
 _MAX_SCAN_BOUND = 10 ** 5
 _MAX_FACTOR_BOUND = 10 ** 7
 _MAX_GROUP_PRIME = 37
-_MAX_LITERAL_DIGITS = 4300
 
 
 class InputError(Exception):
@@ -76,18 +78,12 @@ def _echo(text: str) -> str:
 
 
 def _rational(text: str) -> Fraction:
-    text = text.strip()  # the exponent is read first: 1e9999999 is not built
-    mantissa, e, exponent = text.lower().partition("e")
     try:
-        shift = abs(int(exponent)) if e else 0
-        if max(sum(map(str.isdigit, part)) for part in mantissa.split("/")) \
-                + shift > _MAX_LITERAL_DIGITS:
-            raise InputError(f"the numerator and denominator of a rational "
-                             f"must be at most {_MAX_LITERAL_DIGITS} digits "
-                             f"long")
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"malformed rational {_echo(text)}")
+        return to_fraction(text)
+    except LiteralTooLong as exc:
+        raise InputError(str(exc))
+    except ValueError:
+        raise InputError(f"malformed rational {_echo(text.strip())}")
 
 
 def _rational_list(text: str, n: int, what: str):
@@ -101,9 +97,9 @@ def _rational_list(text: str, n: int, what: str):
 def _int_list(text: str):
     out = []
     for part in map(str.strip, text.split(",")):
-        if sum(map(str.isdigit, part)) > _MAX_LITERAL_DIGITS:
+        if sum(map(str.isdigit, part)) > MAX_LITERAL_DIGITS:
             raise InputError(f"an integer must be at most "
-                             f"{_MAX_LITERAL_DIGITS} digits long")
+                             f"{MAX_LITERAL_DIGITS} digits long")
         try:
             out.append(int(part))
         except ValueError:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Tuple, Union
 
-from .exactmath import MAX_PRIME, is_cube, is_square
+from .exactmath import MAX_PRIME, is_cube, is_square, to_fraction
 from .polyq import Poly
 
 Rat = Union[int, Fraction]
@@ -34,18 +34,6 @@ _SINGULAR = "singular curve: the discriminant vanishes"
 
 class BadReduction(ValueError):
     """Raised when point counting is requested at a prime of bad reduction."""
-
-
-def _fr(x) -> Fraction:
-    """x as a Fraction; ValueError for a value with none, such as a
-    non-finite float (on which Fraction raises OverflowError) or a
-    string with a zero denominator (ZeroDivisionError)."""
-    if isinstance(x, Fraction):
-        return x
-    try:
-        return Fraction(x)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        raise ValueError(f"{x!r} is not a rational number") from None
 
 
 # The formulas of Silverman III.1, nested so that few sums are taken at the
@@ -83,7 +71,7 @@ def _invariants(a) -> tuple:
 def _j_invariant(a) -> Fraction:
     """j = c4^3 / disc of the model a (see _invariants)."""
     _, _, (c4, _), disc = _invariants(a)
-    return _fr(c4) ** 3 / disc
+    return to_fraction(c4) ** 3 / disc
 
 
 def _not_a_sequence(self, other):
@@ -99,7 +87,7 @@ class WeierstrassCurve(tuple):
     a1, a2, a3, a4, a6 = (property(itemgetter(i)) for i in range(5))
 
     def __new__(cls, a1: Rat, a2: Rat, a3: Rat, a4: Rat, a6: Rat):
-        self = tuple.__new__(cls, map(_fr, (a1, a2, a3, a4, a6)))
+        self = tuple.__new__(cls, map(to_fraction, (a1, a2, a3, a4, a6)))
         if self.discriminant() == 0:
             raise SingularCurveError(_SINGULAR)
         return self
@@ -110,13 +98,13 @@ class WeierstrassCurve(tuple):
         return tuple(self)
 
     def b_invariants(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        return tuple(map(_fr, _invariants(self)[1]))
+        return tuple(map(to_fraction, _invariants(self)[1]))
 
     def c_invariants(self) -> Tuple[Fraction, Fraction]:
-        return tuple(map(_fr, _invariants(self)[2]))
+        return tuple(map(to_fraction, _invariants(self)[2]))
 
     def discriminant(self) -> Fraction:
-        return _fr(_invariants(self)[3])
+        return to_fraction(_invariants(self)[3])
 
     def j_invariant(self) -> Fraction:
         return _j_invariant(self)
@@ -127,11 +115,11 @@ class WeierstrassCurve(tuple):
         return tuple(self)
 
     def rhs(self, x: Rat) -> Fraction:
-        x = _fr(x)
+        x = to_fraction(x)
         return x ** 3 + self.a2 * x * x + self.a4 * x + self.a6
 
     def contains(self, x: Rat, y: Rat) -> bool:
-        x, y = _fr(x), _fr(y)
+        x, y = to_fraction(x), to_fraction(y)
         return y * y + self.a1 * x * y + self.a3 * y == self.rhs(x)
 
     def __repr__(self):
@@ -146,7 +134,7 @@ class ShortCurve(tuple):
     A, B = (property(itemgetter(i)) for i in range(2))
 
     def __new__(cls, A: Rat, B: Rat):
-        A, B = _fr(A), _fr(B)
+        A, B = to_fraction(A), to_fraction(B)
         if 4 * A ** 3 + 27 * B ** 2 == 0:
             raise SingularCurveError(_SINGULAR)
         return tuple.__new__(cls, (A, B))
@@ -175,7 +163,7 @@ def short_model(E: WeierstrassCurve) -> ShortCurve:
 
 def quadratic_twist(E: ShortCurve, d: Rat) -> ShortCurve:
     """The twist of y^2 = x^3 + Ax + B by d: y^2 = x^3 + d^2 A x + d^3 B."""
-    d = _fr(d)
+    d = to_fraction(d)
     if d == 0:
         raise ValueError("twist by 0")
     return ShortCurve(d * d * E.A, d ** 3 * E.B)
@@ -202,7 +190,7 @@ def twist_test(E, Eprime, d: Rat) -> bool:
     """
     A, B = _as_short(E)
     A2, B2 = _as_short(Eprime)
-    d = _fr(d)
+    d = to_fraction(d)
     if A ** 3 * B2 ** 2 != A2 ** 3 * B ** 2:
         raise ValueError("twist test requires equal j-invariants")
     if A and B:
@@ -368,7 +356,7 @@ class PointQ(tuple):
     def __new__(cls, curve: WeierstrassCurve, x=None, y=None):
         if x is None and y is None:
             return tuple.__new__(cls, (curve, None, None))
-        x, y = _fr(x), _fr(y)
+        x, y = to_fraction(x), to_fraction(y)
         if not curve.contains(x, y):
             raise ValueError(f"({x}, {y}) is not on the curve")
         return tuple.__new__(cls, (curve, x, y))

@@ -25,6 +25,43 @@ _MAX_SIEVE_BOUND = 10 ** 6
 # ec.ap builds its p-byte table of quadratic characters
 MAX_PRIME = 10 ** 7
 
+# the most digits a rational literal may have in its numerator or its
+# denominator, the exponent's shift counted: as many as int() reads from
+# a string
+MAX_LITERAL_DIGITS = 4300
+
+
+class LiteralTooLong(ValueError):
+    """A rational literal with more than MAX_LITERAL_DIGITS digits."""
+
+
+def to_fraction(x) -> Fraction:
+    """x as a Fraction, the one way the package reads a rational.
+
+    A string is checked first: more than MAX_LITERAL_DIGITS digits in its
+    numerator or denominator, counting the exponent's shift, raise
+    LiteralTooLong before any digit is converted, so 1e9999999 is not
+    built. A value with no Fraction raises ValueError: a malformed string,
+    one with a zero denominator (ZeroDivisionError in Fraction) or a
+    non-finite float (OverflowError)."""
+    if isinstance(x, Fraction):
+        return x
+    try:
+        if isinstance(x, str):
+            mantissa, e, exponent = x.strip().lower().partition("e")
+            shift = abs(int(exponent)) if e else 0
+            if max(sum(map(str.isdigit, part))
+                   for part in mantissa.split("/")) + shift \
+                    > MAX_LITERAL_DIGITS:
+                raise LiteralTooLong(
+                    f"the numerator and denominator of a rational must be "
+                    f"at most {MAX_LITERAL_DIGITS} digits long")
+        return Fraction(x)
+    except LiteralTooLong:
+        raise
+    except (OverflowError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{x!r} is not a rational number") from None
+
 
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test (deterministic below 3.3e24)."""
@@ -82,13 +119,13 @@ def _int_is_cube(n: int) -> bool:
 
 def is_square(x: Rat) -> bool:
     """True iff x is the square of a rational number."""
-    x = Fraction(x)
+    x = to_fraction(x)
     return _int_is_square(x.numerator) and _int_is_square(x.denominator)
 
 
 def is_cube(x: Rat) -> bool:
     """True iff x is the cube of a rational number."""
-    x = Fraction(x)
+    x = to_fraction(x)
     return _int_is_cube(x.numerator) and _int_is_cube(x.denominator)
 
 
@@ -100,7 +137,7 @@ def legendre(a: Rat, p: int) -> int:
     """
     if p < 3 or p % 2 == 0 or not is_probable_prime(p):
         raise ValueError("legendre requires an odd prime modulus")
-    a = Fraction(a)
+    a = to_fraction(a)
     if a.denominator % p == 0:
         raise ValueError("denominator not invertible mod p")
     n = (a.numerator * pow(a.denominator, -1, p)) % p

@@ -21,19 +21,14 @@ so none is missed. It keeps no sieve of its own: the one mod-p sieve is
 the classifier's walk sieve, which reads fibre_image_mod, the image on
 P^1(F_p) of a relation sum c_i(x) j^i = 0 (a cover, the nonsplit-11
 criterion or a set of j-values), and leaves rational_roots only the
-fibres it cannot rule out. fibre_image_mod evaluates a polynomial at
-every point of F_p at once with one packed kernel, _values_mod: it keeps,
-per p, the power vectors V_i = sum_x (x^i mod p) * 2^(w*x), so the values
-of sum c_i x^i are the slots of the one big int sum c_i * V_i, read off
-and reduced mod p; the Newton lift still evaluates at one point at a
-time, with _eval_mod.
+fibres it cannot rule out. One evaluator mod m, _eval_mod (Horner),
+serves the Newton lift, the search for the lifting prime and
+fibre_image_mod.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-import sys
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Optional, Union
@@ -476,57 +471,13 @@ def _lift_root(f: Poly, ints: list, dints: list, r: int, p: int,
 
 
 def _eval_mod(ints: list, x: int, m: int) -> int:
+    """The value mod m at x of the integer polynomial ints, by Horner:
+    the one evaluator mod m, of the Newton lift, the lifting-prime search
+    and fibre_image_mod."""
     acc = 0
     for c in reversed(ints):
         acc = (acc * x + c) % m
     return acc
-
-
-# the unsigned native formats that memoryview.cast reads, by size in bytes
-_SLOT_FORMATS = {struct.calcsize(f): f for f in "BHIQ"}
-# the power vectors of _values_mod: for each (p, b), the ints
-# V_i = sum_x (x^i mod p) * 2^(8*b*x) over x in range(p), for i = 0, 1, ...,
-# as many as the longest form read so far; like the walk sieves they hold
-# what p alone decides, and the package reads them at the sieve primes only
-_POWER_VECTORS = {}
-
-
-def _power_vectors(p: int, b: int, n: int) -> list:
-    """The cached power vectors at p with slots of b bytes, extended to
-    at least V_0, ..., V_(n-1)."""
-    vectors = _POWER_VECTORS.setdefault((p, b), [])
-    if len(vectors) >= n:
-        return vectors
-    powers = [pow(x, len(vectors), p) for x in range(p)]
-    while len(vectors) < n:
-        vectors.append(int.from_bytes(
-            b"".join(v.to_bytes(b, sys.byteorder) for v in powers),
-            sys.byteorder))
-        powers = [v * x % p for x, v in enumerate(powers)]
-    return vectors
-
-
-def _values_mod(form, p: int) -> list:
-    """The values mod p at x = 0, ..., p - 1 of the polynomial whose
-    coefficients form lists, each in range(p), index = degree.
-
-    One packed multipoint evaluation: the big int sum c_i * V_i over the
-    power vectors of _power_vectors holds at slot x the sum
-    c_i * (x^i mod p) < n(p - 1)^2 + 1, n = len(form), which a slot of b
-    bytes, 8b at least one more than the bit length of n(p - 1)^2, holds
-    with no carry into the next. The p slots are then read off the bytes
-    and each is reduced mod p. b is the smallest power of two that will
-    do; ValueError when no native unsigned format is that wide, which
-    takes n(p - 1)^2 >= 2^63."""
-    b = 1 << ((len(form) * (p - 1) ** 2).bit_length() // 8).bit_length()
-    fmt = _SLOT_FORMATS.get(b)
-    if fmt is None:
-        raise ValueError(f"a form of {len(form)} coefficients is too long "
-                         f"to evaluate mod {p}")
-    total = sum(c * v for c, v in zip(form, _power_vectors(p, b, len(form)))
-                if c)
-    return [v % p for v in
-            memoryview(total.to_bytes(p * b, sys.byteorder)).cast(fmt)]
 
 
 def _projective_values(polys: tuple, p: int):
@@ -536,13 +487,14 @@ def _projective_values(polys: tuple, p: int):
     The polys are scaled by one rational to integers with no common
     content and homogenized at their largest degree n, so at x = infinity
     their values are the degree-n coefficients. Each is evaluated at the
-    affine x by _values_mod."""
+    affine x by _eval_mod."""
     d = math.lcm(*[f.den for f in polys])
     ints = [[c * (d // f.den) for c in f.ints] for f in polys]
     g = math.gcd(*[c for f in ints for c in f])
     n = max(map(len, ints))
     forms = [[c // g % p for c in f] + [0] * (n - len(f)) for f in ints]
-    return zip(*[_values_mod(f, p) + [f[-1]] for f in forms])
+    return zip(*[[_eval_mod(f, x, p) for x in range(p)] + [f[-1]]
+                 for f in forms])
 
 
 def fibre_image_mod(coeffs: tuple, p: int) -> Optional[frozenset]:
@@ -557,9 +509,8 @@ def fibre_image_mod(coeffs: tuple, p: int) -> Optional[frozenset]:
     (a : b) lies. When k = 1 the form has the one zero (-c_0 : c_1) at
     each x, solved directly; otherwise its zeros are read off its values
     at every a, once per distinct tuple of values. Both the c_i at every
-    x and, when k >= 2, the form at every a are evaluated by the packed
-    kernel _values_mod: a few big-int products per polynomial in place of
-    a Horner pass per point.
+    x and, when k >= 2, the form at every a are evaluated by _eval_mod,
+    the module's one evaluator mod m.
     """
     image = set()
     for values in set(_projective_values(coeffs, p)):
@@ -569,8 +520,7 @@ def fibre_image_mod(coeffs: tuple, p: int) -> Optional[frozenset]:
             c0, c1 = values
             image.add(-c0 * pow(c1, -1, p) % p if c1 else p)
         else:
-            image.update(a for a, v in enumerate(_values_mod(values, p))
-                         if not v)
+            image.update(a for a in range(p) if not _eval_mod(values, a, p))
             if not values[-1]:
                 image.add(p)
     return frozenset(image)

@@ -40,7 +40,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .ec import PointQ, ShortCurve, WeierstrassCurve, scalar_mul
-from .exactmath import is_probable_prime, legendre
+from .exactmath import is_probable_prime, legendre, to_fraction
 from .gl2 import (
     Mat2,
     Subgroup,
@@ -455,7 +455,7 @@ _CM_BY_J = {e.j: e for e in CM_TABLE}
 
 def cm_entry(j) -> Optional[CMEntry]:
     """The CM table row for this j-invariant, or None."""
-    return _CM_BY_J.get(Fraction(j))
+    return _CM_BY_J.get(to_fraction(j))
 
 
 # --- the nonsplit Cartan normalizer fiber at l = 11 --------------------------
@@ -524,7 +524,7 @@ def nonsplit11() -> NonsplitCriterion11:
 def nonsplit11_j(x, y):
     """The j-coordinate of a point (x, y) on the criterion curve, or
     INFINITY at one of the six poles."""
-    x, y = Fraction(x), Fraction(y)
+    x, y = to_fraction(x), to_fraction(y)
     f1 = x ** 2 + 3 * x - 6
     f2 = 11 * (x ** 2 - 5) * y + (2 * x ** 4 + 23 * x ** 3
                                   - 72 * x ** 2 - 28 * x + 127)
@@ -546,7 +546,7 @@ def nonsplit11_contains(j) -> bool:
     curve's single point at infinity sits over j = 54000, where the
     leading coefficients cancel and the degree of that polynomial drops.
     """
-    return _fiber_contains(_entry(11, "G3").relation, Fraction(j))
+    return _fiber_contains(_entry(11, "G3").relation, to_fraction(j))
 
 
 # --- building groups from labels ---------------------------------------------
@@ -578,13 +578,16 @@ def group_from_label(l: int, name: str) -> Subgroup:
     "Ns-index3", "CM.H1", ...) or the full label "l.name", whose prefix
     is read as an integer, so "037.G3" is 37.G3. Raises ValueError
     unless l is a prime int (13.0 and Fraction(13) are refused too) and
-    the label is known and names no other prime. This is the one way from
-    a label to its group: verify_all checks what it returns.
+    the label is a string that is known and names no other prime. This is
+    the one way from a label to its group: verify_all checks what it
+    returns.
     """
     if not isinstance(l, int):
         raise ValueError("l is not an integer")
     if not is_probable_prime(l):
         raise ValueError(f"l = {l} is not a prime")
+    if not isinstance(name, str):
+        raise ValueError(f"the label {name!r} is not a string")
     prefix, dot, rest = name.partition(".")
     if dot and prefix.isdecimal():
         if int(prefix) != l:

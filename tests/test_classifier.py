@@ -567,6 +567,11 @@ class TestFrobeniusTail:
         with pytest.raises(ValueError):
             frobenius_noncontainment(WeierstrassCurve(0, 0, 1, -1, 0), 3, 100)
 
+    def test_certificate_request_needs_a_model(self):
+        # the pass unpacked None into its integral model, a TypeError
+        with pytest.raises(ValueError, match="need a curve model"):
+            frobenius_noncontainment(None, 13, 100)
+
     def test_one_integral_model_per_certificate_scan(self, monkeypatch):
         # ap counts on the model it is given, and the scans at 13, 17 and
         # 37 read one Frobenius pass, so a classify call builds the

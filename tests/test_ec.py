@@ -1,5 +1,6 @@
 """Tests for Weierstrass curve arithmetic, twists and point counts."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,9 @@ from modimage.ec import (
     short_model,
     twist_test,
 )
-from modimage.exactmath import MAX_PRIME, is_cube, is_square, primes_up_to
+from modimage.exactmath import (MAX_PRIME, is_cube, is_square, legendre,
+                                primes_up_to)
+from modimage.tables import cm_entry, nonsplit11_contains, nonsplit11_j
 from modimage.polyq import Poly, exact_divide
 from oracles import brute_force_ap, silverman_invariants
 
@@ -66,12 +69,30 @@ def test_rejects_singular():
 
 def test_zero_denominator_is_not_a_rational_number():
     # Fraction("1/0") raises ZeroDivisionError, which is no ValueError;
-    # a curve or a j with such a coefficient gets the message above
+    # a curve, a j or any other rational argument given such a string
+    # gets the message above
     for build in (lambda x: WeierstrassCurve(0, 0, 0, x, 1),
-                  lambda x: ShortCurve(x, 1), classify_from_j):
+                  lambda x: ShortCurve(x, 1), classify_from_j, cm_entry,
+                  lambda x: nonsplit11_j(x, 1), nonsplit11_contains,
+                  is_square, is_cube, lambda x: legendre(x, 7)):
         for text in ("1/0", "-7/0"):
             with pytest.raises(ValueError, match="is not a rational number"):
                 build(text)
+
+
+def test_long_literal_is_refused_before_it_is_built():
+    # Fraction("1e10000000") takes seconds to build its ten-million-digit
+    # numerator; the digits, the exponent's shift counted, are checked
+    # first
+    for build, text in ((lambda x: WeierstrassCurve(x, 0, 0, 0, 1),
+                         "1e1000000"),
+                        (classify_from_j, "1e10000000"),
+                        (classify_from_j, "1/" + "1" * 4301)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at most 4300 digits"):
+            build(text)
+        assert time.perf_counter() - start < 1
+    assert WeierstrassCurve("1e4299", 0, 0, 0, 1).a1 == 10 ** 4299
 
 
 def test_invariants_and_j():

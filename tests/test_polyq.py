@@ -1,7 +1,6 @@
 """Tests for exact polynomial arithmetic, composition and rational roots."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -383,29 +382,6 @@ def test_fibre_image_mod():
             for p in SIEVE_PRIMES:
                 assert polyq.fibre_image_mod(entry.relation, p) == \
                     brute_fibre_image_mod(entry.relation, p), (entry.label, p)
-
-
-def test_packed_evaluation_matches_horner(monkeypatch):
-    monkeypatch.setattr(polyq, "_POWER_VECTORS", {})
-    # every coefficient p - 1 fills each slot to its largest value; a form
-    # longer than p reads powers past x^(p-1)
-    rng = random.Random(1)
-    for p in (2, 3, 61):
-        for n in (1, 2, p - 1, p, p + 1, 3 * p + 2):
-            for form in ([p - 1] * n, [rng.randrange(p) for _ in range(n)]):
-                assert polyq._values_mod(form, p) == [
-                    polyq._eval_mod(form, x, p) for x in range(p)], (p, n)
-    # 2 (p - 1)^2 needs 33 bits at p = 46349, so 8-byte slots
-    p = 46349
-    form = [p - 1] * 2
-    assert polyq._values_mod(form, p) == [
-        polyq._eval_mod(form, x, p) for x in range(p)]
-    assert sorted(polyq._POWER_VECTORS) == [
-        (2, 1), (3, 1), (61, 2), (61, 4), (p, 8)]
-    # a slot wider than 8 bytes is refused before any power is built
-    with pytest.raises(ValueError, match="too long"):
-        polyq._values_mod([1], 3037000507)
-    assert len(polyq._POWER_VECTORS) == 5
 
 
 def test_rational_roots_root_free_only_over_q_reaches_the_exact_path(

@@ -472,6 +472,13 @@ def test_group_from_label_refuses_a_non_integer_l():
         group_from_label(9, "B")
 
 
+@pytest.mark.parametrize("name", [5, None])
+def test_group_from_label_refuses_a_label_that_is_not_a_string(name):
+    # partition on the label raised AttributeError on these
+    with pytest.raises(ValueError, match="is not a string"):
+        group_from_label(5, name)
+
+
 def test_exceptional_groups_from_label():
     # Borel subgroups of index 4 at 17 and of index 3 at 37; each must
     # hold every Frobenius pair of a curve with its isolated j
