@@ -6,9 +6,10 @@ conjugacy in GL_2(F_l), using exact rational arithmetic throughout.
 
 Layout:
 
-    exactmath   integer and rational helpers (primality, factoring, powers)
+    exactmath   integer and rational helpers (primality, factoring, the
+                quadratic character by Euler's criterion)
     polyq       dense polynomials over Q and their rational roots
-    gl2         subgroups of GL_2(F_l), invariants, conjugacy
+    gl2         subgroups of GL_2(F_l), invariants, fingerprint tests
     ec          Weierstrass curves, twists, point counts, division polys
     tables      the classification data: covers, families, group generators
     classifier  the decision procedure producing labelled verdicts

@@ -32,28 +32,25 @@ from .classifier import (
 )
 from .ec import ShortCurve, WeierstrassCurve, ap, integral_model
 from .exactmath import (MAX_LITERAL_DIGITS, MAX_PRIME, LiteralTooLong,
-                        is_probable_prime, to_fraction)
+                        _echo, is_probable_prime, to_fraction)
 from .polyq import INFINITY
-from .tables import emit_text, group_from_label, verify_all
+from .tables import MAX_GROUP_PRIME, emit_text, group_from_label, verify_all
 
 
 # limits on the size arguments: primes_up_to(N) allocates O(N) memory,
 # ap(M, p) and factor(n, N) take O(p) and O(N) steps, a primality test
-# of a prime with thousands of digits takes seconds, group --prime L
-# enumerates up to ~L^4 elements (only a group of upper-triangular
-# generators beside some [1, b; 0, 1] is counted in closed form; 37 is
-# the largest table prime, and GL2(37) has 1.8 million), and a
-# literal may have as many digits as int() reads from a string (the
-# library's MAX_LITERAL_DIGITS, which to_fraction checks on a rational
-# and _int_list here on an integer). Each limit is checked before any
-# test of primality; the prime limit is the library's own MAX_PRIME,
-# checked here to name the flag (ap refuses a larger p itself, and
-# classify a larger l). The height
+# of a prime with thousands of digits takes seconds, and a literal may
+# have as many digits as int() reads from a string (the library's
+# MAX_LITERAL_DIGITS, which to_fraction checks on a rational and
+# _int_list here on an integer). Each limit is checked before any test
+# of primality; the prime limit is the library's own MAX_PRIME, and the
+# group --prime limit its MAX_GROUP_PRIME, both checked here to name the
+# flag (ap refuses a larger p itself, classify a larger l, and
+# group_from_label a larger group prime). The height
 # limit on j and on twist-set's discriminant is the library's own
 # MAX_HEIGHT_DIGITS, checked by the library alone.
 _MAX_SCAN_BOUND = 10 ** 5
 _MAX_FACTOR_BOUND = 10 ** 7
-_MAX_GROUP_PRIME = 37
 
 
 class InputError(Exception):
@@ -70,11 +67,6 @@ def _at_most(flag: str, n: int, limit: int) -> int:
     if n > limit:
         raise InputError(f"{flag} must be at most {limit}")
     return n
-
-
-def _echo(text: str) -> str:
-    """The input quoted for an error message, cut to a short prefix."""
-    return repr(text) if len(text) <= 24 else repr(text[:24]) + "..."
 
 
 def _rational(text: str) -> Fraction:
@@ -260,7 +252,7 @@ def cmd_verify_tables(ns) -> int:
 
 
 def cmd_group(ns) -> int:
-    l = _at_most("--prime", ns.prime, _MAX_GROUP_PRIME)
+    l = _at_most("--prime", ns.prime, MAX_GROUP_PRIME)
     g = group_from_label(l, ns.label)
     inv = g.invariants()
     print(f"label: {g.label}")

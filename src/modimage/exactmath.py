@@ -35,6 +35,13 @@ class LiteralTooLong(ValueError):
     """A rational literal with more than MAX_LITERAL_DIGITS digits."""
 
 
+def _echo(x) -> str:
+    """x quoted for an error message, a string cut to a short prefix."""
+    if isinstance(x, str) and len(x) > 24:
+        return repr(x[:24]) + "..."
+    return repr(x)
+
+
 def to_fraction(x) -> Fraction:
     """x as a Fraction, the one way the package reads a rational.
 
@@ -60,7 +67,7 @@ def to_fraction(x) -> Fraction:
     except LiteralTooLong:
         raise
     except (OverflowError, ValueError, ZeroDivisionError):
-        raise ValueError(f"{x!r} is not a rational number") from None
+        raise ValueError(f"{_echo(x)} is not a rational number") from None
 
 
 def is_probable_prime(n: int) -> bool:
@@ -140,11 +147,17 @@ def legendre(a: Rat, p: int) -> int:
     a = to_fraction(a)
     if a.denominator % p == 0:
         raise ValueError("denominator not invertible mod p")
-    n = (a.numerator * pow(a.denominator, -1, p)) % p
-    if n == 0:
+    return _euler(a.numerator * pow(a.denominator, -1, p), p)
+
+
+def _euler(a: int, p: int) -> int:
+    """Euler's criterion, the package's one quadratic character: 0 when
+    the prime p divides a, else 1 or -1 as a is or is not a square mod p.
+    p is not checked; at p = 2 every unit is a square."""
+    a %= p
+    if a == 0:
         return 0
-    s = pow(n, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 class FactorizationIncomplete(ValueError):

@@ -6,16 +6,22 @@ triangular, one of them [1, b; 0, 1] with b != 0 (the Borel group and
 the exceptional images at 17 and 37 among them), has its order and
 invariants counted in closed form from the diagonals of its generators.
 Every other subgroup, and the elements of any subgroup, are enumerated
-on first use: ~l^4 matrices for GL2(F_l), so intended for l <= 37.
+on first use: ~l^4 matrices for GL2(F_l), so intended for l <= 37. The
+elements and the diagonal pairs are functools.cached_property fields of
+Subgroup, computed on first read and kept.
+
+The fingerprint predicates and epsilon ask whether a number is a square
+mod l through exactmath's Euler criterion, the one quadratic character
+of the package, which legendre reads too.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Tuple
 
-from .exactmath import factor
+from .exactmath import _euler, factor, is_probable_prime
 
 
 def gl2_order(l: int) -> int:
@@ -72,22 +78,31 @@ class Mat2(tuple):
         return "[{},{};{},{}]".format(*self)
 
 
+def _require_prime(l) -> None:
+    if not (isinstance(l, int) and is_probable_prime(l)):
+        raise ValueError("l is not a prime")
+
+
 def epsilon(l: int) -> int:
     """The fixed non-square used for the non-split torus: -1 when
-    l = 3 mod 4, otherwise the smallest non-residue >= 2."""
+    l = 3 mod 4, otherwise the smallest non-residue >= 2. Raises
+    ValueError unless l is an odd prime int."""
+    _require_prime(l)
     if l == 2:
         raise ValueError("no non-split torus convention at l = 2")
     if l % 4 == 3:
         return l - 1
     e = 2
-    while pow(e, (l - 1) // 2, l) == 1:
+    while _euler(e, l) == 1:
         e += 1
     return e
 
 
 def primitive_root(l: int) -> int:
-    """Smallest generator of the cyclic group F_l^*. Raises
-    FactorizationIncomplete when l - 1 does not factor by trial division."""
+    """Smallest generator of the cyclic group F_l^*. Raises ValueError
+    unless l is a prime int, and FactorizationIncomplete when l - 1 does
+    not factor by trial division."""
+    _require_prime(l)
     if l == 2:
         return 1
     fac = factor(l - 1)
@@ -137,42 +152,34 @@ class Subgroup:
     enumerated the first time they are read, and kept. Its order and
     invariants come from the elements too, unless the generators qualify
     for the closed form of _borel_diagonals; then they come from the
-    diagonal pairs, counted the first time they are read."""
-
-    __slots__ = ("l", "generators", "label", "_elements", "_diagonals")
+    diagonal pairs, counted the first time they are read. Assignment to
+    an attribute raises AttributeError; the two cached_property fields
+    write the instance dict directly."""
 
     def __init__(self, l: int, generators: Iterable[Mat2], label: str = ""):
         gens = tuple(generators)
         for g in gens:
             if g.l != l:
                 raise ValueError("generator over the wrong field")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_elements", None)
-        object.__setattr__(self, "_diagonals", _UNREAD)
+        vars(self).update(l=l, generators=gens, label=label)
 
     def __setattr__(self, *args):
         raise AttributeError("Subgroup is immutable")
 
-    @property
+    @cached_property
     def elements(self) -> set:
         """The elements, as a set shared by every reader: do not mutate."""
-        if self._elements is None:
-            object.__setattr__(self, "_elements", span(self.generators, self.l))
-        return self._elements
+        return span(self.generators, self.l)
 
-    def _diagonal_pairs(self) -> Optional[frozenset]:
+    @cached_property
+    def _diagonals(self) -> Optional[frozenset]:
         """The diagonal pairs of the elements when the closed form holds
         (see _borel_diagonals), otherwise None."""
-        if self._diagonals is _UNREAD:
-            object.__setattr__(self, "_diagonals",
-                               _borel_diagonals(self.generators, self.l))
-        return self._diagonals
+        return _borel_diagonals(self.generators, self.l)
 
     @property
     def order(self) -> int:
-        diagonals = self._diagonal_pairs()
+        diagonals = self._diagonals
         if diagonals is None:
             return len(self.elements)
         return self.l * len(diagonals)
@@ -186,7 +193,7 @@ class Subgroup:
         one pass over the diagonal pairs or over the elements on their
         unpacked entries."""
         l = self.l
-        diagonals = self._diagonal_pairs()
+        diagonals = self._diagonals
         if diagonals is None:
             prints = frozenset(((a + d) % l, (a * d - b * c) % l)
                                for a, b, c, d, _ in self.elements)
@@ -206,9 +213,6 @@ class Subgroup:
     def __repr__(self):
         name = self.label or "subgroup"
         return f"<{name} of GL2(F_{self.l}), order {self.order}>"
-
-
-_UNREAD = object()  # a Subgroup's diagonal pairs, not yet counted
 
 
 def _borel_diagonals(generators, l: int) -> Optional[frozenset]:
@@ -346,39 +350,24 @@ def _sum_of_squares_minus_one(l: int) -> Tuple[int, int]:
     raise ArithmeticError("unreachable for odd l")
 
 
-# --- fingerprint membership without enumeration ----------------------------
-
-def _is_residue(x: int, l: int) -> bool:
-    x %= l
-    if x == 0:
-        return True
-    return pow(x, (l - 1) // 2, l) == 1
-
+# --- fingerprint membership without enumeration, at odd l -----------------
 
 def fingerprint_in_borel(t: int, d: int, l: int) -> bool:
     """Whether some upper-triangular matrix has this (trace, det): the
     characteristic polynomial must split over F_l."""
-    disc = (t * t - 4 * d) % l
-    return _is_residue(disc, l)
+    return _euler(t * t - 4 * d, l) >= 0
 
 
 def fingerprint_in_split_normalizer(t: int, d: int, l: int) -> bool:
     """Torus part needs a split characteristic polynomial; the outer coset
     consists of trace-zero matrices of arbitrary determinant."""
-    if t % l == 0:
-        return True
-    return _is_residue((t * t - 4 * d) % l, l)
+    return t % l == 0 or _euler(t * t - 4 * d, l) >= 0
 
 
 def fingerprint_in_nonsplit_normalizer(t: int, d: int, l: int) -> bool:
     """Torus elements have non-split or scalar characteristic polynomial;
     the outer coset is trace-zero."""
-    if t % l == 0:
-        return True
-    disc = (t * t - 4 * d) % l
-    if disc == 0:
-        return True
-    return not _is_residue(disc, l)
+    return t % l == 0 or _euler(t * t - 4 * d, l) <= 0
 
 
 def fingerprint_in_octahedral(t: int, d: int, l: int) -> bool:

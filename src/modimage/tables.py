@@ -404,6 +404,12 @@ def _table_37() -> PrimeTable:
 _BUILDERS = {2: _table_2, 3: _table_3, 5: _table_5, 7: _table_7,
              11: _table_11, 13: _table_13, 17: _table_17, 37: _table_37}
 
+# the largest l group_from_label takes: the largest table prime. A group
+# at l is enumerated unless closed form applies, ~l^4 matrices for GL2
+# (1.8 million at 37), and a prime of thousands of digits takes seconds
+# to test
+MAX_GROUP_PRIME = max(_BUILDERS)
+
 
 def supported_primes() -> tuple:
     """Primes with a full matching table."""
@@ -577,13 +583,16 @@ def group_from_label(l: int, name: str) -> Subgroup:
     Accepts either the bare name ("G1", "H4.2", "Ns", "B", "GL2",
     "Ns-index3", "CM.H1", ...) or the full label "l.name", whose prefix
     is read as an integer, so "037.G3" is 37.G3. Raises ValueError
-    unless l is a prime int (13.0 and Fraction(13) are refused too) and
-    the label is a string that is known and names no other prime. This is
+    unless l is a prime int (13.0 and Fraction(13) are refused too) of at
+    most MAX_GROUP_PRIME, checked before the primality test, and the
+    label is a string that is known and names no other prime. This is
     the one way from a label to its group: verify_all checks what it
     returns.
     """
     if not isinstance(l, int):
         raise ValueError("l is not an integer")
+    if l > MAX_GROUP_PRIME:
+        raise ValueError(f"l must be at most {MAX_GROUP_PRIME}")
     if not is_probable_prime(l):
         raise ValueError(f"l = {l} is not a prime")
     if not isinstance(name, str):

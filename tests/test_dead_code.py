@@ -185,3 +185,21 @@ def test_every_optional_parameter_is_passed():
                 if not any(_passes(call, name, position)
                            for call in calls.get(fn.name, ()))}
     assert unpassed == set(PARAMETERS_UNPASSED_OK)
+
+
+def _is_euler_criterion(node):
+    """Whether node is a call pow(x, (p - 1) // 2, p), p a bare name."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "pow" and len(node.args) == 3
+            and isinstance(node.args[2], ast.Name)):
+        return False
+    half = ast.parse(f"({node.args[2].id} - 1) // 2", mode="eval").body
+    return ast.dump(node.args[1]) == ast.dump(half)
+
+
+def test_one_euler_criterion():
+    # the quadratic character mod a prime has one implementation,
+    # exactmath._euler, that legendre and gl2 share
+    found = [module for module, tree in TREES.items()
+             for node in ast.walk(tree) if _is_euler_criterion(node)]
+    assert found == ["exactmath"]

@@ -95,6 +95,15 @@ def test_long_literal_is_refused_before_it_is_built():
     assert WeierstrassCurve("1e4299", 0, 0, 0, 1).a1 == 10 ** 4299
 
 
+def test_bad_literal_is_quoted_short():
+    # the message quoted all 100000 characters
+    with pytest.raises(ValueError) as raised:
+        WeierstrassCurve("x" * 100000, 0, 0, 0, 1)
+    message = str(raised.value)
+    assert len(message) < 60
+    assert message.endswith("is not a rational number")
+
+
 def test_invariants_and_j():
     E = WeierstrassCurve(0, 0, 0, -1, 0)  # y^2 = x^3 - x
     assert E.j_invariant() == 1728

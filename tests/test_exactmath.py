@@ -129,13 +129,17 @@ def test_powers_on_fractions():
 
 
 def test_legendre_by_enumeration():
-    for p in (3, 5, 7, 11, 13, 17):
-        sq = squares_mod(p)
-        for a in range(1, p):
-            expected = 1 if a in sq else -1
-            assert legendre(a, p) == expected
-        assert legendre(0, p) == 0
-        assert legendre(p, p) == 0
+    # legendre and the Euler criterion kernel it shares with gl2
+    for symbol in (legendre, exactmath._euler):
+        for p in (3, 5, 7, 11, 13, 17):
+            sq = squares_mod(p)
+            for a in range(1, p):
+                expected = 1 if a in sq else -1
+                assert symbol(a, p) == expected
+            assert symbol(0, p) == 0
+            assert symbol(p, p) == 0
+    # at 2 every unit is a square: the kernel gives 1, never -1, there
+    assert [exactmath._euler(a, 2) for a in range(-2, 3)] == [0, 1, 0, 1, 0]
 
 
 def test_legendre_rational_arguments():

@@ -52,7 +52,7 @@ def test_epsilon_values():
 
 
 def test_primitive_root():
-    for l in SMALL_PRIMES + [17, 37]:
+    for l in [2] + SMALL_PRIMES + [17, 37]:
         g = primitive_root(l)
         seen = set()
         x = 1
@@ -71,7 +71,18 @@ def test_primitive_root_needs_a_factored_group_order():
     with pytest.raises(FactorizationIncomplete, match=message):
         primitive_root(l)
     with pytest.raises(FactorizationIncomplete, match=message):
-        tables.group_from_label(l, "Cs")
+        cartan_split(l)
+
+
+@pytest.mark.parametrize("build, l", [
+    (full_gl2, 0), (full_gl2, 4), (full_gl2, -7), (normalizer_nonsplit, 9),
+])
+def test_named_subgroups_refuse_an_l_that_is_not_a_prime(build, l):
+    # primitive_root and epsilon, one of which every named constructor
+    # reads, check l: these raised ZeroDivisionError, built a "GL2(F_4)"
+    # of order 256, built a group at -7 and raised ArithmeticError
+    with pytest.raises(ValueError, match="^l is not a prime$"):
+        build(l)
 
 
 def test_mat2_basics():
@@ -176,7 +187,11 @@ def test_subgroups_span_only_when_elements_are_read(monkeypatch):
     G = normalizer_split(7)
     assert calls == []
     assert len(G.elements) == G.order == 72
+    assert G.elements is G.elements  # kept, not enumerated again
     assert calls == [7]
+    for name in ("l", "generators", "label", "elements", "_diagonals", "x"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(G, name, None)
 
 
 def test_named_subgroup_orders():
@@ -188,6 +203,7 @@ def test_named_subgroup_orders():
         assert borel(l).order == l * (l - 1) ** 2
         assert full_gl2(l).order == gl2_order(l)
         assert octahedral_normalizer(l).order == 24 * (l - 1)
+    assert full_gl2(2).order == gl2_order(2) == 6
 
 
 def test_cartan_nonsplit_shape():
@@ -292,7 +308,7 @@ def test_closed_form_matches_span_on_random_borel_generators(case):
     expected = _enumerated_invariants({m.tuple() for m in span(
         G.generators, l)}, l)
     assert G.invariants() == expected
-    assert G._elements is None  # the closed form read no element
+    assert "elements" not in vars(G)  # the closed form read no element
 
 
 @pytest.mark.parametrize("l, gens", [

@@ -472,6 +472,19 @@ def test_group_from_label_refuses_a_non_integer_l():
         group_from_label(9, "B")
 
 
+@pytest.mark.parametrize("l", [41, 2 ** 4423 - 1], ids=["41", "M4423"])
+def test_group_from_label_refuses_l_past_the_table_primes(l, monkeypatch):
+    # refused before the primality test, which took 2.8 s on the Mersenne
+    # prime and then failed to factor l - 1; GL2(F_41) has 2.8 million
+    # elements
+    def forbidden(n):
+        raise AssertionError("primality test reached")
+
+    monkeypatch.setattr(tables, "is_probable_prime", forbidden)
+    with pytest.raises(ValueError, match="^l must be at most 37$"):
+        group_from_label(l, "B")
+
+
 @pytest.mark.parametrize("name", [5, None])
 def test_group_from_label_refuses_a_label_that_is_not_a_string(name):
     # partition on the label raised AttributeError on these
