@@ -38,8 +38,8 @@ from typing import NamedTuple, Optional, Tuple
 from .exactmath import (MAX_PRIME, factor, is_cube, is_probable_prime,
                         is_square, legendre, primes_up_to, to_fraction)
 from .ec import (DEFAULT_FROBENIUS_BOUND, ShortCurve, WeierstrassCurve,
-                 _invariants, _trace, ap, integral_model, short_model,
-                 twist_test)
+                 _as_long, _invariants, _trace, ap, integral_model,
+                 short_model, twist_test)
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
                   fingerprint_in_octahedral, fingerprint_in_split_normalizer)
 from .polyq import INFINITY, fibre_image_mod, rational_roots
@@ -50,6 +50,9 @@ DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 37)
 # of twist_set's integral model, may have: the walk slows down sharply with
 # the height of j, and twist_set factors the discriminant
 MAX_HEIGHT_DIGITS = 200
+# the largest bound of twist_set's trace scan, and of the command line's
+# --r and --frobenius-bound: twist_set(E, 5, 10**6) ran for over 20 s
+MAX_SCAN_BOUND = 10 ** 5
 # the primes of the walk sieve, at which j is compared with the image of
 # each entry's relation on P^1(F_p). Some images rule little out at small
 # p: 3.G4's t^3 = j is onto at every p != 1 mod 3, where cubing permutes
@@ -138,7 +141,7 @@ def _twist_label(model, E, d: int, labels) -> str:
     """labels = (h1, h2, g): h1 when E is isomorphic to model, h2 when E
     is the quadratic twist of model by d, else g. Both tests read the one
     short model of E."""
-    E = short_model(_as_long(E))
+    E = short_model(E)
     if twist_test(model, E, 1):
         return labels[0]
     if twist_test(model, E, d):
@@ -458,10 +461,6 @@ def _classify_cm_j0(E, l: int) -> str:
     return drop if twisted else base
 
 
-def _as_long(E):
-    return E.to_long() if isinstance(E, ShortCurve) else E
-
-
 def classify_cm(E, l: int, entry: CMEntry) -> ImageResult:
     """Image of the mod-l representation of a CM curve.
 
@@ -470,7 +469,6 @@ def classify_cm(E, l: int, entry: CMEntry) -> ImageResult:
     normalizer verdict at primes not dividing the CM discriminant);
     elsewhere the model decides among twists.
     """
-    E = _as_long(E)
     l = _checked_prime(l)
     j = entry.j
     note = ""
@@ -569,11 +567,14 @@ def twist_set(E, l: int, r: int, factor_bound: int = 10 ** 6) -> set:
     Candidates are the signed squarefree integers supported on l and the
     primes of the integral model's discriminant. A discriminant d is
     excluded by a good prime p = 1 mod l with a_p = -2 (d|p) mod l; the
-    returned set shrinks toward the true twist set as r grows. A
-    discriminant of more than MAX_HEIGHT_DIGITS digits is refused before
-    any other check.
+    returned set shrinks toward the true twist set as r grows, up to
+    MAX_SCAN_BOUND: a larger r is refused before any sieve or point
+    count. A discriminant of more than MAX_HEIGHT_DIGITS digits is
+    refused before any check of l.
     """
     M, _ = integral_model(_as_long(E))
+    if r > MAX_SCAN_BOUND:
+        raise ValueError(f"r must be at most {MAX_SCAN_BOUND}")
     disc = M.discriminant().numerator
     if abs(disc) >= 10 ** MAX_HEIGHT_DIGITS:
         raise ValueError(f"the discriminant of the integral model must be "

@@ -26,6 +26,7 @@ from functools import lru_cache
 
 from .classifier import (
     DEFAULT_FROBENIUS_BOUND,
+    MAX_SCAN_BOUND,
     classify,
     classify_from_j,
     twist_set,
@@ -44,12 +45,12 @@ from .tables import MAX_GROUP_PRIME, emit_text, group_from_label, verify_all
 # MAX_LITERAL_DIGITS, which to_fraction checks on a rational and
 # _int_list here on an integer). Each limit is checked before any test
 # of primality; the prime limit is the library's own MAX_PRIME, and the
-# group --prime limit its MAX_GROUP_PRIME, both checked here to name the
-# flag (ap refuses a larger p itself, classify a larger l, and
-# group_from_label a larger group prime). The height
-# limit on j and on twist-set's discriminant is the library's own
+# group --prime limit its MAX_GROUP_PRIME, and the --r and
+# --frobenius-bound limit its MAX_SCAN_BOUND, each checked here to name the
+# flag (ap refuses a larger p itself, classify a larger l,
+# group_from_label a larger group prime and twist_set a larger r). The
+# height limit on j and on twist-set's discriminant is the library's own
 # MAX_HEIGHT_DIGITS, checked by the library alone.
-_MAX_SCAN_BOUND = 10 ** 5
 _MAX_FACTOR_BOUND = 10 ** 7
 
 
@@ -221,7 +222,7 @@ def cmd_classify(ns) -> int:
     if primes is not None:
         _at_most("--primes entries", max(primes), MAX_PRIME)
     bound = _bounded("--frobenius-bound", ns.frobenius_bound,
-                     _MAX_SCAN_BOUND)
+                     MAX_SCAN_BOUND)
     if model is not None:
         report = classify(model, primes, frobenius_bound=bound)
     elif ns.j is not None:
@@ -277,7 +278,7 @@ def cmd_ap(ns) -> int:
 def cmd_twist_set(ns) -> int:
     E = _require_model(ns)
     l = _at_most("--prime", ns.prime, MAX_PRIME)
-    r = _bounded("--r", ns.r, _MAX_SCAN_BOUND)
+    r = _bounded("--r", ns.r, MAX_SCAN_BOUND)
     factor_bound = _bounded("--factor-bound", ns.factor_bound,
                             _MAX_FACTOR_BOUND)
     ds = twist_set(E, l, r, factor_bound=factor_bound)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Tuple, Union
 
-from .exactmath import MAX_PRIME, is_cube, is_square, to_fraction
+from .exactmath import MAX_PRIME, _echo, is_cube, is_square, to_fraction
 from .polyq import Poly
 
 Rat = Union[int, Fraction]
@@ -154,10 +154,21 @@ class ShortCurve(tuple):
         return "ShortCurve({}, {})".format(*self)
 
 
-def short_model(E: WeierstrassCurve) -> ShortCurve:
+def _as_long(E) -> WeierstrassCurve:
+    """E as a WeierstrassCurve, a ShortCurve written in long form; the
+    one check of the package's curve arguments, a TypeError for anything
+    else."""
+    if isinstance(E, ShortCurve):
+        return E.to_long()
+    if isinstance(E, WeierstrassCurve):
+        return E
+    raise TypeError(f"not a curve: {_echo(E)}")
+
+
+def short_model(E) -> ShortCurve:
     """The standard short model y^2 = x^3 - 27 c4 x - 54 c6, isomorphic to
     E over Q (complete the square, then scale by 6)."""
-    c4, c6 = E.c_invariants()
+    c4, c6 = _as_long(E).c_invariants()
     return ShortCurve(-27 * c4, -54 * c6)
 
 
@@ -170,11 +181,7 @@ def quadratic_twist(E: ShortCurve, d: Rat) -> ShortCurve:
 
 
 def _as_short(E) -> ShortCurve:
-    if isinstance(E, ShortCurve):
-        return E
-    if isinstance(E, WeierstrassCurve):
-        return short_model(E)
-    raise TypeError(f"not a curve: {E!r}")
+    return E if isinstance(E, ShortCurve) else short_model(E)
 
 
 def twist_test(E, Eprime, d: Rat) -> bool:
@@ -218,11 +225,12 @@ def integral_model(E: WeierstrassCurve) -> Tuple[WeierstrassCurve, int]:
 
 def ap(M: WeierstrassCurve, p: int) -> int:
     """Trace of Frobenius a_p = p + 1 - #M(F_p) by direct counting on the
-    integral model M (see integral_model). Raises ValueError when p is not
-    an int from 2 to MAX_PRIME (a larger p would allocate a p-byte table)
-    or M has a non-integral coefficient, BadReduction when p divides its
-    discriminant. The count itself is _trace, which a scan over many p
-    calls directly with the invariants of M read once.
+    integral model M (see integral_model; a ShortCurve is read in long
+    form). Raises TypeError when M is not a curve, ValueError when p is
+    not an int from 2 to MAX_PRIME (a larger p would allocate a p-byte
+    table) or M has a non-integral coefficient, BadReduction when p
+    divides its discriminant. The count itself is _trace, which a scan
+    over many p calls directly with the invariants of M read once.
 
     p is not tested for primality (a composite p gives no trace: ap(M, 15)
     is -9 for y^2 + y = x^3 - x): the package passes sieved primes, and a
@@ -230,6 +238,7 @@ def ap(M: WeierstrassCurve, p: int) -> int:
     p = 101 under CPython 3.11 on a 2-vCPU Xeon host). The command line
     tests p.
     """
+    M = _as_long(M)
     if not isinstance(p, int):
         raise ValueError("p is not an integer")
     if p < 2:
@@ -301,13 +310,14 @@ def division_polynomial(E, n: int) -> Poly:
 
     Uses the recurrences in the b-invariants, writing psi_m = f_m for m odd
     and psi_m = f_m * psi_2 for m even, where psi_2^2 = 4x^3 + b2 x^2 +
-    2 b4 x + b6.
+    2 b4 x + b6. Raises TypeError when E is not a curve or n not an int,
+    before any recursion.
     """
+    if not isinstance(n, int):
+        raise TypeError(f"not an int: {_echo(n)}")
     if n < 3 or n % 2 == 0:
         raise ValueError("defined for odd n >= 3")
-    if isinstance(E, ShortCurve):
-        E = E.to_long()
-    b2, b4, b6, b8 = E.b_invariants()
+    b2, b4, b6, b8 = _as_long(E).b_invariants()
     x = Poly.var()
     B = 4 * x ** 3 + b2 * x ** 2 + 2 * b4 * x + b6
     base = {

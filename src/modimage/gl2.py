@@ -10,9 +10,10 @@ on first use: ~l^4 matrices for GL2(F_l), so intended for l <= 37. The
 elements and the diagonal pairs are functools.cached_property fields of
 Subgroup, computed on first read and kept.
 
-The fingerprint predicates and epsilon ask whether a number is a square
-mod l through exactmath's Euler criterion, the one quadratic character
-of the package, which legendre reads too.
+The fingerprint predicates are for an odd prime l and refuse l = 2.
+They and epsilon ask whether a number is a square mod l through
+exactmath's Euler criterion, the one quadratic character of the
+package, which legendre reads too.
 """
 
 from __future__ import annotations
@@ -352,25 +353,38 @@ def _sum_of_squares_minus_one(l: int) -> Tuple[int, int]:
 
 # --- fingerprint membership without enumeration, at odd l -----------------
 
+def _require_odd(l: int) -> None:
+    if l == 2:
+        raise ValueError("the fingerprint tests are for an odd prime l")
+
+
 def fingerprint_in_borel(t: int, d: int, l: int) -> bool:
-    """Whether some upper-triangular matrix has this (trace, det): the
-    characteristic polynomial must split over F_l."""
+    """Whether some upper-triangular matrix has this (trace, det), for an
+    odd prime l: the characteristic polynomial must split over F_l.
+    Raises ValueError at l = 2."""
+    _require_odd(l)
     return _euler(t * t - 4 * d, l) >= 0
 
 
 def fingerprint_in_split_normalizer(t: int, d: int, l: int) -> bool:
-    """Torus part needs a split characteristic polynomial; the outer coset
-    consists of trace-zero matrices of arbitrary determinant."""
+    """For an odd prime l: the torus part needs a split characteristic
+    polynomial; the outer coset consists of trace-zero matrices of
+    arbitrary determinant. Raises ValueError at l = 2."""
+    _require_odd(l)
     return t % l == 0 or _euler(t * t - 4 * d, l) >= 0
 
 
 def fingerprint_in_nonsplit_normalizer(t: int, d: int, l: int) -> bool:
-    """Torus elements have non-split or scalar characteristic polynomial;
-    the outer coset is trace-zero."""
+    """For an odd prime l: torus elements have non-split or scalar
+    characteristic polynomial; the outer coset is trace-zero. Raises
+    ValueError at l = 2."""
+    _require_odd(l)
     return t % l == 0 or _euler(t * t - 4 * d, l) <= 0
 
 
 def fingerprint_in_octahedral(t: int, d: int, l: int) -> bool:
-    """Projectively octahedral elements satisfy t^2/d in {0, 1, 2, 4}."""
+    """For an odd prime l: projectively octahedral elements satisfy
+    t^2/d in {0, 1, 2, 4}. Raises ValueError at l = 2."""
+    _require_odd(l)
     u = t * t * pow(d, -1, l) % l
     return u in (0, 1, 2 % l, 4 % l)

@@ -3,7 +3,11 @@
 A polynomial is stored as integer numerators over one denominator, so
 its arithmetic runs on ints; _poly, which builds every one, brings it to
 that form. A product is one big-int product of the numerators (Kronecker
-substitution), or a scaling when one factor is a constant. poly_gcd
+substitution), or a scaling when one factor is a constant. A power of
+a monomial c t^m, as the tables' j-maps raise T, is written down as
+c^n t^(m n); any other power is square-and-multiply. poly_sqrt takes
+the root of the integer numerators with exact integer divisions, after
+checking that the denominator is a square (Gauss's lemma). poly_gcd
 first asks whether the gcd is 1 by Euclid on the primitive parts reduced
 modulo one word-sized prime, and only when that is inconclusive runs the
 exact primitive remainder sequence; one integer pseudo-division,
@@ -33,7 +37,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Optional, Union
 
-from .exactmath import is_probable_prime, is_square
+from .exactmath import is_probable_prime
 
 Rat = Union[int, Fraction]
 
@@ -165,8 +169,14 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """A monomial c t^m (a constant or zero among them) has its power
+        c^n t^(m n) written down; any other base is raised by
+        square-and-multiply."""
         if n < 0:
             raise ValueError("negative power of a Poly")
+        *low, c = self.ints or (0,)
+        if not any(low):
+            return _poly([0] * (len(low) * n) + [c ** n], self.den ** n)
         result = Poly.const(1)
         base = self
         while n:
@@ -325,31 +335,29 @@ def exact_divide(f: Poly, g: Poly) -> Optional[Poly]:
 
 
 def poly_sqrt(f: Poly) -> Optional[Poly]:
-    """Return g with g*g == f when f is a perfect square over Q, else None."""
+    """Return g with g*g == f when f is a perfect square over Q, else None.
+
+    With f = F/den as stored (in lowest terms), f is a square over Q
+    exactly when den = e^2 and F = H^2 for an integer polynomial H
+    (Gauss's lemma: the square of a primitive polynomial is primitive).
+    H is built from the top coefficient down, its t^k coefficient read off
+    the t^(n+k) coefficient of H^2 by an exact integer division by 2 H_n;
+    a remainder, or a den or lead(F) that is not a square, means no root.
+    The lower half of H^2 is then checked against F."""
     if f.is_zero():
         return Poly()
-    if f.degree % 2 != 0:
+    F, n = f.ints, f.degree // 2
+    e, h = math.isqrt(f.den), math.isqrt(max(F[-1], 0))
+    if f.degree % 2 or e * e != f.den or h * h != F[-1]:
         return None
-    lead = f.leading()
-    if not is_square(lead):
-        return None
-    n = f.degree // 2
-    lead_rt = Fraction(math.isqrt(lead.numerator), math.isqrt(lead.denominator))
-    # Build the root from the top coefficient down: the x^(n+k) coefficient
-    # of g*g determines g's x^k coefficient once higher ones are known.
-    g = [Fraction(0)] * (n + 1)
-    g[n] = lead_rt
+    H = [0] * n + [h]
     for k in range(n - 1, -1, -1):
-        s = Fraction(0)
-        for i in range(k + 1, n):
-            j = n + k - i
-            if k < j <= n:
-                s += g[i] * g[j]
-        g[k] = (f[n + k] - s) / (2 * lead_rt)
-    cand = Poly(g)
-    if cand * cand == f:
-        return cand
-    return None
+        s = sum(H[i] * H[n + k - i] for i in range(k + 1, n))
+        H[k], r = divmod(F[n + k] - s, 2 * h)
+        if r:
+            return None
+    cand = _poly(H, e)
+    return cand if cand * cand == f else None
 
 
 def compose(outer: tuple, inner: tuple) -> tuple:

@@ -12,6 +12,10 @@ evidence and not a shared bug:
   * schoolbook_product multiplies coefficient by coefficient in
     Fractions, while Poly.__mul__ packs integer coefficients into one big
     int (Kronecker substitution).
+  * fraction_poly_sqrt solves for the coefficients of a square root in
+    Fractions from the top one down and checks it by schoolbook_product,
+    while polyq.poly_sqrt works on the integer numerators, refusing at
+    the first inexact division.
   * fraction_gcd runs Euclid on Fraction coefficient lists, making the
     divisor monic at every step, while polyq.poly_gcd tests coprimality
     modulo one prime and otherwise runs an integer pseudo-remainder
@@ -118,6 +122,30 @@ def schoolbook_product(f, g):
         for j, b in enumerate(g.coeffs):
             out[i + j] = out.get(i + j, Fraction(0)) + a * b
     return Poly([out[i] for i in range(len(out))])
+
+
+def fraction_poly_sqrt(f):
+    """g with g*g == f when the Poly f is a square over Q, else None; the
+    leading coefficient of g is positive. The coefficient of x^(n+k) in
+    g*g fixes g's x^k coefficient once the higher ones are known."""
+    if f.is_zero():
+        return Poly()
+    if f.degree % 2 != 0:
+        return None
+    lead = f.leading()
+    u, v = isqrt(max(lead.numerator, 0)), isqrt(lead.denominator)
+    if (u * u, v * v) != (lead.numerator, lead.denominator):
+        return None
+    n = f.degree // 2
+    g = [Fraction(0)] * (n + 1)
+    g[n] = Fraction(u, v)
+    for k in range(n - 1, -1, -1):
+        s = Fraction(0)
+        for i in range(k + 1, n):
+            s += g[i] * g[n + k - i]
+        g[k] = (f[n + k] - s) / (2 * g[n])
+    cand = Poly(g)
+    return cand if schoolbook_product(cand, cand) == f else None
 
 
 def fraction_gcd(f, g):

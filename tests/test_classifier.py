@@ -22,6 +22,7 @@ import modimage.polyq
 from modimage.classifier import (
     DEFAULT_PRIMES,
     MAXIMAL_KINDS,
+    MAX_SCAN_BOUND,
     SIEVE_PRIMES,
     Certificate,
     FrobeniusPass,
@@ -763,6 +764,19 @@ class TestTwistSets:
         stubborn = short(0, (10**9 + 7) * (10**9 + 9))
         with pytest.raises(FactorizationIncomplete):
             twist_set(stubborn, 7, 10, factor_bound=10**4)
+
+    def test_scan_bound_refused_before_any_count(self, monkeypatch):
+        # twist_set(E, 5, 10**6) ran for over 20 s; the command line
+        # refused such an --r, the library did not
+        def unreachable(*args):
+            raise AssertionError("sieved or counted past the scan bound")
+
+        monkeypatch.setattr(modimage.classifier, "primes_up_to", unreachable)
+        monkeypatch.setattr(modimage.classifier, "ap", unreachable)
+        for r in (MAX_SCAN_BOUND + 1, 10 ** 6):
+            with pytest.raises(ValueError,
+                               match=f"r must be at most {MAX_SCAN_BOUND}"):
+                twist_set(self.E, 5, r)
 
 
 class TestInputValidation:

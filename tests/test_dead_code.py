@@ -203,3 +203,12 @@ def test_one_euler_criterion():
     found = [module for module, tree in TREES.items()
              for node in ast.walk(tree) if _is_euler_criterion(node)]
     assert found == ["exactmath"]
+
+
+def test_one_scan_bound():
+    # the bound of the trace scans, classifier.MAX_SCAN_BOUND, is written
+    # once: the command line reads it for --r and --frobenius-bound
+    scan_bound = ast.dump(ast.parse("10 ** 5", mode="eval").body)
+    found = [module for module, tree in TREES.items()
+             for node in ast.walk(tree) if ast.dump(node) == scan_bound]
+    assert found == ["classifier"]

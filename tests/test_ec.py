@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import modimage.ec
-from modimage.classifier import classify_from_j
+from modimage.classifier import classify, classify_from_j
 from modimage.ec import (
     DEFAULT_FROBENIUS_BOUND,
     BadReduction,
@@ -250,6 +250,23 @@ def test_twist_guards():
         with pytest.raises(TypeError) as info:
             twist_test(*args)
         assert str(info.value).startswith("not a curve: ")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: classify("x"),
+    lambda: classify(None),
+    lambda: short_model(1.5),
+    lambda: ap("x", 5),
+    lambda: division_polynomial("x", 3),
+    lambda: division_polynomial(RANK1_11, float("nan")),
+    lambda: division_polynomial(RANK1_11, 3.0),
+], ids=["classify", "classify-none", "short-model", "ap", "psi-curve",
+        "psi-nan", "psi-float"])
+def test_wrong_type_raises_type_error(call):
+    # each raised AttributeError, RecursionError or nothing before its
+    # entry point checked the type
+    with pytest.raises(TypeError, match="^not an? (curve|int): "):
+        call()
 
 
 def test_integral_model():

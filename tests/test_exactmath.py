@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modimage import cli, exactmath
+from modimage import classifier, exactmath
 from modimage.exactmath import (
     FactorizationIncomplete,
     factor,
@@ -39,7 +39,7 @@ def test_primes_up_to_refuses_a_non_integer_bound():
 
 def test_primes_up_to_refuses_a_bound_past_the_cap(monkeypatch):
     cap = exactmath._MAX_SIEVE_BOUND
-    assert cli._MAX_SCAN_BOUND < cap
+    assert classifier.MAX_SCAN_BOUND < cap
     assert primes_up_to(cap)[-1] == 999983
 
     def no_sieve(*args):

@@ -407,6 +407,10 @@ def test_borel_fingerprint_closed_form():
         closed = {(t, d) for t in range(l) for d in range(1, l)
                   if fingerprint_in_borel(t, d, l)}
         assert enum == closed
+    # in characteristic 2 the discriminant says nothing: (1, 1) passed,
+    # though x^2 + x + 1 is irreducible over F_2, so l = 2 is refused
+    with pytest.raises(ValueError, match="odd prime"):
+        fingerprint_in_borel(1, 1, 2)
 
 
 def test_split_normalizer_fingerprint_closed_form():
@@ -415,6 +419,8 @@ def test_split_normalizer_fingerprint_closed_form():
         closed = {(t, d) for t in range(l) for d in range(1, l)
                   if fingerprint_in_split_normalizer(t, d, l)}
         assert enum == closed
+    with pytest.raises(ValueError, match="odd prime"):
+        fingerprint_in_split_normalizer(1, 1, 2)
 
 
 def test_nonsplit_normalizer_fingerprint_closed_form():
@@ -423,6 +429,8 @@ def test_nonsplit_normalizer_fingerprint_closed_form():
         closed = {(t, d) for t in range(l) for d in range(1, l)
                   if fingerprint_in_nonsplit_normalizer(t, d, l)}
         assert enum == closed
+    with pytest.raises(ValueError, match="odd prime"):
+        fingerprint_in_nonsplit_normalizer(1, 1, 2)
 
 
 def test_octahedral_fingerprint_soundness():
@@ -432,6 +440,8 @@ def test_octahedral_fingerprint_soundness():
         enum = _fingerprint_set(octahedral_normalizer(l))
         for (t, d) in enum:
             assert fingerprint_in_octahedral(t, d, l)
+    with pytest.raises(ValueError, match="odd prime"):
+        fingerprint_in_octahedral(1, 1, 2)
 
 
 def test_enumerate_gl2_complete():

@@ -18,9 +18,9 @@ from modimage.polyq import (
     _GCD_PRIME as P,
     _pseudo_divmod,
 )
-from modimage.tables import prime_table, supported_primes
+from modimage.tables import nonsplit11, prime_table, supported_primes
 from oracles import (cover_value, divisor_root_search, fraction_gcd,
-                     schoolbook_product)
+                     fraction_poly_sqrt, schoolbook_product)
 
 T = Poly.var()
 
@@ -254,6 +254,22 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
         assert power == expected
 
 
+@pytest.mark.parametrize("c", [3, Fraction(5, 7), -2])
+@pytest.mark.parametrize("m", [0, 1, 5])
+def test_monomial_power_is_written_down(monkeypatch, c, m):
+    base = Poly([0] * m + [c])
+    expected = [Poly.const(1)]
+    for _ in range(6):
+        expected.append(schoolbook_product(expected[-1], base))
+
+    def no_mul(self, other):
+        raise AssertionError("a monomial power multiplied")
+
+    monkeypatch.setattr(Poly, "__mul__", no_mul)
+    for n in range(7):
+        assert base ** n == expected[n]
+
+
 def test_exact_divide():
     assert exact_divide(T ** 2 - 1, T - 1) == T + 1
     assert exact_divide(T ** 2 + 1, T - 1) is None
@@ -264,6 +280,39 @@ def test_poly_sqrt():
     assert poly_sqrt(f) in ((T ** 2 + 3 * T + 1), -(T ** 2 + 3 * T + 1))
     assert poly_sqrt(T ** 2 + 1) is None
     assert poly_sqrt(2 * T ** 2) is None
+
+
+@st.composite
+def near_squares(draw):
+    """g*g for a random g, its negative, or g*g with its constant term
+    moved."""
+    g = draw(st.lists(product_coeffs, min_size=1, max_size=7).map(Poly))
+    f = g * g
+    return draw(st.sampled_from([f, -f, f + draw(product_coeffs)]))
+
+
+def nonsplit11_quotient():
+    """The discriminant of the nonsplit-11 criterion over its cubic
+    factor: a square of degree 106 that verify_all checks."""
+    crit = nonsplit11()
+    delta = crit.B * crit.B - 4 * crit.A * crit.C
+    return exact_divide(delta, T ** 3 - T ** 2 - 7 * T + Fraction(41, 4))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(near_squares())
+@example(Poly())
+@example(Poly([4]))
+@example(Poly([-4]))
+@example(T ** 3)
+@example(Fraction(1, 4) * T ** 5 + 1)
+@example(Fraction(1, 2) * (T + 1) ** 2)
+@example(Fraction(9, 8) * T ** 2)
+@example(T ** 4 + T ** 3)
+@example((Fraction(2, 3) * T ** 2 - 5) ** 2 + Fraction(1, 9) * T)
+@example(nonsplit11_quotient())
+def test_poly_sqrt_matches_fraction_recurrence(f):
+    assert poly_sqrt(f) == fraction_poly_sqrt(f)
 
 
 def test_compose_rational():
