@@ -18,9 +18,9 @@ mod-l representation up to conjugacy in GL_2(F_l):
   no known rational points) give verdicts conditional on the
   surjectivity conjecture, upgraded to proven when Frobenius traces
   certify non-containment in every open possibility; the trace scans of
-  one classify call read one Frobenius pass, which builds the integral
-  model and its invariants once and counts each a_p once with the
-  counting kernel of ec.ap, and each scan reads the kinds a pair
+  one classify call read one Frobenius pass, which reads the integral
+  model's invariants that the curve keeps and counts each a_p once with
+  the counting kernel of ec.ap, and each scan reads the kinds a pair
   (a_p, p) mod l excludes from a cached table;
 * CM curves are classified by the discriminant table rules, including
   the mod-9 refinements for j = 0 and the twist tests at l = D; at l = 2
@@ -35,11 +35,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
-from .exactmath import (MAX_PRIME, factor, is_cube, is_probable_prime,
-                        is_square, legendre, primes_up_to, to_fraction)
+from .exactmath import (MAX_PRIME, _echo, factor, is_cube,
+                        is_probable_prime, is_square, legendre,
+                        primes_up_to, to_fraction)
 from .ec import (DEFAULT_FROBENIUS_BOUND, ShortCurve, WeierstrassCurve,
-                 _as_long, _invariants, _trace, ap, integral_model,
-                 short_model, twist_test)
+                 _as_long, _trace, ap, integral_model, short_model,
+                 twist_test)
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
                   fingerprint_in_octahedral, fingerprint_in_split_normalizer)
 from .polyq import INFINITY, fibre_image_mod, rational_roots
@@ -139,8 +140,8 @@ def _cover_parameters(entry, j):
 
 def _twist_label(model, E, d: int, labels) -> str:
     """labels = (h1, h2, g): h1 when E is isomorphic to model, h2 when E
-    is the quadratic twist of model by d, else g. Both tests read the one
-    short model of E."""
+    is the quadratic twist of model by d, else g. Both tests read the
+    short model that E keeps."""
     E = short_model(E)
     if twist_test(model, E, 1):
         return labels[0]
@@ -189,10 +190,11 @@ class FrobeniusPass:
     increasing order: the one Frobenius pass that the trace scans of a
     classify call read in turn.
 
-    The integral model and its invariants are built once, when a scan
-    first reads the pass, and each a_p is counted by the kernel of ap,
-    ec._trace, when a scan first reaches p; a later scan rereads the
-    pairs already computed. A pass lives for one call.
+    The integral model's invariants are those the curve computed in its
+    constructor and keeps (a ShortCurve is read in long form, built
+    once when a scan first reads the pass), and each a_p is counted by
+    the kernel of ap, ec._trace, when a scan first reaches p; a later
+    scan rereads the pairs already computed. A pass lives for one call.
     """
 
     def __init__(self, E, bound: int):
@@ -201,10 +203,9 @@ class FrobeniusPass:
 
     @staticmethod
     def _scan(E, bound: int):
-        M, _ = integral_model(_as_long(E))
-        a, b, _, disc = _invariants(M)
-        for p in _good_primes(disc, bound):
-            yield p, _trace(a, b, p)
+        inv = _as_long(E)._integral
+        for p in _good_primes(inv.disc, bound):
+            yield p, _trace(inv.a, inv.b, p)
 
     def __iter__(self):
         pairs, i = self._pairs, 0
@@ -241,7 +242,7 @@ def frobenius_noncontainment(E, l: int, bound: int) -> dict:
     unless E is a curve model (a WeierstrassCurve or a ShortCurve).
     """
     if not isinstance(E, (WeierstrassCurve, ShortCurve)):
-        raise ValueError(f"certificates need a curve model, not {E!r}")
+        raise ValueError(f"certificates need a curve model, not {_echo(E)}")
     l = _checked_prime(l)
     if l < 5:
         raise ValueError("certificates are defined for l >= 5")
@@ -572,7 +573,7 @@ def twist_set(E, l: int, r: int, factor_bound: int = 10 ** 6) -> set:
     count. A discriminant of more than MAX_HEIGHT_DIGITS digits is
     refused before any check of l.
     """
-    M, _ = integral_model(_as_long(E))
+    M, _ = integral_model(E)
     if r > MAX_SCAN_BOUND:
         raise ValueError(f"r must be at most {MAX_SCAN_BOUND}")
     disc = M.discriminant().numerator

@@ -36,10 +36,16 @@ class LiteralTooLong(ValueError):
 
 
 def _echo(x) -> str:
-    """x quoted for an error message, a string cut to a short prefix."""
+    """x quoted for an error message: a string cut to 24 characters, any
+    other repr to a short prefix, and a value whose repr raises (an int
+    past the interpreter's int-to-str digit limit) by its type's name."""
     if isinstance(x, str) and len(x) > 24:
         return repr(x[:24]) + "..."
-    return repr(x)
+    try:
+        text = repr(x)
+    except Exception:
+        return f"<{type(x).__name__}>"
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def to_fraction(x) -> Fraction:

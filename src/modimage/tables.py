@@ -40,7 +40,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .ec import PointQ, ShortCurve, WeierstrassCurve, scalar_mul
-from .exactmath import is_probable_prime, legendre, to_fraction
+from .exactmath import _echo, is_probable_prime, legendre, to_fraction
 from .gl2 import (
     Mat2,
     Subgroup,
@@ -596,7 +596,7 @@ def group_from_label(l: int, name: str) -> Subgroup:
     if not is_probable_prime(l):
         raise ValueError(f"l = {l} is not a prime")
     if not isinstance(name, str):
-        raise ValueError(f"the label {name!r} is not a string")
+        raise ValueError(f"the label {_echo(name)} is not a string")
     prefix, dot, rest = name.partition(".")
     if dot and prefix.isdecimal():
         if int(prefix) != l:

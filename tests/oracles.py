@@ -33,6 +33,10 @@ evidence and not a shared bug:
     computes them once in one helper, in plain ints for an integral
     model; the test also holds the oracle to the identities
     4 b8 = b2 b6 - b4^2 and 1728 disc = c4^3 - c6^2.
+  * fraction_model computes the invariants, the integral model and the
+    short model on Fractions of the coefficients as given, by the nested
+    formulas ec used before its kernel, while ec scales the coefficients
+    to the integral model first and computes in ints.
   * mod2_label reads the mod-2 image of y^2 = x^3 + Ax + B off the
     rational roots and discriminant of the 2-division cubic, while the
     classifier walks the l = 2 cover table.
@@ -51,7 +55,7 @@ evidence and not a shared bug:
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from modimage.gl2 import Mat2
 from modimage.polyq import INFINITY, Poly, rational_roots
@@ -307,6 +311,27 @@ def silverman_invariants(a1, a2, a3, a4, a6):
     disc = -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     return {"b2": b2, "b4": b4, "b6": b6, "b8": b8, "c4": c4, "c6": c6,
             "disc": disc, "j": c4 * c4 * c4 / disc if disc else None}
+
+
+def fraction_model(a1, a2, a3, a4, a6):
+    """{name: value} of the model with coefficients a1..a6, all on
+    Fractions of the coefficients as given: b2..b8, c4, c6, disc and j
+    (None when disc = 0) by the nested formulas of Silverman III.1, the
+    integral model as (a-invariants, u) with u the lcm of the
+    denominators, and the short model (A, B) = (-27 c4, -54 c6)."""
+    a1, a2, a3, a4, a6 = a = tuple(map(Fraction, (a1, a2, a3, a4, a6)))
+    b2 = a1 ** 2 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 ** 2 + 4 * a6
+    b8 = b2 * a6 + a3 * (a2 * a3 - a1 * a4) - a4 ** 2
+    c4 = b2 ** 2 - 24 * b4
+    c6 = -b2 * (c4 - 12 * b4) - 216 * b6
+    disc = b2 * (9 * b4 * b6 - b2 * b8) - (8 * b4 ** 3 + 27 * b6 ** 2)
+    u = lcm(*(x.denominator for x in a))
+    integral = (a1 * u, a2 * u ** 2, a3 * u ** 3, a4 * u ** 4, a6 * u ** 6)
+    return {"b2": b2, "b4": b4, "b6": b6, "b8": b8, "c4": c4, "c6": c6,
+            "disc": disc, "j": c4 ** 3 / disc if disc else None,
+            "integral": (integral, u), "short": (-27 * c4, -54 * c6)}
 
 
 def unsieved_first_hit(j, l):

@@ -42,6 +42,7 @@ from modimage.ec import (
     ShortCurve,
     SingularCurveError,
     WeierstrassCurve,
+    _invariants,
     _trace,
     ap,
     integral_model,
@@ -573,20 +574,24 @@ class TestFrobeniusTail:
         with pytest.raises(ValueError, match="need a curve model"):
             frobenius_noncontainment(None, 13, 100)
 
-    def test_one_integral_model_per_certificate_scan(self, monkeypatch):
-        # ap counts on the model it is given, and the scans at 13, 17 and
-        # 37 read one Frobenius pass, so a classify call builds the
-        # integral model once, not once per scan or per prime
+    @pytest.mark.parametrize("build, label", [
+        (lambda: family_curve(7, "7.G3", F(5, 2)), "7.H3.1"),
+        (lambda: short(0, 16), "3.H1.1"),
+    ], ids=["rational-family-member", "j0-cm"])
+    def test_one_kernel_call_per_classify(self, monkeypatch, build, label):
+        # the constructor runs the invariant kernel and the curve keeps
+        # it: j, the twist tests' short model, the CM rules at every
+        # prime and the Frobenius pass of the tails read what it kept
         calls = []
 
-        def counted(E):
-            calls.append(E)
-            return integral_model(E)
+        def counted(a):
+            calls.append(a)
+            return _invariants(a)
 
-        monkeypatch.setattr(modimage.ec, "integral_model", counted)
-        monkeypatch.setattr(modimage.classifier, "integral_model", counted)
-        classify(WeierstrassCurve(0, 0, 1, -1, 0), [13, 17, 37])
+        monkeypatch.setattr(modimage.ec, "_invariants", counted)
+        report = classify(build())
         assert len(calls) == 1
+        assert label in {r.label for r in report.results}
 
     @pytest.mark.parametrize("E", [
         WeierstrassCurve(0, 0, 1, -1, 0),

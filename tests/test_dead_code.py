@@ -212,3 +212,34 @@ def test_one_scan_bound():
     found = [module for module, tree in TREES.items()
              for node in ast.walk(tree) if ast.dump(node) == scan_bound]
     assert found == ["classifier"]
+
+
+# the a-invariant scaling and the formulas of Silverman III.1 for b2, b4,
+# b6, b8, c4, c6 and the discriminant, as ec._invariants writes them
+INVARIANT_FORMULAS = (
+    "x.numerator * u ** w // x.denominator",
+    "a1 ** 2 + 4 * a2",
+    "2 * a4 + a1 * a3",
+    "a3 ** 2 + 4 * a6",
+    "b2 * a6 + a3 * (a2 * a3 - a1 * a4) - a4 ** 2",
+    "b2 ** 2 - 24 * b4",
+    "-b2 * (c4 - 12 * b4) - 216 * b6",
+    "b2 * (9 * b4 * b6 - b2 * b8) - (8 * b4 ** 3 + 27 * b6 ** 2)",
+)
+
+
+def test_one_invariant_kernel():
+    # the invariants of a curve have one path, the kernel ec._invariants,
+    # which scales to the integral model and computes in ints; a curve
+    # runs it once and keeps it, so it has one call site
+    sums = [(module, ast.dump(node)) for module, tree in TREES.items()
+            for node in ast.walk(tree) if isinstance(node, ast.BinOp)]
+    for formula in INVARIANT_FORMULAS:
+        want = ast.dump(ast.parse(formula, mode="eval").body)
+        assert [module for module, dump in sums if dump == want] == ["ec"], \
+            formula
+    calls = [module for module, tree in TREES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "_invariants"]
+    assert calls == ["ec"]

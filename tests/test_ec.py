@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import modimage.ec
-from modimage.classifier import classify, classify_from_j
+from modimage.classifier import (classify, classify_from_j,
+                                 frobenius_noncontainment)
 from modimage.ec import (
     DEFAULT_FROBENIUS_BOUND,
     BadReduction,
@@ -25,9 +26,10 @@ from modimage.ec import (
 )
 from modimage.exactmath import (MAX_PRIME, is_cube, is_square, legendre,
                                 primes_up_to)
-from modimage.tables import cm_entry, nonsplit11_contains, nonsplit11_j
+from modimage.tables import (cm_entry, group_from_label,
+                             nonsplit11_contains, nonsplit11_j)
 from modimage.polyq import Poly, exact_divide
-from oracles import brute_force_ap, silverman_invariants
+from oracles import brute_force_ap, fraction_model, silverman_invariants
 
 T = Poly.var()
 
@@ -252,21 +254,41 @@ def test_twist_guards():
         assert str(info.value).startswith("not a curve: ")
 
 
-@pytest.mark.parametrize("call", [
-    lambda: classify("x"),
-    lambda: classify(None),
-    lambda: short_model(1.5),
-    lambda: ap("x", 5),
-    lambda: division_polynomial("x", 3),
-    lambda: division_polynomial(RANK1_11, float("nan")),
-    lambda: division_polynomial(RANK1_11, 3.0),
+NOT_A_CURVE = (TypeError, "^not a curve: ")
+NOT_AN_INT = (TypeError, "^not an int: ")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: classify("x"), NOT_A_CURVE),
+    (lambda: classify(None), NOT_A_CURVE),
+    (lambda: short_model(1.5), NOT_A_CURVE),
+    (lambda: ap("x", 5), NOT_A_CURVE),
+    (lambda: division_polynomial("x", 3), NOT_A_CURVE),
+    (lambda: division_polynomial(RANK1_11, float("nan")), NOT_AN_INT),
+    (lambda: division_polynomial(RANK1_11, 3.0), NOT_AN_INT),
+    (lambda: classify([0] * 100000), NOT_A_CURVE),
+    (lambda: classify(10 ** 5000), NOT_A_CURVE),
+    (lambda: division_polynomial(RANK1_11, 39),
+     (ValueError, "^defined for odd n from 3 to 37$")),
+    (lambda: ap(WeierstrassCurve(0, 0, 0, Fraction(1, 10 ** 4400), 1), 5),
+     (ValueError, "^ap needs an integral model, got <WeierstrassCurve>$")),
+    (lambda: frobenius_noncontainment([0] * 100000, 13, 100),
+     (ValueError, "^certificates need a curve model, not ")),
+    (lambda: group_from_label(13, [0] * 100000),
+     (ValueError, "^the label .* is not a string$")),
 ], ids=["classify", "classify-none", "short-model", "ap", "psi-curve",
-        "psi-nan", "psi-float"])
-def test_wrong_type_raises_type_error(call):
+        "psi-nan", "psi-float", "long-list", "long-int", "psi-39",
+        "ap-long-repr", "certificates-long-list", "label-long-list"])
+def test_bad_argument_raises_at_entry(call, error):
     # each raised AttributeError, RecursionError or nothing before its
-    # entry point checked the type
-    with pytest.raises(TypeError, match="^not an? (curve|int): "):
+    # entry point checked the argument; a list was quoted in all its
+    # 300000 characters, the int of 5001 digits and the curve with a
+    # coefficient of 4401 digits raised ValueError from their repr, and
+    # psi_39 was computed (psi_81 takes 21 s)
+    kind, message = error
+    with pytest.raises(kind, match=message) as info:
         call()
+    assert len(str(info.value)) < 100
 
 
 def test_integral_model():
@@ -320,6 +342,58 @@ def test_invariants_match_the_silverman_formulas(coeffs):
     assert all(type(x) is Fraction for x in got)
     if coeffs[:3] == (0, 0, 0):
         assert ShortCurve(*coeffs[3:]).j_invariant() == j
+
+
+# a numerator: 0, small (where singular models lie), or large, either sign
+NUMERATOR = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.integers(-10 ** 6, 10 ** 6))
+DENOMINATOR_PRIMES = (2, 3, 5, 7, 11)
+
+
+@st.composite
+def a_invariants(draw):
+    """Five coefficients: integers, or Fractions whose denominators are
+    powers of one shared prime, or of five distinct primes."""
+    kind = draw(st.sampled_from(("integer", "shared", "coprime")))
+    numerators = draw(st.tuples(*[NUMERATOR] * 5))
+    exponents = draw(st.tuples(*[st.integers(0, 3)] * 5))
+    if kind == "integer":
+        primes = (1,) * 5
+    elif kind == "shared":
+        primes = (draw(st.sampled_from(DENOMINATOR_PRIMES)),) * 5
+    else:
+        primes = draw(st.permutations(DENOMINATOR_PRIMES))
+    return tuple(Fraction(n, q ** e)
+                 for n, q, e in zip(numerators, primes, exponents))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(a_invariants())
+@example((0, 0, 0, Fraction(-1, 4), Fraction(1, 8)))
+@example((Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5), Fraction(2, 7),
+          Fraction(-3, 11)))
+@example(SINGULAR_MODELS[3])
+@example(SINGULAR_MODELS[4])
+@example(SINGULAR_MODELS[5])
+def test_kernel_matches_the_fraction_path(coeffs):
+    want = fraction_model(*coeffs)
+    if want["disc"] == 0:
+        with pytest.raises(SingularCurveError):
+            WeierstrassCurve(*coeffs)
+        return
+    E = WeierstrassCurve(*coeffs)
+    assert E.b_invariants() == tuple(map(want.get, SILVERMAN_ORDER[:4]))
+    assert E.c_invariants() == (want["c4"], want["c6"])
+    assert (E.discriminant(), E.j_invariant()) == (want["disc"], want["j"])
+    M, u = integral_model(E)
+    assert (M.a_invariants(), u) == want["integral"]
+    assert tuple(short_model(E)) == want["short"]
+    # M keeps E's kernel with u = 1, which is the kernel M computes
+    assert M._integral == WeierstrassCurve(*M)._integral
+    assert M.discriminant() == want["disc"] * u ** 12
+    assert all(type(x) is Fraction for x in E.b_invariants()
+               + E.c_invariants() + M.a_invariants()
+               + tuple(short_model(E)))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -12,7 +12,8 @@ from fractions import Fraction as F
 import pytest
 
 from modimage.classifier import Certificate, ImageResult, classify
-from modimage.ec import PointQ, ShortCurve, WeierstrassCurve, short_model
+from modimage.ec import (PointQ, ShortCurve, WeierstrassCurve,
+                         integral_model, short_model)
 from modimage.gl2 import borel
 from modimage.tables import (CM_TABLE, CMEntry, nonsplit11, prime_table,
                              supported_primes)
@@ -43,6 +44,26 @@ def values():
 def test_fields_are_read_only(value, field):
     with pytest.raises(AttributeError):
         setattr(value, field, 0)
+
+
+def test_curve_fields_stay_read_only_once_read():
+    # a curve keeps its kernel and short model in its instance dict, and
+    # no assignment or deletion reaches them, before or after a read
+    curve = WeierstrassCurve(0, 0, 1, F(-1, 4), F(3, 8))
+    M, u = integral_model(curve)
+    short, j = short_model(curve), curve.j_invariant()
+    for value in (curve, M):
+        for field in ("a1", "_integral", "_short", "j_invariant"):
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+    assert short_model(curve) is short and curve.j_invariant() == j
+    assert integral_model(curve) == (M, u) and M._integral.u == 1
+    for copied in (copy.deepcopy(curve), pickle.loads(pickle.dumps(curve))):
+        assert copied == curve and type(copied) is WeierstrassCurve
+        assert copied._integral == curve._integral
+        assert short_model(copied) == short
 
 
 def test_equal_values_compare_and_hash_equal():
