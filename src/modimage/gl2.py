@@ -4,7 +4,8 @@ Matrices are immutable tuples (a, b, c, d, l) of entries reduced mod l,
 with nonzero determinant. A subgroup whose generators are upper
 triangular, one of them [1, b; 0, 1] with b != 0 (the Borel group and
 the exceptional images at 17 and 37 among them), has its order and
-invariants counted in closed form from the diagonals of its generators.
+invariants counted in closed form from the diagonals of its generators;
+is_twist_pair reads two such groups on those diagonals too.
 Every other subgroup, and the elements of any subgroup, are enumerated
 on first use: ~l^4 matrices for GL2(F_l), so intended for l <= 37. The
 elements and the diagonal pairs are functools.cached_property fields of
@@ -242,6 +243,25 @@ def _borel_diagonals(generators, l: int) -> Optional[frozenset]:
                     grown.append(pair)
         frontier = grown
     return frozenset(pairs)
+
+
+def is_twist_pair(G: Subgroup, H: Subgroup) -> bool:
+    """Whether H is the index-2 subgroup of G that a quadratic twist
+    leaves: H and -H make up G, -I is not in H, and 2 |H| = |G|.
+
+    When both groups qualify for _borel_diagonals, G = {[a, x; 0, d] :
+    (a, d) in D_G} and likewise for H, so this reads on the diagonal
+    pairs alone: (-1, -1) is not in D_H, 2 |D_H| = |D_G| and D_H and
+    -D_H make up D_G. Otherwise on the elements."""
+    l, dg, dh = G.l, G._diagonals, H._diagonals
+    if H.l != l:
+        return False
+    if dg is None or dh is None:
+        return (-Mat2.identity(l) not in H.elements
+                and 2 * H.order == G.order
+                and H.elements | {-m for m in H.elements} == G.elements)
+    return ((l - 1, l - 1) not in dh and 2 * len(dh) == len(dg)
+            and dh | {(l - a, l - d) for a, d in dh} == dg)
 
 
 def is_applicable(G: Subgroup) -> bool:

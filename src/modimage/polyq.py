@@ -3,17 +3,19 @@
 A polynomial is stored as integer numerators over one denominator, so
 its arithmetic runs on ints; _poly, which builds every one, brings it to
 that form. A product is one big-int product of the numerators (Kronecker
-substitution), or a scaling when one factor is a constant. A power of
-a monomial c t^m, as the tables' j-maps raise T, is written down as
-c^n t^(m n); any other power is square-and-multiply. poly_sqrt takes
-the root of the integer numerators with exact integer divisions, after
-checking that the denominator is a square (Gauss's lemma). poly_gcd
+substitution: _pack writes a list of ints at 2^k, _unpack reads the
+signed k-bit digits back), or a scaling when one factor is a constant.
+A power of a monomial c t^m, as the tables' j-maps raise T, is written
+down as c^n t^(m n); any other power is square-and-multiply. poly_sqrt
+takes the root of the integer numerators with exact integer divisions,
+after checking that the denominator is a square (Gauss's lemma). poly_gcd
 first asks whether the gcd is 1 by Euclid on the primitive parts reduced
 modulo one word-sized prime, and only when that is inconclusive runs the
 exact primitive remainder sequence; one integer pseudo-division,
 _pseudo_divmod, serves that sequence and exact division. compose
 substitutes one map of the projective line, given as a (num, den) pair,
-into another.
+into another, by one Horner pass on the inner numerators packed as in
+a product, unpacked once.
 
 rational_roots finds all rational roots of a polynomial. It reduces to a
 squarefree integer polynomial, picks the smallest prime at which the
@@ -28,6 +30,11 @@ criterion or a set of j-values), and leaves rational_roots only the
 fibres it cannot rule out. One evaluator mod m, _eval_mod (Horner),
 serves the Newton lift, the search for the lifting prime and
 fibre_image_mod.
+
+Each public function checks its argument types once, at its entry, and
+raises TypeError for an argument that is not a Poly (a coefficient that
+is not a rational for the constructor, an x that is not one for
+evaluate); fibre_image_mod raises ValueError unless p is a prime int.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Optional, Union
 
-from .exactmath import is_probable_prime
+from .exactmath import _echo, is_probable_prime
 
 Rat = Union[int, Fraction]
 
@@ -67,9 +74,17 @@ class Poly:
     __slots__ = ("ints", "den")
 
     def __new__(cls, coeffs: Iterable[Rat] = ()):
-        cs = list(coeffs)
-        d = math.lcm(*[c.denominator for c in cs])
-        return _poly([c.numerator * (d // c.denominator) for c in cs], d)
+        try:
+            cs = list(coeffs)
+            d = math.lcm(*[c.denominator for c in cs])
+            ints = [c.numerator * (d // c.denominator) for c in cs]
+        except (AttributeError, TypeError):
+            raise TypeError(f"not a list of rationals: {_echo(coeffs)}") \
+                from None
+        return _poly(ints, d)
+
+    # __getitem__ reads 0 past the degree, so iteration would never stop
+    __iter__ = None
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -153,18 +168,8 @@ class Poly:
             return _poly([s * c for c in rest], self.den * other.den)
         k = (min(len(a), len(b)) * max(map(abs, a), default=0)
              * max(map(abs, b), default=0)).bit_length() + 1
-        prod = 1
-        for ints in (a, b):
-            prod *= sum(c << (k * i) for i, c in enumerate(ints))
-        out = []
-        for _ in range(len(a) + len(b) - 1):
-            r = prod & ((1 << k) - 1)
-            prod >>= k
-            if r >> (k - 1):
-                r -= 1 << k
-                prod += 1
-            out.append(r)
-        return _poly(out, self.den * other.den)
+        return _poly(_unpack(_pack(a, k) * _pack(b, k), k,
+                             len(a) + len(b) - 1), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -200,7 +205,10 @@ class Poly:
 
     def evaluate(self, x: Rat) -> Fraction:
         """Horner at x = u/v on ints: sum c_i u^i v^(n-i) over v^n den."""
-        u, v = x.numerator, x.denominator
+        try:
+            u, v = x.numerator, x.denominator
+        except AttributeError:
+            raise TypeError(f"not a rational: {_echo(x)}") from None
         acc, vpow = 0, 1
         for c in reversed(self.ints):
             acc = acc * u + c * vpow
@@ -222,6 +230,28 @@ class Poly:
 
     def __str__(self):
         return format_poly(self)
+
+
+def _pack(ints, k: int) -> int:
+    """The integer polynomial ints evaluated at 2^k (Kronecker
+    substitution)."""
+    return sum(c << (k * i) for i, c in enumerate(ints))
+
+
+def _unpack(packed: int, k: int, n: int) -> list:
+    """The n coefficients of the integer polynomial that _pack wrote at
+    2^k, each read as a signed k-bit digit: the one unpacker, of products
+    and of compose. Right when every coefficient lies in
+    [-2^(k-1), 2^(k-1)) and the degree is below n."""
+    out = []
+    for _ in range(n):
+        r = packed & ((1 << k) - 1)
+        packed >>= k
+        if r >> (k - 1):
+            r -= 1 << k
+            packed += 1
+        out.append(r)
+    return out
 
 
 def _poly(ints: list, den: int = 1) -> Poly:
@@ -247,6 +277,14 @@ def _primitive(ints: list) -> list:
     if ints and ints[-1] < 0:
         g = -g
     return [c // g for c in ints]
+
+
+def _require_poly(*fs) -> None:
+    """The type check at the entry of each polynomial function: raise
+    TypeError unless every f is a Poly."""
+    for f in fs:
+        if not isinstance(f, Poly):
+            raise TypeError(f"not a Poly: {_echo(f)}")
 
 
 def _coerce_poly(x):
@@ -312,6 +350,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     Stripping the content after each _pseudo_divmod keeps the numbers
     near the size of the inputs' subresultants, where fraction Euclid
     squares them at every step."""
+    _require_poly(f, g)
     a, b = f.primitive(), g.primitive()
     if len(a) < len(b):
         a, b = b, a
@@ -326,6 +365,7 @@ def exact_divide(f: Poly, g: Poly) -> Optional[Poly]:
     """Return f/g when g divides f exactly, else None. With f = a/df and
     g = b/dg as stored, g | f iff the pseudo-remainder r of a by
     b is 0, and then f/g = q * dg / (df * lead(b)^e)."""
+    _require_poly(f, g)
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     q, r = _pseudo_divmod(f.ints, g.ints)
@@ -344,6 +384,7 @@ def poly_sqrt(f: Poly) -> Optional[Poly]:
     the t^(n+k) coefficient of H^2 by an exact integer division by 2 H_n;
     a remainder, or a den or lead(F) that is not a square, means no root.
     The lower half of H^2 is then checked against F."""
+    _require_poly(f)
     if f.is_zero():
         return Poly()
     F, n = f.ints, f.degree // 2
@@ -367,24 +408,36 @@ def compose(outer: tuple, inner: tuple) -> tuple:
     Uses the homogenized substitution: with inner = p/q and d the mapping
     degree of outer, each of outer's num and den becomes
     sum_i c_i p^i q^(d-i), and the common q^d cancels. Common factors are
-    not cancelled. Raises ZeroDivisionError if the resulting denominator
-    is identically zero (inner constant at a pole of outer).
+    not cancelled. With p = P/dp, q = Q/dq and c_i = F_i/df as stored,
+    that sum is sum_i F_i (P dq)^i (Q dp)^(d-i) over df (dp dq)^d, and
+    its integer numerator is one Horner pass, acc = acc * P' + F_i * Q'^(d-i),
+    on the plain ints P' and Q' that P dq and Q dp pack to at 2^k
+    (Kronecker substitution), unpacked once. A coefficient of that
+    numerator is at most sum_i |F_i| |P dq|_1^i |Q dp|_1^(d-i) < 2^(k-1)
+    in absolute value, so each fits one signed k-bit digit. Raises
+    ZeroDivisionError if the resulting denominator is identically zero
+    (inner constant at a pole of outer).
     """
+    _require_poly(*outer, *inner)
     p, q = inner
     d = max(outer[0].degree, outer[1].degree, 0)
-    ppow = [Poly.const(1)]
-    qpow = [Poly.const(1)]
+    P = [c * q.den for c in p.ints]
+    Q = [c * p.den for c in q.ints]
+    norm_p, norm_q = sum(map(abs, P)), sum(map(abs, Q))
+    k = max(sum(abs(c) * norm_p ** i * norm_q ** (d - i)
+                for i, c in enumerate(f.ints)) for f in outer).bit_length() + 1
+    packed_p, packed_q = _pack(P, k), _pack(Q, k)
+    qpow = [1]
     for _ in range(d):
-        ppow.append(ppow[-1] * p)
-        qpow.append(qpow[-1] * q)
+        qpow.append(qpow[-1] * packed_q)
+    n = d * max(len(P) - 1, len(Q) - 1, 0) + 1
+    scale = (p.den * q.den) ** d
 
     def homog(f: Poly) -> Poly:
-        acc = Poly()
-        for i in range(f.degree + 1):
-            c = f[i]
-            if c != 0:
-                acc = acc + c * ppow[i] * qpow[d - i]
-        return acc
+        acc = 0
+        for i in range(f.degree, -1, -1):
+            acc = acc * packed_p + f.ints[i] * qpow[d - i]
+        return _poly(_unpack(acc, k, n), f.den * scale)
 
     num, den = map(homog, outer)
     if den.is_zero():
@@ -410,6 +463,7 @@ def rational_roots(f: Poly) -> set:
     p-adic root over that residue, so the lift of a residue that has
     yielded one root has no other to find.
     """
+    _require_poly(f)
     if f.is_zero():
         raise ValueError("the zero polynomial has every root")
     if f.degree < 1:
@@ -518,8 +572,12 @@ def fibre_image_mod(coeffs: tuple, p: int) -> Optional[frozenset]:
     each x, solved directly; otherwise its zeros are read off its values
     at every a, once per distinct tuple of values. Both the c_i at every
     x and, when k >= 2, the form at every a are evaluated by _eval_mod,
-    the module's one evaluator mod m.
+    the module's one evaluator mod m. Raises ValueError unless p is a
+    prime int.
     """
+    _require_poly(*coeffs)
+    if not (isinstance(p, int) and is_probable_prime(p)):
+        raise ValueError(f"p = {_echo(p)} is not a prime")
     image = set()
     for values in set(_projective_values(coeffs, p)):
         if not any(values):
@@ -553,6 +611,7 @@ def _rational_reconstruct(x: int, m: int, bound_u: int, bound_v: int):
 
 def format_poly(f: Poly, var: str = "t") -> str:
     """Render as 'c_n*t^n + ... + c_0', highest degree first."""
+    _require_poly(f)
     if f.is_zero():
         return "0"
     parts = []

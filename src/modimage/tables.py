@@ -50,6 +50,7 @@ from .gl2 import (
     full_gl2,
     gl2_order,
     is_applicable,
+    is_twist_pair,
     normalizer_nonsplit,
     normalizer_split,
     primitive_root,
@@ -764,12 +765,8 @@ def verify_all():
             detail = "" if ok else f"order {G.order}"
             check(f"group:{e.label}", ok, detail)
             for sub_label in dict(e.subs):  # 3.H1.1, 7.H1.1 are listed twice
-                H = group_from_label(l, sub_label)
-                plus_minus = H.elements | {-m for m in H.elements}
                 check(f"twist-pair:{sub_label}",
-                      -Mat2.identity(l) not in H.elements
-                      and 2 * H.order == G.order
-                      and plus_minus == G.elements)
+                      is_twist_pair(G, group_from_label(l, sub_label)))
 
     # (e) CM models
     for e in CM_TABLE:

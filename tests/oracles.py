@@ -12,6 +12,10 @@ evidence and not a shared bug:
   * schoolbook_product multiplies coefficient by coefficient in
     Fractions, while Poly.__mul__ packs integer coefficients into one big
     int (Kronecker substitution).
+  * termwise_compose builds every term c_i p^i q^(d-i) of the
+    homogenized substitution with Poly arithmetic and sums them, while
+    polyq.compose runs one Horner pass on the inner map's integer
+    numerators packed into plain ints.
   * fraction_poly_sqrt solves for the coefficients of a square root in
     Fractions from the top one down and checks it by schoolbook_product,
     while polyq.poly_sqrt works on the integer numerators, refusing at
@@ -25,6 +29,9 @@ evidence and not a shared bug:
   * naive_span closes a set of plain 4-tuples under products with the
     generators, round by round on plain sets, while gl2.span grows a
     frontier of Mat2 objects.
+  * enumerated_twist_pair compares the naive_span sets of two groups
+    element by element, while gl2.is_twist_pair reads the diagonal pairs
+    alone when both groups lie in the Borel group in closed form.
   * cover_value and value_at_infinity evaluate a (num, den) cover at a
     point and read its limit from the leading terms, while the package
     asks whether num - j*den has a root or drops degree.
@@ -126,6 +133,33 @@ def schoolbook_product(f, g):
         for j, b in enumerate(g.coeffs):
             out[i + j] = out.get(i + j, Fraction(0)) + a * b
     return Poly([out[i] for i in range(len(out))])
+
+
+def termwise_compose(outer, inner):
+    """outer(inner(t)) for (num, den) pairs of Polys: with inner = p/q and
+    d the mapping degree of outer, each of outer's num and den becomes
+    sum_i c_i p^i q^(d-i), every term a product of Polys. Raises
+    ZeroDivisionError when the denominator comes out zero."""
+    p, q = inner
+    d = max(outer[0].degree, outer[1].degree, 0)
+    ppow = [Poly.const(1)]
+    qpow = [Poly.const(1)]
+    for _ in range(d):
+        ppow.append(ppow[-1] * p)
+        qpow.append(qpow[-1] * q)
+
+    def homog(f):
+        acc = Poly()
+        for i in range(f.degree + 1):
+            c = f[i]
+            if c != 0:
+                acc = acc + c * ppow[i] * qpow[d - i]
+        return acc
+
+    num, den = map(homog, outer)
+    if den.is_zero():
+        raise ZeroDivisionError("composition lands at a pole everywhere")
+    return num, den
 
 
 def fraction_poly_sqrt(f):
@@ -231,6 +265,17 @@ def naive_span(generators, l):
         new = products - group
         group |= new
     return group
+
+
+def enumerated_twist_pair(G, H):
+    """Whether H and -H make up G, -I is not in H and 2 |H| = |G|, on the
+    naive_span sets of the two groups' generators."""
+    l = G.l
+    g = naive_span([m.tuple() for m in G.generators], l)
+    h = naive_span([m.tuple() for m in H.generators], H.l)
+    minus_h = {tuple(-x % l for x in m) for m in h}
+    return (H.l == l and (l - 1, 0, 0, l - 1) not in h
+            and 2 * len(h) == len(g) and h | minus_h == g)
 
 
 def enumerate_gl2(l):

@@ -243,3 +243,34 @@ def test_one_invariant_kernel():
              and isinstance(node.func, ast.Name)
              and node.func.id == "_invariants"]
     assert calls == ["ec"]
+
+
+def _is_signed_digit_fix(node):
+    """Whether node is an augmented assignment x -= 1 << k, k a bare name:
+    the step that reads a k-bit digit as negative."""
+    return (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub)
+            and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, ast.LShift)
+            and ast.dump(node.value.left) == ast.dump(ast.Constant(1))
+            and isinstance(node.value.right, ast.Name))
+
+
+def _is_kronecker_pack(node):
+    """Whether node is a shift c << (k * i) of one name by the product of
+    two: a coefficient put at its place in a packed integer."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+            and isinstance(node.left, ast.Name)
+            and isinstance(node.right, ast.BinOp)
+            and isinstance(node.right.op, ast.Mult)
+            and all(isinstance(side, ast.Name)
+                    for side in (node.right.left, node.right.right)))
+
+
+def test_one_kronecker_pack_and_unpack():
+    # products and compose pack integer polynomials at 2^k and read the
+    # result back as signed k-bit digits through one pair of helpers,
+    # polyq._pack and polyq._unpack
+    for found_by in (_is_signed_digit_fix, _is_kronecker_pack):
+        found = [module for module, tree in TREES.items()
+                 for node in ast.walk(tree) if found_by(node)]
+        assert found == ["polyq"], found_by.__name__

@@ -20,7 +20,7 @@ from modimage.polyq import (
 )
 from modimage.tables import nonsplit11, prime_table, supported_primes
 from oracles import (cover_value, divisor_root_search, fraction_gcd,
-                     fraction_poly_sqrt, schoolbook_product)
+                     fraction_poly_sqrt, schoolbook_product, termwise_compose)
 
 T = Poly.var()
 
@@ -337,6 +337,37 @@ def test_compose_agrees_with_evaluation(f, x):
     assert cover_value(compose(outer, inner), x) == f.evaluate(inner_val)
 
 
+def _composed(outer, inner, compose):
+    try:
+        return compose(outer, inner)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def polys_up_to(degree):
+    # the zero polynomial and constants among them
+    return st.lists(small_fracs, max_size=degree + 1).map(Poly)
+
+
+ONE = Poly.const(1)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.tuples(polys_up_to(15), polys_up_to(15)),
+       st.tuples(polys_up_to(4), polys_up_to(4)))
+@example((T ** 2, ONE), (Poly.const(Fraction(-3, 7)), ONE))  # constant inner
+@example((Poly(), T + 1), (T / 3, T - Fraction(1, 2)))  # zero numerator
+@example((T ** 15 - 7 * T, -2 * T ** 4 + 9),
+         (Fraction(-5, 3) * T ** 3 + 1, Fraction(2, 9) * T - 4))
+@example((T, T - 1), (ONE, ONE))  # a pole everywhere
+@example((T ** 3, ONE), (Poly(), T))  # inner zero
+@example((T ** 3 + T, T ** 2), (T, Poly()))  # inner infinity
+def test_compose_matches_termwise_substitution(outer, inner):
+    # the same Poly pair, not only the same map
+    assert _composed(outer, inner, compose) == \
+        _composed(outer, inner, termwise_compose)
+
+
 def test_rational_roots_anchor():
     f = poly_from_roots([Fraction(2, 3), Fraction(-5), Fraction(0)], T ** 2 + 1)
     assert rational_roots(f) == {Fraction(2, 3), Fraction(-5), Fraction(0)}
@@ -352,6 +383,35 @@ def test_rational_roots_anchor():
     # 6469693230 = 2*3*5*...*29 is their product
     assert rational_roots(2 * T - 1) == {Fraction(1, 2)}
     assert rational_roots(6469693230 * T - 1) == {Fraction(1, 6469693230)}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Poly(1.5),
+    lambda: Poly(["a"]),
+    lambda: Poly(T),
+    lambda: T.evaluate(1.5),
+    lambda: rational_roots(1.5),
+    lambda: rational_roots([0] * 100000),  # quoted by a short prefix
+    lambda: poly_gcd(1.5, T),
+    lambda: exact_divide(T, 2),
+    lambda: compose((1.5, ONE), (T, ONE)),
+    lambda: compose((T, ONE), (T, "t")),
+    lambda: poly_sqrt(1.5),
+    lambda: polyq.fibre_image_mod((T, 2), 5),
+    lambda: polyq.format_poly(3),
+])
+def test_a_wrong_type_raises_type_error(call):
+    with pytest.raises(TypeError, match="^not a (Poly|rational|list of "
+                                        "rationals): .{1,43}$"):
+        call()
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -5, 5.0, Fraction(5), "5", None,
+                               True, 91])
+def test_fibre_image_mod_needs_a_prime(p):
+    # p = 4 returned {0, 1, 2, 3, 4} and p = 1 returned None
+    with pytest.raises(ValueError, match="is not a prime$"):
+        polyq.fibre_image_mod((T, -ONE), p)
 
 
 def brute_fibre_image_mod(coeffs, p):

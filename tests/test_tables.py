@@ -19,16 +19,18 @@ import modimage.tables as tables
 from modimage.classifier import SIEVE_PRIMES, _cover_parameters
 from modimage.ec import PointQ, ShortCurve, scalar_mul
 from modimage.exactmath import primes_up_to
-from modimage.gl2 import (Mat2, Subgroup, gl2_order, is_applicable,
-                          normalizer_nonsplit, octahedral_normalizer)
-from modimage.polyq import INFINITY, Poly, fibre_image_mod, poly_gcd
+from modimage.gl2 import (Mat2, Subgroup, borel, cartan_split, gl2_order,
+                          is_applicable, is_twist_pair, normalizer_nonsplit,
+                          octahedral_normalizer, primitive_root)
+from modimage.polyq import INFINITY, Poly, compose, fibre_image_mod, poly_gcd
 from modimage.tables import (CM_TABLE, Cover, PrimeTable, TableEntry,
                              cm_entry, emit_text, group_from_label,
                              nonsplit11, nonsplit11_contains, nonsplit11_j,
                              prime_table, supported_primes, verify_all)
 from oracles import (brute_force_ap, cover_value, divisor_root_search,
-                     is_conjugate, subgroup_fingerprints, unsieved_first_hit,
-                     value_at_infinity)
+                     enumerated_twist_pair, is_conjugate,
+                     subgroup_fingerprints, termwise_compose,
+                     unsieved_first_hit, value_at_infinity)
 
 T = Poly.var()
 
@@ -36,6 +38,11 @@ T = Poly.var()
 # normalisation of cover denominators changes it
 EMIT_TEXT_SHA256 = \
     "716b2ba95c75ac185a00a4509706c4ea7a063282af84e84c50c162560ef782e7"
+
+# sha256 of the names of verify_all's checks, in order, one a line: a
+# speed-up that dropped or renamed a check changes it
+CHECK_NAMES_SHA256 = \
+    "81cd8fceab307749c8621ee6659abbaf8d50f17d60061f93225dfd4059f584f2"
 
 
 def test_verify_all_green():
@@ -72,6 +79,101 @@ def test_every_cover_is_checked_coprime(monkeypatch):
                         lambda l: bad if l == 2 else real(l))
     failed = [name for name, ok, _ in tables.verify_all() if not ok]
     assert failed == ["coprime:2.G2"]
+
+
+def test_check_names_are_pinned():
+    names = [name for name, _, _ in verify_all()]
+    assert len(names) == 188
+    digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+    assert digest == CHECK_NAMES_SHA256
+
+
+def test_compose_checks_match_termwise_substitution():
+    # the same Poly pairs as the term-by-term substitution, not only the
+    # same maps
+    checks = tables._composition_checks()
+    assert len(checks) == 17
+    for l, outer, inner, target in checks:
+        cover = tables._entry(l, outer).cover
+        assert compose(cover, inner) == termwise_compose(cover, inner), \
+            (l, outer, target)
+
+
+def _table_pairs():
+    """(G, H) for every entry G and twist refinement H of the tables."""
+    return [(group_from_label(l, e.label), group_from_label(l, sub))
+            for l in supported_primes() for e in prime_table(l).entries
+            for sub in dict(e.subs)]
+
+
+def test_twist_pairs_agree_with_enumeration():
+    pairs = _table_pairs()
+    assert len(pairs) == 26
+    on_elements = []
+    for G, H in pairs:
+        assert is_twist_pair(G, H) and enumerated_twist_pair(G, H), H.label
+        if "elements" in vars(H):
+            on_elements.append(H.label)
+        else:  # the closed form read no element of either group
+            assert "elements" not in vars(G), H.label
+    assert on_elements == ["3.H1.1", "5.H1.1", "5.H1.2", "7.H1.1"]
+
+
+def _square_subgroups():
+    """Index-2 subgroups that hold -I: the upper-triangular matrices of
+    the Borel group at 13 with a square top-left entry (-1 is a square
+    mod 13), in closed form, and the diagonal matrices of determinant a
+    square at 5, on their elements."""
+    g13, g5 = primitive_root(13), primitive_root(5)
+    return [(borel(13), Subgroup(13, [Mat2(g13 ** 2, 0, 0, 1, 13),
+                                      Mat2(1, 0, 0, g13, 13),
+                                      Mat2(1, 1, 0, 1, 13)])),
+            (cartan_split(5), Subgroup(5, [Mat2(g5, 0, 0, g5, 5),
+                                           Mat2(g5 ** 2, 0, 0, 1, 5)]))]
+
+
+def test_non_twist_pairs_are_refused():
+    pairs = _table_pairs()
+    squares = _square_subgroups()
+    for G, H in squares:
+        assert 2 * H.order == G.order
+        assert -Mat2.identity(G.l) in H.elements
+    # each group with itself, the square subgroups, and each entry with
+    # the refinement of another entry at its prime
+    cases = [(G, G) for G, _ in pairs] + squares + [
+        (G, H) for G, _ in pairs for G2, H in pairs
+        if G.l == G2.l and G.label != G2.label]
+    assert len(cases) > 60
+    cases.append((borel(7), Subgroup(5, [Mat2(1, 1, 0, 1, 5)])))  # two l
+    for G, H in cases:
+        assert not is_twist_pair(G, H), (G.label, H.label)
+        assert not enumerated_twist_pair(G, H), (G.label, H.label)
+
+
+@pytest.mark.parametrize("label, sub, gens, closed_form", [
+    # the generators of 13.H5.1, a twist refinement of 13.G5
+    ("13.G4", "13.H4.1", ((3, 0, 0, 1), (1, 0, 0, 2), (1, 1, 0, 1)), True),
+    # diag(+-1, +-1), an index-2 subgroup of 5.G1 that holds -I
+    ("5.G1", "5.H1.1", ((4, 0, 0, 1), (1, 0, 0, 4)), False),
+])
+def test_every_twist_pair_is_checked(monkeypatch, label, sub, gens,
+                                     closed_form):
+    l = int(label.partition(".")[0])
+
+    def wrong_sub(e):
+        if e.label != label:
+            return e
+        return e._replace(subs=tuple((s, gens if s == sub else g)
+                                     for s, g in e.subs))
+
+    real = tables.prime_table
+    bad = real(l)._replace(entries=tuple(map(wrong_sub, real(l).entries)))
+    monkeypatch.setattr(tables, "prime_table",
+                        lambda k: bad if k == l else real(k))
+    H = group_from_label(l, sub)
+    assert (H._diagonals is not None) == closed_form
+    failed = [name for name, ok, _ in tables.verify_all() if not ok]
+    assert failed == [f"twist-pair:{sub}"]
 
 
 def test_prime_table_only_at_table_primes():
