@@ -39,8 +39,8 @@ from .exactmath import (MAX_PRIME, _echo, factor, is_cube,
                         is_probable_prime, is_square, legendre,
                         primes_up_to, to_fraction)
 from .ec import (DEFAULT_FROBENIUS_BOUND, ShortCurve, WeierstrassCurve,
-                 _as_long, _trace, ap, integral_model, short_model,
-                 twist_test)
+                 _as_long, _require_curve, _trace, ap, integral_model,
+                 short_model, twist_test)
 from .gl2 import (fingerprint_in_borel, fingerprint_in_nonsplit_normalizer,
                   fingerprint_in_octahedral, fingerprint_in_split_normalizer)
 from .polyq import INFINITY, fibre_image_mod, rational_roots
@@ -468,8 +468,13 @@ def classify_cm(E, l: int, entry: CMEntry) -> ImageResult:
     E may be None only where the verdict depends on j alone (l = 2 away
     from j in {0, 1728}, where the l = 2 table decides, and the
     normalizer verdict at primes not dividing the CM discriminant);
-    elsewhere the model decides among twists.
+    elsewhere the model decides among twists. Raises TypeError when E is
+    neither None nor a curve, or entry is not a CMEntry.
     """
+    if E is not None:
+        _require_curve(E)
+    if not isinstance(entry, CMEntry):
+        raise TypeError(f"not a CM entry: {_echo(entry)}")
     l = _checked_prime(l)
     j = entry.j
     note = ""

@@ -191,15 +191,17 @@ class ShortCurve(tuple):
         return "ShortCurve({}, {})".format(*self)
 
 
+def _require_curve(E) -> None:
+    """The one check of the package's curve arguments: a TypeError unless
+    E is a WeierstrassCurve or a ShortCurve."""
+    if not isinstance(E, (WeierstrassCurve, ShortCurve)):
+        raise TypeError(f"not a curve: {_echo(E)}")
+
+
 def _as_long(E) -> WeierstrassCurve:
-    """E as a WeierstrassCurve, a ShortCurve written in long form; the
-    one check of the package's curve arguments, a TypeError for anything
-    else."""
-    if isinstance(E, ShortCurve):
-        return E.to_long()
-    if isinstance(E, WeierstrassCurve):
-        return E
-    raise TypeError(f"not a curve: {_echo(E)}")
+    """E as a WeierstrassCurve, a ShortCurve written in long form."""
+    _require_curve(E)
+    return E.to_long() if isinstance(E, ShortCurve) else E
 
 
 def short_model(E) -> ShortCurve:
@@ -209,12 +211,14 @@ def short_model(E) -> ShortCurve:
     return _as_long(E)._short
 
 
-def quadratic_twist(E: ShortCurve, d: Rat) -> ShortCurve:
-    """The twist of y^2 = x^3 + Ax + B by d: y^2 = x^3 + d^2 A x + d^3 B."""
+def quadratic_twist(E, d: Rat) -> ShortCurve:
+    """The twist of y^2 = x^3 + Ax + B by d: y^2 = x^3 + d^2 A x + d^3 B.
+    A WeierstrassCurve is read through its short model."""
+    A, B = _as_short(E)
     d = to_fraction(d)
     if d == 0:
         raise ValueError("twist by 0")
-    return ShortCurve(d * d * E.A, d ** 3 * E.B)
+    return ShortCurve(d * d * A, d ** 3 * B)
 
 
 def _as_short(E) -> ShortCurve:

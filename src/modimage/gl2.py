@@ -11,7 +11,7 @@ on first use: ~l^4 matrices for GL2(F_l), so intended for l <= 37. The
 elements and the diagonal pairs are functools.cached_property fields of
 Subgroup, computed on first read and kept.
 
-The fingerprint predicates are for an odd prime l and refuse l = 2.
+The fingerprint predicates refuse an l that is not an odd prime.
 They and epsilon ask whether a number is a square mod l through
 exactmath's Euler criterion, the one quadratic character of the
 package, which legendre reads too.
@@ -83,6 +83,12 @@ class Mat2(tuple):
 def _require_prime(l) -> None:
     if not (isinstance(l, int) and is_probable_prime(l)):
         raise ValueError("l is not a prime")
+
+
+def _require_odd(l) -> None:
+    _require_prime(l)
+    if l == 2:
+        raise ValueError("l is not an odd prime")
 
 
 def epsilon(l: int) -> int:
@@ -344,9 +350,9 @@ def octahedral_normalizer(l: int) -> Subgroup:
     octahedral group S4, built from a quaternion pair i, j with
     i^2 = j^2 = -I and ij = -ji, the 3-cycle I+i+j+ij, the 4-fold
     element I+i, and all scalars. Its determinants are onto exactly
-    when l = 3 or 5 mod 8."""
-    if l < 3:
-        raise ValueError("needs an odd prime")
+    when l = 3 or 5 mod 8. Raises ValueError unless l is an odd prime
+    int."""
+    _require_odd(l)
     a, b = _sum_of_squares_minus_one(l)
     i = Mat2(0, -1, 1, 0, l)
     j = Mat2(a, b, b, -a, l)
@@ -373,15 +379,10 @@ def _sum_of_squares_minus_one(l: int) -> Tuple[int, int]:
 
 # --- fingerprint membership without enumeration, at odd l -----------------
 
-def _require_odd(l: int) -> None:
-    if l == 2:
-        raise ValueError("the fingerprint tests are for an odd prime l")
-
-
 def fingerprint_in_borel(t: int, d: int, l: int) -> bool:
     """Whether some upper-triangular matrix has this (trace, det), for an
     odd prime l: the characteristic polynomial must split over F_l.
-    Raises ValueError at l = 2."""
+    Raises ValueError unless l is an odd prime."""
     _require_odd(l)
     return _euler(t * t - 4 * d, l) >= 0
 
@@ -389,7 +390,7 @@ def fingerprint_in_borel(t: int, d: int, l: int) -> bool:
 def fingerprint_in_split_normalizer(t: int, d: int, l: int) -> bool:
     """For an odd prime l: the torus part needs a split characteristic
     polynomial; the outer coset consists of trace-zero matrices of
-    arbitrary determinant. Raises ValueError at l = 2."""
+    arbitrary determinant. Raises ValueError unless l is an odd prime."""
     _require_odd(l)
     return t % l == 0 or _euler(t * t - 4 * d, l) >= 0
 
@@ -397,14 +398,14 @@ def fingerprint_in_split_normalizer(t: int, d: int, l: int) -> bool:
 def fingerprint_in_nonsplit_normalizer(t: int, d: int, l: int) -> bool:
     """For an odd prime l: torus elements have non-split or scalar
     characteristic polynomial; the outer coset is trace-zero. Raises
-    ValueError at l = 2."""
+    ValueError unless l is an odd prime."""
     _require_odd(l)
     return t % l == 0 or _euler(t * t - 4 * d, l) <= 0
 
 
 def fingerprint_in_octahedral(t: int, d: int, l: int) -> bool:
     """For an odd prime l: projectively octahedral elements satisfy
-    t^2/d in {0, 1, 2, 4}. Raises ValueError at l = 2."""
+    t^2/d in {0, 1, 2, 4}. Raises ValueError unless l is an odd prime."""
     _require_odd(l)
     u = t * t * pow(d, -1, l) % l
     return u in (0, 1, 2 % l, 4 % l)

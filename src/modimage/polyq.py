@@ -9,10 +9,10 @@ A power of a monomial c t^m, as the tables' j-maps raise T, is written
 down as c^n t^(m n); any other power is square-and-multiply. poly_sqrt
 takes the root of the integer numerators with exact integer divisions,
 after checking that the denominator is a square (Gauss's lemma). poly_gcd
-first asks whether the gcd is 1 by Euclid on the primitive parts reduced
-modulo one word-sized prime, and only when that is inconclusive runs the
-exact primitive remainder sequence; one integer pseudo-division,
-_pseudo_divmod, serves that sequence and exact division. compose
+reads the gcd off one integer gcd of the primitive parts packed at a power
+of two (the heuristic gcd), and runs the exact primitive remainder sequence
+only when that gives up; one integer pseudo-division, _pseudo_divmod,
+serves both and exact division. compose
 substitutes one map of the projective line, given as a (num, den) pair,
 into another, by one Horner pass on the inner numerators packed as in
 a product, unpacked once.
@@ -34,7 +34,8 @@ fibre_image_mod.
 Each public function checks its argument types once, at its entry, and
 raises TypeError for an argument that is not a Poly (a coefficient that
 is not a rational for the constructor, an x that is not one for
-evaluate); fibre_image_mod raises ValueError unless p is a prime int.
+evaluate); fibre_image_mod raises ValueError unless p is a prime int of
+at most MAX_FIBRE_PRIME.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ from typing import Iterable, Optional, Union
 from .exactmath import _echo, is_probable_prime
 
 Rat = Union[int, Fraction]
+
+# The largest p fibre_image_mod takes (its time grows as p^2; the walk
+# sieve reads p <= 61), and the points _heuristic_gcd tries.
+MAX_FIBRE_PRIME = 1000
+_HEURISTIC_TRIES = 6
 
 
 class Infinity:
@@ -240,8 +246,8 @@ def _pack(ints, k: int) -> int:
 
 def _unpack(packed: int, k: int, n: int) -> list:
     """The n coefficients of the integer polynomial that _pack wrote at
-    2^k, each read as a signed k-bit digit: the one unpacker, of products
-    and of compose. Right when every coefficient lies in
+    2^k, each read as a signed k-bit digit: the one unpacker, of products,
+    compose and the heuristic gcd. Right when every coefficient lies in
     [-2^(k-1), 2^(k-1)) and the degree is below n."""
     out = []
     for _ in range(n):
@@ -312,50 +318,46 @@ def _pseudo_divmod(a: list, b: list) -> tuple:
     return q, r
 
 
-# The prime of poly_gcd's coprimality test: the largest below 2^30, so
-# every residue is a single-digit CPython int.
-_GCD_PRIME = 1073741789
-
-
-def _coprime_mod_p(a: list, b: list) -> bool:
-    """Whether Euclid on the integer lists a and b (nonzero, no leading
-    zero) reduced mod _GCD_PRIME ends in a nonzero constant."""
-    p = _GCD_PRIME
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while b and b[-1] == 0:
-        b.pop()
-    while len(b) > 1:
-        inv = pow(b[-1], -1, p)
-        for k in range(len(a) - len(b), -1, -1):
-            u = a.pop() * inv % p
-            a[k:] = [(c - u * v) % p for c, v in zip(a[k:], b)]
-        while a and a[-1] == 0:
-            a.pop()
-        a, b = b, a
-    return bool(b)
+def _heuristic_gcd(a: list, b: list) -> Optional[list]:
+    """The primitive gcd of the primitive int lists a and b, with
+    len(a) >= len(b) > 1, or None (GCDHEU: Char, Geddes and Gonnet,
+    J. Symbolic Comput. 7 (1989) 31-48). At xi = 2^k > 2m + 2, with
+    m = min(|a|_inf, |b|_inf), gamma = gcd(a(xi), b(xi)) is read as the
+    polynomial h of its signed k-bit digits, kept if it re-packs to gamma.
+    If pp(h) divides a and b it is their gcd: for gcd = pp(h) q, q(xi)
+    divides cont(h), at most xi/2, while a nonconstant q has its roots
+    below 1 + m (Cauchy), so |q(xi)| > xi - 1 - m > xi/2. A constant h
+    (pp(h) = 1) needs no division. Otherwise xi grows, and after
+    _HEURISTIC_TRIES points the heuristic gives up."""
+    k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length()
+    for _ in range(_HEURISTIC_TRIES):
+        gamma = math.gcd(_pack(a, k), _pack(b, k))
+        h = _unpack(gamma, k, len(b))
+        if _pack(h, k) == gamma:
+            h = _poly(h).primitive()
+            if len(h) == 1 or not (_pseudo_divmod(a, h)[1]
+                                   or _pseudo_divmod(b, h)[1]):
+                return h
+        k = 3 * k // 2 + 1
+    return None
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd over Q (zero for two zeros).
 
-    First a modular coprimality test: when the prime _GCD_PRIME does not
-    divide the leading coefficient of a, the longer primitive part, and
-    Euclid on a and b reduced mod that prime ends in a nonzero constant,
-    the gcd is 1. Sound because a common factor over Q has a primitive
-    integer multiple whose leading coefficient divides lead(a), so it
-    keeps its degree mod the prime and divides both reductions.
-
-    Otherwise a primitive pseudo-remainder sequence on integer lists.
-    Stripping the content after each _pseudo_divmod keeps the numbers
-    near the size of the inputs' subresultants, where fraction Euclid
-    squares them at every step."""
+    The heuristic gcd of the primitive parts (_heuristic_gcd), and when
+    it gives up a primitive pseudo-remainder sequence, which always
+    finishes: stripping the content after each _pseudo_divmod keeps the
+    numbers near the size of the inputs' subresultants, where fraction
+    Euclid squares them at every step."""
     _require_poly(f, g)
     a, b = f.primitive(), g.primitive()
     if len(a) < len(b):
         a, b = b, a
-    if len(b) > 1 and a[-1] % _GCD_PRIME and _coprime_mod_p(a, b):
-        return Poly.const(1)
+    if len(b) > 1:
+        h = _heuristic_gcd(a, b)
+        if h is not None:
+            return _poly(h).monic()
     while len(b) > 1:
         a, b = b, _primitive(_pseudo_divmod(a, b)[1])
     return _poly(a).monic() if not b else Poly.const(1)
@@ -456,7 +458,8 @@ def rational_roots(f: Poly) -> set:
     simple. Each of those roots is Newton lifted on its own, doubling the
     precision until the modulus exceeds twice the product of the
     numerator and denominator bounds, and stops at the first rational
-    reconstruction that exact substitution into f verifies (_lift_root).
+    reconstruction that the rational root theorem and exact substitution
+    into f verify (_lift_root).
     No rational root is missed: its denominator divides the leading
     coefficient, so it reduces to one of the simple roots mod p, and
     Newton's iteration from there converges to it; and it is the only
@@ -470,13 +473,8 @@ def rational_roots(f: Poly) -> set:
         return set()
     ints = _squarefree_part(f)
     dints = [i * c for i, c in enumerate(ints)][1:]
-    an = abs(ints[-1])
-    height = max(abs(c) for c in ints)
-    # Any root u/v in lowest terms has v | a_n and |u/v| <= 1 + H/|a_n|,
-    # so |u| <= |a_n| + H and |v| <= |a_n|.
-    bounds = (an + height, an)
     p, residues = _lifting_prime(ints, dints)
-    roots = (_lift_root(f, ints, dints, r, p, bounds) for r in residues)
+    roots = (_lift_root(f, ints, dints, r, p) for r in residues)
     return {root for root in roots if root is not None}
 
 
@@ -502,20 +500,24 @@ def _lifting_prime(ints: list, dints: list):
             return p, residues
 
 
-def _lift_root(f: Poly, ints: list, dints: list, r: int, p: int,
-               bounds: tuple) -> Optional[Fraction]:
+def _lift_root(f: Poly, ints: list, dints: list, r: int,
+               p: int) -> Optional[Fraction]:
     """The rational root of f over the simple root r mod p of its
-    squarefree part ints (dints the derivative), or None; bounds are the
-    (numerator, denominator) bounds of rational_roots.
+    squarefree part ints (dints the derivative), or None.
+
+    By the rational root theorem a root u/v in lowest terms has v | a_n
+    and u | a_0, so |v| <= bound_v = |a_n| and |u| <= bound_u = |a_0|, or
+    |a_n| + H (H the height) when a_0 = 0, as |u/v| <= 1 + H/|a_n|.
 
     Newton's iteration squares the modulus m of r until m > 2 * bound_u *
     bound_v. After each squaring short of that, rational reconstruction
     with both bounds cut to isqrt(m/2) proposes a candidate, and the first
-    one that exact substitution into f verifies is returned; a candidate
-    that fails is dropped and the lift goes on. Only the last modulus gets
-    the full bounds, which find any root over r.
+    one that _is_root verifies is returned; a candidate that fails is
+    dropped and the lift goes on. Only the last modulus gets the full
+    bounds, which find any root over r.
     """
-    bound_u, bound_v = bounds
+    bound_v = abs(ints[-1])
+    bound_u = abs(ints[0]) or bound_v + max(map(abs, ints))
     target = 2 * bound_u * bound_v + 1
     m = p
     while m < target:
@@ -526,10 +528,19 @@ def _lift_root(f: Poly, ints: list, dints: list, r: int, p: int,
             h = math.isqrt(m // 2)
             cand = _rational_reconstruct(r, m, min(bound_u, h),
                                          min(bound_v, h))
-            if cand is not None and f.evaluate(cand) == 0:
+            if cand is not None and _is_root(f, ints, cand):
                 return cand
     cand = _rational_reconstruct(r, m, bound_u, bound_v)
-    return cand if cand is not None and f.evaluate(cand) == 0 else None
+    return cand if cand is not None and _is_root(f, ints, cand) else None
+
+
+def _is_root(f: Poly, ints: list, x: Fraction) -> bool:
+    """Whether x = u/v is a root of f, whose squarefree part is ints: by
+    the rational root theorem first, then by exact substitution."""
+    u, v = x.numerator, x.denominator
+    if ints[-1] % v or (ints[0] % u if u else ints[0]):
+        return False
+    return f.evaluate(x) == 0
 
 
 def _eval_mod(ints: list, x: int, m: int) -> int:
@@ -573,9 +584,11 @@ def fibre_image_mod(coeffs: tuple, p: int) -> Optional[frozenset]:
     at every a, once per distinct tuple of values. Both the c_i at every
     x and, when k >= 2, the form at every a are evaluated by _eval_mod,
     the module's one evaluator mod m. Raises ValueError unless p is a
-    prime int.
+    prime int of at most MAX_FIBRE_PRIME.
     """
     _require_poly(*coeffs)
+    if isinstance(p, int) and p > MAX_FIBRE_PRIME:
+        raise ValueError(f"p = {_echo(p)} is above {MAX_FIBRE_PRIME}")
     if not (isinstance(p, int) and is_probable_prime(p)):
         raise ValueError(f"p = {_echo(p)} is not a prime")
     image = set()

@@ -21,9 +21,9 @@ evidence and not a shared bug:
     while polyq.poly_sqrt works on the integer numerators, refusing at
     the first inexact division.
   * fraction_gcd runs Euclid on Fraction coefficient lists, making the
-    divisor monic at every step, while polyq.poly_gcd tests coprimality
-    modulo one prime and otherwise runs an integer pseudo-remainder
-    sequence.
+    divisor monic at every step, while polyq.poly_gcd reads the gcd off
+    one integer gcd of the inputs packed at a power of two, checked by
+    division, and otherwise runs an integer pseudo-remainder sequence.
   * subgroup_fingerprints enumerates an explicit subgroup, while the
     closed-form predicates in gl2 never build the group.
   * naive_span closes a set of plain 4-tuples under products with the

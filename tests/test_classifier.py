@@ -804,6 +804,17 @@ class TestInputValidation:
             modimage.classifier.classify_cm(None, l, entry)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("E, entry, message", [
+        ("x", modimage.tables.cm_entry(1728), "not a curve: 'x'"),  # 5.Ns
+        ((1, 0), modimage.tables.cm_entry(1728), "not a curve: (1, 0)"),
+        (ShortCurve(1, 0), None, "not a CM entry: None"),  # AttributeError
+        (None, F(1728), "not a CM entry: Fraction(1728, 1)"),
+    ])
+    def test_cm_verdict_refuses_a_wrong_type(self, E, entry, message):
+        with pytest.raises(TypeError) as info:
+            modimage.classifier.classify_cm(E, 5, entry)
+        assert str(info.value) == message
+
     MERSENNE_3217 = 2 ** 3217 - 1  # a prime of 969 digits
     PRIME_TAKERS = ["classify", "classify_from_j", "classify_prime_noncm",
                     "classify_cm", "frobenius_noncontainment", "twist_set"]

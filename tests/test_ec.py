@@ -146,6 +146,13 @@ def test_quadratic_twist():
     Ed = quadratic_twist(E, 3)
     assert Ed.A == -9 and Ed.B == 27
     assert Ed.j_invariant() == E.j_invariant()
+    # a long model is read through its short model (this raised
+    # AttributeError); anything else is no curve
+    W = WeierstrassCurve(0, 0, 0, 1, 1)
+    assert quadratic_twist(W, 2) == quadratic_twist(short_model(W), 2)
+    assert twist_test(W, quadratic_twist(W, 2), 2)
+    with pytest.raises(TypeError, match="^not a curve: "):
+        quadratic_twist((1, 1), 2)
 
 
 def twist_oracle(E, Eprime, d):

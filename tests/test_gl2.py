@@ -85,6 +85,25 @@ def test_named_subgroups_refuse_an_l_that_is_not_a_prime(build, l):
         build(l)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: gl2.fingerprint_in_borel(1, 1, 0),     # raised ZeroDivisionError
+    lambda: gl2.fingerprint_in_borel(1, 1, 9),     # answered at l = 9
+    lambda: fingerprint_in_split_normalizer(1, 1, -7),
+    lambda: fingerprint_in_nonsplit_normalizer(1, 1, 7.0),
+    lambda: fingerprint_in_octahedral(1, 1, 15),
+    lambda: octahedral_normalizer(4),              # raised ArithmeticError
+    lambda: octahedral_normalizer(10 ** 19),       # searched O(l^2) first
+    lambda: octahedral_normalizer(2),
+])
+def test_odd_prime_takers_refuse_any_other_l(call, monkeypatch):
+    def refuse(l):
+        raise AssertionError("searched before checking l")
+
+    monkeypatch.setattr(gl2, "_sum_of_squares_minus_one", refuse)
+    with pytest.raises(ValueError, match="^l is not an? (odd )?prime$"):
+        call()
+
+
 def test_mat2_basics():
     m = Mat2(1, 2, 3, 4, 5)
     assert m.det() == (1 * 4 - 2 * 3) % 5

@@ -15,10 +15,10 @@ from modimage.polyq import (
     poly_gcd,
     poly_sqrt,
     rational_roots,
-    _GCD_PRIME as P,
     _pseudo_divmod,
 )
-from modimage.tables import nonsplit11, prime_table, supported_primes
+from modimage.tables import (fibre, nonsplit11, prime_table, supported_primes,
+                             verify_all)
 from oracles import (cover_value, divisor_root_search, fraction_gcd,
                      fraction_poly_sqrt, schoolbook_product, termwise_compose)
 
@@ -147,8 +147,11 @@ def test_gcd_divides(f, g):
     assert exact_divide(g, d) is not None
 
 
-# near multiples of the coprimality test's prime, so that reductions mod
-# P collide or lose their leading term
+# The largest prime below 2^30. Coefficients near its multiples once made
+# the reductions of a modular coprimality test collide or lose their
+# leading term; they stay as inputs that any gcd must get right.
+P = 1073741789
+
 gcd_coeffs = st.one_of(
     small_fracs,
     st.builds(lambda k, s: k * P + s, st.integers(min_value=-3, max_value=3),
@@ -168,8 +171,8 @@ def test_gcd_matches_fraction_euclid(f, g, shared, h):
 
 
 @pytest.mark.parametrize("f, g, expected", [
-    (T, T + P, Poly.const(1)),        # equal mod P: the test is inconclusive
-    (P * T + 1, T, Poly.const(1)),    # P divides lead(a): the test is skipped
+    (T, T + P, Poly.const(1)),        # equal mod P
+    (P * T + 1, T, Poly.const(1)),    # P divides lead(a)
     (T * (T + P), T, T),
     (Poly(), Poly(), Poly()),
     (Poly(), 2 * T + 4, T + 2),
@@ -197,17 +200,123 @@ def test_trivial_gcd_skips_the_remainder_sequence(monkeypatch):
     assert poly_gcd(f, f.derivative()) == 1
 
 
-def test_common_factor_runs_the_remainder_sequence(monkeypatch):
+def test_common_factor_runs_the_division_check(monkeypatch):
+    # the heuristic reads f off the packed gcd at the first point and
+    # checks it by one division of each input; no remainder sequence runs
     calls = []
 
     def counted(a, b):
-        calls.append(len(a))
+        calls.append(b)
         return _pseudo_divmod(a, b)
 
     monkeypatch.setattr(polyq, "_pseudo_divmod", counted)
     f = fibre_at_generic_j()
     assert poly_gcd(f ** 2, (f ** 2).derivative()) == f.monic()
-    assert calls
+    assert calls == [f.primitive()] * 2
+
+
+def first_point(f, g):
+    """xi = 2^k, the first point at which poly_gcd's heuristic evaluates
+    f and g: the least power of two above 2 m + 2, with m the smaller of
+    the heights of their primitive parts."""
+    m = min(max(map(abs, h.primitive())) for h in (f, g))
+    return 2 ** (2 * m + 2).bit_length()
+
+
+near_powers = st.builds(lambda e, s, sign: sign * (2 ** e + s),
+                        st.integers(min_value=0, max_value=70),
+                        st.integers(min_value=-2, max_value=2),
+                        st.sampled_from([1, -1]))
+heuristic_polys = st.lists(
+    st.one_of(st.integers(min_value=-9, max_value=9), near_powers),
+    min_size=1, max_size=6).map(Poly).filter(lambda f: not f.is_zero())
+small_int_polys = st.lists(st.integers(min_value=-3, max_value=3),
+                           min_size=2, max_size=4).map(Poly).filter(
+                               lambda f: not f.is_zero())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(heuristic_polys, small_int_polys, small_int_polys,
+       st.lists(st.tuples(st.sampled_from([1, -1]),
+                          st.integers(min_value=-2, max_value=2),
+                          st.booleans()), min_size=1, max_size=5))
+@example(Poly([1, 1, 1]), Poly([-7, 10]), Poly([1]), [(1, 0, False)])
+@example((T - 1) ** 2, T + 2, T ** 2 - 3 * T + 3, [(-1, 1, True)])
+def test_heuristic_gcd_matches_fraction_euclid(a, b, h, digits):
+    # products with a shared factor h and coefficients near +-2^k, then a
+    # cofactor whose coefficients sit near +-xi/2 and +-xi at the pair's
+    # first evaluation point xi, the edges of one signed k-bit digit
+    f, g = a * h, b * h
+    assert poly_gcd(f, g).coeffs == fraction_gcd(f, g)
+    half = first_point(f, g) // 2
+    c = Poly([sign * (half * (2 if whole else 1) + s)
+              for sign, s, whole in digits])
+    for f2, g2 in ((c * h, g), (c, g), (c * h, h)):
+        assert poly_gcd(f2, g2).coeffs == fraction_gcd(f2, g2)
+
+
+def test_heuristic_that_gives_up_leaves_the_gcd_to_the_remainder_sequence(
+        monkeypatch):
+    # an unpacker one off in the lowest digit: no expansion re-packs, so
+    # the heuristic tries each of its points and gives up
+    f = fibre_at_generic_j()
+    pairs = [(f ** 2, (f ** 2).derivative()), (f, f.derivative()),
+             ((T - 1) * (T + 2) ** 2, (T + 2) * (T ** 2 + 1))]
+    unpack, tries = polyq._unpack, []
+
+    def one_off(packed, k, n):
+        tries.append(k)
+        return [c + (i == 0) for i, c in enumerate(unpack(packed, k, n))]
+
+    monkeypatch.setattr(polyq, "_unpack", one_off)
+    for a, b in pairs:
+        del tries[:]
+        assert poly_gcd(a, b).coeffs == fraction_gcd(a, b)
+        assert len(tries) == polyq._HEURISTIC_TRIES
+
+
+def test_an_expansion_that_does_not_repack_is_refused(monkeypatch):
+    # at xi = 8 both T^2 + T + 1 and 10 T - 7 are 73 = 1 + 8 + 8^2, whose
+    # two low digits, T + 1, would be read without the re-pack check; the
+    # next point, 32, gives gamma = 1, so no candidate is ever divided
+    def refuse(a, b):
+        raise AssertionError(f"divided by {b}")
+
+    monkeypatch.setattr(polyq, "_pseudo_divmod", refuse)
+    assert poly_gcd(T ** 2 + T + 1, 10 * T - 7) == 1
+
+
+def table_fibres():
+    """The fibre of every cover of a table over the j of each member of
+    each of the table's families at t = +-n/d, n in {5, 6, 7} and
+    d in {1, 2, 3}."""
+    ts = [Fraction(s * n, d) for n in (5, 6, 7) for d in (1, 2, 3)
+          for s in (1, -1) if math.gcd(n, d) == 1]
+    for l in supported_primes():
+        covers = [e.relation for e in prime_table(l).entries if e.cover]
+        for e in prime_table(l).entries:
+            for t in ts if e.family else ():
+                num, den = (c.evaluate(t) for c in e.cover)
+                for relation in covers if den else ():
+                    yield fibre(relation, num / den)[0]
+
+
+def test_no_table_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
+    # the heuristic settles every gcd of the table checks and of the walk
+    # over the table families, so the remainder sequence is only the path
+    # that always finishes
+    heuristic, settled, fallbacks = polyq._heuristic_gcd, [], []
+
+    def counted(a, b):
+        h = heuristic(a, b)
+        (settled if h is not None else fallbacks).append((a, b))
+        return h
+
+    monkeypatch.setattr(polyq, "_heuristic_gcd", counted)
+    assert all(ok for _, ok, _ in verify_all())
+    for f in table_fibres():
+        rational_roots(f)
+    assert len(settled) > 1000 and fallbacks == []
 
 
 big = 2 ** 200
@@ -414,6 +523,15 @@ def test_fibre_image_mod_needs_a_prime(p):
         polyq.fibre_image_mod((T, -ONE), p)
 
 
+@pytest.mark.parametrize("p", [1009, 2 ** 127 - 1, 10 ** 30])
+def test_fibre_image_mod_refuses_a_prime_above_its_bound(p):
+    # its time grows as p^2 (0.36 s for the nonsplit-11 criterion at
+    # p = 1009); the walk sieve reads it at SIEVE_PRIMES alone
+    assert max(SIEVE_PRIMES) <= polyq.MAX_FIBRE_PRIME < 1009
+    with pytest.raises(ValueError, match=" is above 1000$"):
+        polyq.fibre_image_mod((T, -ONE), p)
+
+
 def brute_fibre_image_mod(coeffs, p):
     """The (a : b) of P^1(F_p), written as fibre_image_mod writes them
     (a/b in range(p), infinity as p), at which the form
@@ -524,7 +642,7 @@ def lift_log(monkeypatch, f):
     bounds of f call for, its candidate)."""
     ints = f.primitive()
     an, height = abs(ints[-1]), max(map(abs, ints))
-    target = 2 * (an + height) * an + 1
+    target = 2 * (abs(ints[0]) or an + height) * an + 1
     log = []
     reconstruct = polyq._rational_reconstruct
 
@@ -642,3 +760,24 @@ def test_rational_roots_through_a_nontrivial_squarefree_part(repeated, simple,
     assert poly_gcd(f, f.derivative()).degree >= 3
     assert rational_roots(f) == divisor_root_search(f)
 
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+    st.integers(min_value=1, max_value=10 ** 6),
+    st.integers(min_value=0, max_value=2),
+    st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=3),
+)
+@example(99991, 1, 0, [1])                 # |u| = |a_0|: the numerator bound
+@example(-99991, 2 ** 20, 0, [1, 0, 1])
+@example(0, 1, 1, [3, 1])                  # a_0 = 0 and a root at 0
+@example(5, 3, 2, [0, 1])
+def test_rational_root_theorem_against_divisor_search(u, v, zeros, cof):
+    # a root u/v, t^zeros and a cofactor: the lift's bounds are |a_0| when
+    # a_0 != 0, so a root with |u| = |a_0| sits on the bound, and the
+    # divisibility test refuses candidates before substitution
+    f = (v * T - u) * T ** zeros * Poly(cof)
+    if f.degree < 1:
+        return
+    assert rational_roots(f) == divisor_root_search(f)
