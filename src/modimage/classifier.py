@@ -238,11 +238,10 @@ def frobenius_noncontainment(E, l: int, bound: int) -> dict:
     normalizer). The pairs are read from a Frobenius pass of E up to
     bound, built here.
 
-    Returns {kind: Certificate} for the types ruled out. ValueError
+    Returns {kind: Certificate} for the types ruled out. TypeError
     unless E is a curve model (a WeierstrassCurve or a ShortCurve).
     """
-    if not isinstance(E, (WeierstrassCurve, ShortCurve)):
-        raise ValueError(f"certificates need a curve model, not {_echo(E)}")
+    _require_curve(E)
     l = _checked_prime(l)
     if l < 5:
         raise ValueError("certificates are defined for l >= 5")
@@ -397,8 +396,10 @@ def classify_prime_noncm(E, j, l: int, *,
     traces=FrobeniusPass(E, bound) for another bound). points is
     j reduced at the sieve primes, which the call's walks share, as in
     _first_hit. l is checked here once, and the walk and the tail take
-    the checked int.
+    the checked int. TypeError unless j is an int or a Fraction.
     """
+    if not isinstance(j, (int, Fraction)):
+        raise TypeError(f"not a rational: {_echo(j)}")
     l = _checked_prime(l)
     if l in supported_primes():
         hit = _first_hit(j, l, points)

@@ -105,6 +105,8 @@ def is_probable_prime(n: int) -> bool:
 
 def icbrt(n: int) -> int:
     """Floor of the real cube root of n >= 0, computed with integer Newton."""
+    if not isinstance(n, int):
+        raise TypeError(f"not an int: {_echo(n)}")
     if n < 0:
         raise ValueError("icbrt requires n >= 0")
     if n == 0:

@@ -10,9 +10,10 @@ down as c^n t^(m n); any other power is square-and-multiply. poly_sqrt
 takes the root of the integer numerators with exact integer divisions,
 after checking that the denominator is a square (Gauss's lemma). poly_gcd
 reads the gcd off one integer gcd of the primitive parts packed at a power
-of two (the heuristic gcd), and runs the exact primitive remainder sequence
-only when that gives up; one integer pseudo-division, _pseudo_divmod,
-serves both and exact division. compose
+of two (the heuristic gcd, after a coprimality certificate at a smaller
+one), and runs the exact primitive remainder sequence only when that
+gives up; one integer pseudo-division, _pseudo_divmod, serves both and
+exact division. compose
 substitutes one map of the projective line, given as a (num, den) pair,
 into another, by one Horner pass on the inner numerators packed as in
 a product, unpacked once.
@@ -50,9 +51,11 @@ from .exactmath import _echo, is_probable_prime
 Rat = Union[int, Fraction]
 
 # The largest p fibre_image_mod takes (its time grows as p^2; the walk
-# sieve reads p <= 61), and the points _heuristic_gcd tries.
+# sieve reads p <= 61), the points _heuristic_gcd tries, and the bits
+# its certificate adds to the point that the proof needs.
 MAX_FIBRE_PRIME = 1000
 _HEURISTIC_TRIES = 6
+_CERTIFICATE_BITS = 16
 
 
 class Infinity:
@@ -318,10 +321,25 @@ def _pseudo_divmod(a: list, b: list) -> tuple:
     return q, r
 
 
+def _coprime_at_small_point(a: list, b: list) -> bool:
+    """Whether one integer gcd proves the primitive int lists a and b, of
+    degree >= 1, coprime (a squarefree certificate when b = a'). With
+    B = 2 + min over a, b of floor(max_{i<n} |c_i| / |c_n|), a common root
+    beta has |beta| < B (Cauchy). At xi = 2^k >= 2B a nonconstant common
+    factor q has q(xi) | gamma = gcd(a(xi), b(xi)) and |q(xi)| > xi - B
+    >= xi/2, so gamma < xi/2 proves gcd = 1. k is _CERTIFICATE_BITS past
+    the bit length of 2B, so that the small factors a(xi) and b(xi) share
+    by chance, such as powers of 2 and 3 from a_0 and a_1, stay below."""
+    B = 2 + min(max(map(abs, f[:-1])) // abs(f[-1]) for f in (a, b))
+    k = (2 * B).bit_length() + _CERTIFICATE_BITS
+    return math.gcd(_pack(a, k), _pack(b, k)) < 1 << (k - 1)
+
+
 def _heuristic_gcd(a: list, b: list) -> Optional[list]:
     """The primitive gcd of the primitive int lists a and b, with
     len(a) >= len(b) > 1, or None (GCDHEU: Char, Geddes and Gonnet,
-    J. Symbolic Comput. 7 (1989) 31-48). At xi = 2^k > 2m + 2, with
+    J. Symbolic Comput. 7 (1989) 31-48); [1] when _coprime_at_small_point
+    proves them coprime. At xi = 2^k > 2m + 2, with
     m = min(|a|_inf, |b|_inf), gamma = gcd(a(xi), b(xi)) is read as the
     polynomial h of its signed k-bit digits, kept if it re-packs to gamma.
     If pp(h) divides a and b it is their gcd: for gcd = pp(h) q, q(xi)
@@ -329,6 +347,8 @@ def _heuristic_gcd(a: list, b: list) -> Optional[list]:
     below 1 + m (Cauchy), so |q(xi)| > xi - 1 - m > xi/2. A constant h
     (pp(h) = 1) needs no division. Otherwise xi grows, and after
     _HEURISTIC_TRIES points the heuristic gives up."""
+    if _coprime_at_small_point(a, b):
+        return [1]
     k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 2).bit_length()
     for _ in range(_HEURISTIC_TRIES):
         gamma = math.gcd(_pack(a, k), _pack(b, k))
@@ -456,7 +476,7 @@ def rational_roots(f: Poly) -> set:
     ints. The lifting prime is the smallest prime p, not dividing the
     leading coefficient, at which every root of that part mod p is
     simple. Each of those roots is Newton lifted on its own, doubling the
-    precision until the modulus exceeds twice the product of the
+    precision up to the least power of p above twice the product of the
     numerator and denominator bounds, and stops at the first rational
     reconstruction that the rational root theorem and exact substitution
     into f verify (_lift_root).
@@ -509,28 +529,37 @@ def _lift_root(f: Poly, ints: list, dints: list, r: int,
     and u | a_0, so |v| <= bound_v = |a_n| and |u| <= bound_u = |a_0|, or
     |a_n| + H (H the height) when a_0 = 0, as |u/v| <= 1 + H/|a_n|.
 
-    Newton's iteration squares the modulus m of r until m > 2 * bound_u *
-    bound_v. After each squaring short of that, rational reconstruction
-    with both bounds cut to isqrt(m/2) proposes a candidate, and the first
-    one that _is_root verifies is returned; a candidate that fails is
-    dropped and the lift goes on. Only the last modulus gets the full
-    bounds, which find any root over r.
+    Newton's iteration squares the modulus m of r while m < target =
+    2 * bound_u * bound_v + 1, and then goes to P, the least power of p
+    at or above target, read off the squares greedily. A step from m to
+    m' <= m^2 needs f'(r)^-1 only mod m, as f(r) = 0 mod m (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 9). After each step
+    short of P, rational reconstruction with both bounds cut to
+    isqrt(m/2) proposes a candidate, and the first one that _is_root
+    verifies is returned; a candidate that fails is dropped and the lift
+    goes on. Only P gets the full bounds, which find any root over r.
     """
     bound_v = abs(ints[-1])
     bound_u = abs(ints[0]) or bound_v + max(map(abs, ints))
     target = 2 * bound_u * bound_v + 1
-    m = p
-    while m < target:
-        m = m * m
-        r = (r - _eval_mod(ints, r, m) * pow(_eval_mod(dints, r, m), -1, m)) \
-            % m
+    mods = [p]
+    while mods[-1] < target:
+        mods.append(mods[-1] * mods[-1])
+    below = 1
+    for q in reversed(mods[:-1]):
+        if below * q < target:
+            below *= q
+    mods[-1] = below * p
+    for old, m in zip(mods, mods[1:]):
+        s = pow(_eval_mod(dints, r, old), -1, old)
+        r = (r - _eval_mod(ints, r, m) * s) % m
         if m < target:
             h = math.isqrt(m // 2)
             cand = _rational_reconstruct(r, m, min(bound_u, h),
                                          min(bound_v, h))
             if cand is not None and _is_root(f, ints, cand):
                 return cand
-    cand = _rational_reconstruct(r, m, bound_u, bound_v)
+    cand = _rational_reconstruct(r, mods[-1], bound_u, bound_v)
     return cand if cand is not None and _is_root(f, ints, cand) else None
 
 

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import modimage.ec
 from modimage.classifier import (classify, classify_from_j,
+                                 classify_prime_noncm,
                                  frobenius_noncontainment)
 from modimage.ec import (
     DEFAULT_FROBENIUS_BOUND,
+    MAX_SCALAR,
     BadReduction,
     PointQ,
     ShortCurve,
@@ -24,8 +26,8 @@ from modimage.ec import (
     short_model,
     twist_test,
 )
-from modimage.exactmath import (MAX_PRIME, is_cube, is_square, legendre,
-                                primes_up_to)
+from modimage.exactmath import (MAX_PRIME, icbrt, is_cube, is_square,
+                                legendre, primes_up_to)
 from modimage.tables import (cm_entry, group_from_label,
                              nonsplit11_contains, nonsplit11_j)
 from modimage.polyq import Poly, exact_divide
@@ -161,6 +163,8 @@ def twist_oracle(E, Eprime, d):
     a, b = (S if isinstance(S, ShortCurve) else short_model(S)
             for S in (E, Eprime))
     j = a.j_invariant()
+    if d == 0:
+        return "twist by 0"
     if j != b.j_invariant():
         return "twist test requires equal j-invariants"
     if j not in (0, 1728):
@@ -202,8 +206,33 @@ def test_twist_preserves_j_and_twist_test(A, B, d, A2, B2):
     if 4 * A2 ** 3 + 27 * B2 ** 2 != 0:
         pairs += [(E, ShortCurve(A2, B2)), (ShortCurve(A2, B2), Ed)]
     for X, Y in pairs:
-        for e in (1, -7, 13, d):
+        for e in (0, 1, -7, 13, d):
             assert twist_outcome(X, Y, e) == twist_oracle(X, Y, e), (X, Y, e)
+
+
+tall_fracs = st.builds(
+    Fraction,
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40).filter(bool),
+    st.integers(min_value=10 ** 20, max_value=10 ** 30))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(tall_fracs, tall_fracs, tall_fracs,
+       st.sampled_from([1, -1, 7, Fraction(-7, 3), Fraction(10 ** 21 + 1, 6),
+                        Fraction(4, 9)]))
+def test_twist_test_on_large_denominators(A, B, u, d):
+    # non-integral short models with denominators of 20 to 30 digits, and
+    # the model u^4 A, u^6 B of the twist by d, isomorphic to it: the
+    # integer kernel against the twist test through j and Fractions
+    E = ShortCurve(A, B)
+    Ed = quadratic_twist(E, d)
+    Y = ShortCurve(u ** 4 * Ed.A, u ** 6 * Ed.B)
+    assert twist_test(E, Y, d) and twist_test(Y, E, d)
+    pairs = [(E, Y), (Y, E), (E, E), (E, ShortCurve(A, -B)),
+             (E, ShortCurve(B, A))]
+    for X, Z in pairs:
+        for e in (0, 1, -1, d, 7 * d, Fraction(1, 3)):
+            assert twist_outcome(X, Z, e) == twist_oracle(X, Z, e), (X, Z, e)
 
 
 def test_twist_test_cases():
@@ -255,6 +284,10 @@ def test_twist_guards():
     with pytest.raises(ValueError) as info:
         quadratic_twist(E, 0)
     assert str(info.value) == "twist by 0"
+    # twisting by 0 is no twist, and was answered True
+    with pytest.raises(ValueError) as info:
+        twist_test(E, E, 0)
+    assert str(info.value) == "twist by 0"
     for args in (((-42875, -3246250), E, 1), (E, "y^2 = x^3 - 1", 1)):
         with pytest.raises(TypeError) as info:
             twist_test(*args)
@@ -279,19 +312,31 @@ NOT_AN_INT = (TypeError, "^not an int: ")
      (ValueError, "^defined for odd n from 3 to 37$")),
     (lambda: ap(WeierstrassCurve(0, 0, 0, Fraction(1, 10 ** 4400), 1), 5),
      (ValueError, "^ap needs an integral model, got <WeierstrassCurve>$")),
-    (lambda: frobenius_noncontainment([0] * 100000, 13, 100),
-     (ValueError, "^certificates need a curve model, not ")),
+    (lambda: frobenius_noncontainment([0] * 100000, 13, 100), NOT_A_CURVE),
     (lambda: group_from_label(13, [0] * 100000),
      (ValueError, "^the label .* is not a string$")),
+    (lambda: classify_prime_noncm(None, "x", 5),
+     (TypeError, "^not a rational: ")),
+    (lambda: classify_prime_noncm(None, 0.5, 5),
+     (TypeError, "^not a rational: ")),
+    (lambda: scalar_mul("x", 2), (TypeError, "^not a point: ")),
+    (lambda: scalar_mul(PointQ(RANK1_11, 4, 5), 2.0), NOT_AN_INT),
+    (lambda: scalar_mul(PointQ(RANK1_11, 4, 5), -(MAX_SCALAR + 1)),
+     (ValueError, f"^\\|k\\| must be at most {MAX_SCALAR}$")),
+    (lambda: icbrt(1.5), NOT_AN_INT),
 ], ids=["classify", "classify-none", "short-model", "ap", "psi-curve",
         "psi-nan", "psi-float", "long-list", "long-int", "psi-39",
-        "ap-long-repr", "certificates-long-list", "label-long-list"])
+        "ap-long-repr", "certificates-long-list", "label-long-list",
+        "noncm-j-str", "noncm-j-float", "scalar-mul-str", "scalar-mul-float",
+        "scalar-mul-257", "icbrt-float"])
 def test_bad_argument_raises_at_entry(call, error):
     # each raised AttributeError, RecursionError or nothing before its
     # entry point checked the argument; a list was quoted in all its
     # 300000 characters, the int of 5001 digits and the curve with a
-    # coefficient of 4401 digits raised ValueError from their repr, and
-    # psi_39 was computed (psi_81 takes 21 s)
+    # coefficient of 4401 digits raised ValueError from their repr,
+    # psi_39 was computed (psi_81 takes 21 s), a non-curve got
+    # certificates' ValueError, and scalar_mul had no bound on k (k = 400
+    # took 0.2 s on the criterion-11 generator, growing about as k^3)
     kind, message = error
     with pytest.raises(kind, match=message) as info:
         call()

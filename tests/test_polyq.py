@@ -257,8 +257,9 @@ def test_heuristic_gcd_matches_fraction_euclid(a, b, h, digits):
 
 def test_heuristic_that_gives_up_leaves_the_gcd_to_the_remainder_sequence(
         monkeypatch):
-    # an unpacker one off in the lowest digit: no expansion re-packs, so
-    # the heuristic tries each of its points and gives up
+    # a coprimality certificate that never holds, and an unpacker one off
+    # in the lowest digit: no expansion re-packs, so the heuristic tries
+    # each of its points and gives up, coprime pairs included
     f = fibre_at_generic_j()
     pairs = [(f ** 2, (f ** 2).derivative()), (f, f.derivative()),
              ((T - 1) * (T + 2) ** 2, (T + 2) * (T ** 2 + 1))]
@@ -268,11 +269,60 @@ def test_heuristic_that_gives_up_leaves_the_gcd_to_the_remainder_sequence(
         tries.append(k)
         return [c + (i == 0) for i, c in enumerate(unpack(packed, k, n))]
 
+    monkeypatch.setattr(polyq, "_coprime_at_small_point", lambda a, b: False)
     monkeypatch.setattr(polyq, "_unpack", one_off)
     for a, b in pairs:
         del tries[:]
         assert poly_gcd(a, b).coeffs == fraction_gcd(a, b)
         assert len(tries) == polyq._HEURISTIC_TRIES
+
+
+def cauchy_bound(*fs):
+    """B = 2 + min over the integer lists fs of
+    floor(max_{i<n} |c_i| / |c_n|): every common root has |beta| < B."""
+    return 2 + min(max(map(abs, f[:-1])) // abs(f[-1]) for f in fs)
+
+
+def certificate_point(*fs):
+    """xi = 2^k, the point of poly_gcd's coprimality certificate, with k
+    _CERTIFICATE_BITS above the bit length of 2B."""
+    return 2 ** ((2 * cauchy_bound(*fs)).bit_length()
+                 + polyq._CERTIFICATE_BITS)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=9), near_powers.filter(bool),
+       st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]),
+       small_int_polys)
+def test_a_common_root_near_the_bound_defeats_the_certificate(
+        c, r, s, s2, cofactor):
+    # h = cT - r is shared, and its root r/c lies within 3 of the bound
+    # B the certificate rests on; h(xi) divides gamma, so the certificate
+    # must fall through, and the heuristic or the remainder sequence finds h
+    h = c * T - r
+    f, g = h * (T + s), h * (T + s2) * cofactor
+    a, b = f.primitive(), g.primitive()
+    assert cauchy_bound(a, b) - 3 <= abs(Fraction(r, c)) < cauchy_bound(a, b)
+    assert not polyq._coprime_at_small_point(a, b)
+    assert poly_gcd(f, g).coeffs == fraction_gcd(f, g)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1,
+                max_size=5), st.sampled_from([-3, -2, 1, 2]))
+def test_a_coprime_pair_the_certificate_cannot_prove_goes_on(low, m):
+    # a monic a and b = a + m a(xi), xi the certificate's point for a: b
+    # differs from a by a constant, so they are coprime, but
+    # gamma = gcd(a(xi), (1 + m) a(xi)) = |a(xi)| >= xi/2; b's huge
+    # constant term leaves the bound, and so xi, to a
+    a = Poly(low + [1])
+    xi = certificate_point(a.primitive())
+    b = a + m * a.evaluate(xi)
+    assert certificate_point(a.primitive(), b.primitive()) == xi
+    assert math.gcd(a.evaluate(xi).numerator,
+                    b.evaluate(xi).numerator) >= xi // 2
+    assert not polyq._coprime_at_small_point(a.primitive(), b.primitive())
+    assert poly_gcd(a, b).coeffs == fraction_gcd(a, b) == (1,)
 
 
 def test_an_expansion_that_does_not_repack_is_refused(monkeypatch):
@@ -781,3 +831,33 @@ def test_rational_root_theorem_against_divisor_search(u, v, zeros, cof):
     if f.degree < 1:
         return
     assert rational_roots(f) == divisor_root_search(f)
+
+
+@pytest.mark.parametrize("p, v, cofactor", [
+    (2, 5 ** 9 * 11, T ** 2 + T + 1),   # no root mod 2
+    (3, 2 ** 15 * 7, T ** 2 + 1),       # 2 | a_n, and no root mod 3
+])
+@pytest.mark.parametrize("u", [1, -3, 3 ** 20 * 13 ** 5, -3 ** 9 * 17 ** 4])
+def test_root_at_the_full_bound_at_lifting_primes_2_and_3(monkeypatch, p, v,
+                                                          cofactor, u):
+    # f = (vT - u) * cofactor, with cofactor(0) = lead(cofactor) = 1: its
+    # root u/v has |u| = |a_0| and v = |a_n|, the rational root theorem's
+    # bounds exactly. The moduli squared below the target 2|a_0||a_n| + 1
+    # are p^(2^i), and the last is P, the least power of p at or above it
+    f = (v * T - u) * cofactor
+    ints = f.primitive()
+    target = 2 * abs(ints[0] * ints[-1]) + 1
+    dints = [i * c for i, c in enumerate(ints)][1:]
+    assert polyq._lifting_prime(ints, dints)[0] == p
+    P = p
+    while P < target:
+        P *= p
+    moduli, reconstruct = [], polyq._rational_reconstruct
+
+    def recorded(x, m, bound_u, bound_v):
+        moduli.append(m)
+        return reconstruct(x, m, bound_u, bound_v)
+
+    monkeypatch.setattr(polyq, "_rational_reconstruct", recorded)
+    assert rational_roots(f) == divisor_root_search(f) == {Fraction(u, v)}
+    assert moduli == [p ** 2 ** i for i in range(1, len(moduli))] + [P]
